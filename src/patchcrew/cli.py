@@ -17,19 +17,17 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import shutil
 import sys
 from pathlib import Path
 
 from . import evalkit
-from .custodian import Custodian, read_repo_files
 from .errors import (CassetteMissError, DegenerateDataError, DiffParseError,
                      GitError, InstanceError, PatchcrewError, TemplateError,
                      TransportError)
-from .gitops import make_run_root, snapshot
 from .llm import cassette_key, read_cassette
 from .model import load_instance
-from .runner import LLM_MODES, RunConfig, build_gateway, resolve_instance
+from .runner import (LLM_MODES, RunConfig, build_gateway, locate_files,
+                     resolve_instance)
 
 EXIT_OK = 0
 EXIT_DEGENERATE = 1
@@ -60,8 +58,6 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
                         help="disable the QA review loop")
     parser.add_argument("--no-hints", action="store_true",
                         help="ignore the instance's hints_text")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed recorded for randomized helpers (default 0)")
     parser.add_argument("--out-dir", default="runs", metavar="DIR",
                         help="output directory for patches and reports")
 
@@ -78,7 +74,6 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         use_oracle=args.oracle,
         qa_enabled=not args.no_qa,
         hints_enabled=not args.no_hints,
-        seed=args.seed,
         out_dir=Path(args.out_dir),
     )
 
@@ -105,27 +100,15 @@ def cmd_locate(args: argparse.Namespace) -> int:
         for path in instance.oracle_files:
             print(path)
         return EXIT_OK
-    gateway = build_gateway(config)
-    run_root = make_run_root()
-    try:
-        workspace = snapshot(instance.repo_path, instance.base_revision,
-                             root=run_root)
-        repo_files = read_repo_files(workspace.path)
-        custodian = Custodian(gateway)
-        issue = instance.issue_text
-        if config.hints_enabled and instance.hints_text:
-            issue = f"{issue}\n\nHints:\n{instance.hints_text}"
-        result = custodian.locate(repo_files, issue, config.top_k)
-    finally:
-        if not config.keep_workspaces:
-            shutil.rmtree(run_root, ignore_errors=True)
+    located = locate_files(instance, config, build_gateway(config))
+    result = located.result
     kept = set(result.candidates)
     print(f"{'rank':>4}  {'score':>10}  path")
     for rf in result.ranked[:config.top_k]:
         marker = " *" if rf.path in kept else ""
         print(f"{rf.rank:>4}  {rf.bm25_score:>10.4f}  {rf.path}{marker}")
     print(f"candidates: {len(result.candidates)}")
-    for note in custodian.notes:
+    for note in located.custodian.notes:
         print(f"note: {note}")
     return EXIT_OK if result.candidates else EXIT_DEGENERATE
 

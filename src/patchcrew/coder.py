@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from . import prompts
 from .diffs import (CodeChange, FileDiff, compute_diff, keyed_lines,
                     render_file_diff)
-from .errors import ExtractionError, TransportError
+from .errors import LLM_TROUBLE
 from .intervals import LineIntervalSet, normalize
 from .llm import Gateway
 from .model import ReviewOutcome, TaskAssignment
@@ -31,7 +31,6 @@ DEFAULT_MAX_REVIEW_ITERS = 3
 WHOLE_FILE_CONTEXT_LINES = 400
 CONTEXT_WINDOW_LINES = 40
 
-_LLM_TROUBLE = (TransportError, ExtractionError)
 _FENCE_OPEN = re.compile(r"^```[\w+-]*\s*$")
 
 
@@ -154,7 +153,7 @@ class Coder:
                 {"task": task.task_text, "file_content": file_content},
                 "plain_text")
             return replace(task, qa_role=qa_role)
-        except _LLM_TROUBLE as exc:
+        except LLM_TROUBLE as exc:
             self.notes.append(f"coder: {task.file_path}: QA spawn failed, "
                               f"review disabled ({exc})")
             log.warning("QA spawn failed for %s: %s", task.file_path, exc)
@@ -240,7 +239,7 @@ class Coder:
                 file_diff = compute_diff(file_content, new_content, path)
                 if is_new_file and file_diff.hunks:
                     file_diff = replace(file_diff, is_new_file=True)
-            except _LLM_TROUBLE as exc:
+            except LLM_TROUBLE as exc:
                 self.notes.append(f"coder: {path}: iteration {j} failed ({exc})")
                 log.warning("iteration %d on %s failed: %s", j, path, exc)
                 attempts.append(AttemptRecord(j, None, (), (), "", None,
@@ -257,7 +256,7 @@ class Coder:
 
             try:
                 review = self._review(task.qa_role, work_text, diff_text)
-            except _LLM_TROUBLE as exc:
+            except LLM_TROUBLE as exc:
                 self.notes.append(f"coder: {path}: review failed on "
                                   f"iteration {j}, shipping unreviewed ({exc})")
                 attempts.append(AttemptRecord(j, intervals, tuple(old_parts),

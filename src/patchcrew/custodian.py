@@ -19,14 +19,13 @@ import json
 import logging
 import math
 import re
-import threading
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import prompts
 from .diffs import compute_diff, render_file_diff
-from .errors import ExtractionError, TransportError
+from .errors import LLM_TROUBLE
 from .llm import Gateway
 
 log = logging.getLogger(__name__)
@@ -123,18 +122,16 @@ class MemoryEntry:
 
 
 class EvolutionMemory:
-    """path -> MemoryEntry, with single-writer mutation."""
+    """path -> MemoryEntry."""
 
     def __init__(self):
         self.entries: dict[str, MemoryEntry] = {}
-        self._lock = threading.Lock()
 
     def get(self, path: str) -> MemoryEntry | None:
         return self.entries.get(path)
 
     def put(self, path: str, entry: MemoryEntry) -> None:
-        with self._lock:
-            self.entries[path] = entry
+        self.entries[path] = entry
 
 
 def save_memory(memory: EvolutionMemory, path: str | Path) -> None:
@@ -270,7 +267,7 @@ class Custodian:
                     prompts.RELEVANCE_DECISION,
                     {"issue": issue_text, "summary": summary},
                     "boolean_decision")
-            except (TransportError, ExtractionError) as exc:
+            except LLM_TROUBLE as exc:
                 self.notes.append(f"locate: {rf.path}: undetermined ({exc})")
                 log.warning("relevance undetermined for %s: %s", rf.path, exc)
                 candidates.append(rf.path)

@@ -63,3 +63,9 @@ class GitError(PatchcrewError):
 
 class DegenerateDataError(PatchcrewError):
     """An analysis has nothing to say: single-class labels or no usable rows."""
+
+
+# What a degrading stage catches from an LLM call. CassetteMissError is left
+# out on purpose: a replay miss is a configuration error and must propagate
+# rather than be recorded as a degradation.
+LLM_TROUBLE = (TransportError, ExtractionError)

@@ -6,7 +6,7 @@ import logging
 from collections import Counter
 
 from .. import prompts
-from ..errors import ExtractionError, TransportError
+from ..errors import LLM_TROUBLE
 from ..llm import Gateway
 
 log = logging.getLogger(__name__)
@@ -23,7 +23,7 @@ def score_alignment(gateway: Gateway, task_text: str,
             {"task": task_text, "diff": change_text},
             "score_1_to_5")
         return score
-    except (TransportError, ExtractionError) as exc:
+    except LLM_TROUBLE as exc:
         log.warning("alignment score unavailable: %s", exc)
         return None
 

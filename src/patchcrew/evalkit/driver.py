@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 from ..diffs import CodeChange, parse_diff
@@ -33,21 +33,17 @@ log = logging.getLogger(__name__)
 
 RESULTS_COLUMNS = (
     "instance_id", "generated", "applied", "t_old_passed", "t_new_passed",
-    "resolved", "overlap_ratio", "n_files", "n_functions", "n_hunks",
-    "added_loc", "deleted_loc", "changed_loc", "change_start_index",
-    "change_end_index",
+    "resolved", "overlap_ratio",
+    *(f.name for f in fields(ComplexityIndices)),
 )
 
 _ZERO_COMPLEXITY = ComplexityIndices(0, 0, 0, 0, 0, 0, 0, 0)
 
-ANALYSIS_INDICES = (
-    ("# Code Files", "n_files"),
-    ("# Functions", "n_functions"),
-    ("# Hunks", "n_hunks"),
-    ("# Added Lines", "added_loc"),
-    ("# Deleted Lines", "deleted_loc"),
-    ("# Changed Lines", "changed_loc"),
-)
+# Positions say where a change sits, not how big it is, so they are not
+# regressed on.
+ANALYSIS_INDICES = tuple(
+    row for row in SUMMARY_ROWS
+    if row[1] not in ("change_start_index", "change_end_index"))
 
 
 @dataclass(frozen=True)
@@ -167,16 +163,13 @@ def write_results_csv(report: EvaluationReport, path: str | Path) -> None:
         writer.writerow(RESULTS_COLUMNS)
         for row in report.rows:
             o = row.outcome
-            c = o.complexity
             writer.writerow([
                 o.instance_id,
                 _bool(o.generated), _bool(o.applied),
                 _bool(o.t_old_passed), _bool(o.t_new_passed),
                 _bool(o.resolved),
                 "" if o.overlap_ratio is None else repr(o.overlap_ratio),
-                c.n_files, c.n_functions, c.n_hunks, c.added_loc,
-                c.deleted_loc, c.changed_loc, c.change_start_index,
-                c.change_end_index,
+                *astuple(o.complexity),
             ])
 
 

@@ -15,20 +15,21 @@ from ..diffs import CodeChange, modified_old_range
 from ..intervals import LineIntervalSet, normalize
 
 
+def _shared_lines(a: LineIntervalSet, b: LineIntervalSet) -> int:
+    """Lines in both sets; each side must already be normalized."""
+    return sum(max(0, min(e1, e2) - max(s1, s2) + 1)
+               for s1, e1 in a.intervals for s2, e2 in b.intervals)
+
+
 def overlap_ratio(ref: LineIntervalSet, gen: LineIntervalSet) -> float:
     """Shared line count over reference line count, both sides normalized.
     Raises ValueError when the reference is empty (the ratio is undefined
     and the instance should be reported as not-applicable)."""
     ref_n = normalize(ref)
-    gen_n = normalize(gen)
     denom = ref_n.line_count()
     if denom == 0:
         raise ValueError("overlap_ratio undefined for an empty reference")
-    shared = 0
-    for s1, e1 in ref_n.intervals:
-        for s2, e2 in gen_n.intervals:
-            shared += max(0, min(e1, e2) - max(s1, s2) + 1)
-    return shared / denom
+    return _shared_lines(ref_n, normalize(gen)) / denom
 
 
 def change_intervals(change: CodeChange) -> dict[str, LineIntervalSet]:
@@ -50,14 +51,8 @@ def change_overlap_ratio(ref: CodeChange, gen: CodeChange) -> float | None:
     denom = sum(iv.line_count() for iv in ref_iv.values())
     if denom == 0:
         return None
-    shared = 0
-    for path, r in ref_iv.items():
-        g = gen_iv.get(path)
-        if g is None:
-            continue
-        for s1, e1 in r.intervals:
-            for s2, e2 in g.intervals:
-                shared += max(0, min(e1, e2) - max(s1, s2) + 1)
+    shared = sum(_shared_lines(r, gen_iv[path])
+                 for path, r in ref_iv.items() if path in gen_iv)
     return shared / denom
 
 

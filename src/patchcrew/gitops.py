@@ -1,12 +1,12 @@
 """Workspaces: isolated checkouts of a pinned revision, and atomic patch
 application against them.
 
-A snapshot clones the source repository into a fresh directory under a
-run-scoped root and detaches HEAD at the requested revision; the source
-repository is never written to. Application is all-or-nothing per change:
-every file's new content is computed in memory first, and nothing touches
-disk unless every file applies cleanly, so a failed apply leaves the
-workspace byte-identical.
+A snapshot clones the source repository into a fresh directory and
+detaches HEAD at the requested revision; the source repository is never
+written to, and ``destroy`` removes the snapshot again. Application is
+all-or-nothing per change: every file's new content is computed in memory
+first, and nothing touches disk unless every file applies cleanly, so a
+failed apply leaves the workspace byte-identical.
 """
 
 from __future__ import annotations
@@ -48,10 +48,6 @@ def verify_revision(repo_path: str | Path, revision: str) -> str:
     return out.strip()
 
 
-def make_run_root(base: str | Path | None = None) -> Path:
-    return Path(tempfile.mkdtemp(prefix="patchcrew-", dir=base))
-
-
 @dataclass(frozen=True)
 class Workspace:
     path: Path
@@ -61,12 +57,19 @@ class Workspace:
 def snapshot(repo_path: str | Path, revision: str,
              root: str | Path | None = None) -> Workspace:
     """Clean working tree of the repository at the revision, in its own
-    directory. Two snapshots never share a directory."""
+    directory under root (the system temp directory by default). Two
+    snapshots never share a directory. A failed git step removes the
+    directory before the error propagates."""
     sha = verify_revision(repo_path, revision)
-    dest = Path(tempfile.mkdtemp(prefix="ws-", dir=root))
+    dest = Path(tempfile.mkdtemp(prefix="ws-", dir=root)).resolve()
     target = dest / "repo"
-    _git(["clone", "--quiet", str(Path(repo_path).resolve()), str(target)], dest)
-    _git(["checkout", "--quiet", "--detach", sha], target)
+    try:
+        _git(["clone", "--quiet", str(Path(repo_path).resolve()), str(target)],
+             dest)
+        _git(["checkout", "--quiet", "--detach", sha], target)
+    except BaseException:
+        shutil.rmtree(dest, ignore_errors=True)
+        raise
     return Workspace(path=target, revision=sha)
 
 

@@ -21,7 +21,6 @@ import json
 import logging
 import os
 import re
-import threading
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -70,8 +69,6 @@ class ChatExchange:
     template_id: str
     rendered_prompt: str
     response_text: str
-    token_counts: tuple[int, int]  # (prompt, completion), whitespace-word proxy
-    latency_ms: int
 
 
 def read_cassette(path: str | Path) -> dict[str, dict[str, str]]:
@@ -109,9 +106,6 @@ class ReplayBackend:
         except KeyError:
             raise CassetteMissError(key) from None
 
-    def keys(self) -> list[str]:
-        return list(self._records)
-
 
 class RecordBackend:
     """Delegates to an inner backend and appends each exchange to the
@@ -122,7 +116,6 @@ class RecordBackend:
     def __init__(self, inner, cassette_path: str | Path):
         self.inner = inner
         self.cassette_path = Path(cassette_path)
-        self._lock = threading.Lock()
         self._seen: set[str] = set()
         if self.cassette_path.exists():
             self._seen = set(read_cassette(self.cassette_path))
@@ -135,12 +128,11 @@ class RecordBackend:
         response = self.inner.complete(key, template_id, rendered_prompt)
         record = {"key": key, "template_id": template_id,
                   "rendered_prompt": rendered_prompt, "response_text": response}
-        with self._lock:
-            if key not in self._seen:
-                self.cassette_path.parent.mkdir(parents=True, exist_ok=True)
-                with self.cassette_path.open("a", encoding="utf-8") as fh:
-                    fh.write(json.dumps(record, ensure_ascii=True) + "\n")
-                self._seen.add(key)
+        if key not in self._seen:
+            self.cassette_path.parent.mkdir(parents=True, exist_ok=True)
+            with self.cassette_path.open("a", encoding="utf-8") as fh:
+                fh.write(json.dumps(record, ensure_ascii=True) + "\n")
+            self._seen.add(key)
         return response
 
 
@@ -162,7 +154,6 @@ class LiveBackend:
         self.timeout = timeout
         self._transport = transport or self._http_transport
         self._sleeper = sleeper
-        self._lock = threading.Lock()
         self.network_calls = 0
         if transport is None and not self.api_key:
             raise TransportError(f"{API_KEY_ENV} is not set")
@@ -171,8 +162,7 @@ class LiveBackend:
         delay = BACKOFF_START_SECONDS
         last_error: Exception | None = None
         for attempt in range(1, RETRY_ATTEMPTS + 1):
-            with self._lock:
-                self.network_calls += 1
+            self.network_calls += 1
             try:
                 return self._transport(rendered_prompt)
             except Exception as exc:  # noqa: BLE001 - transport errors vary by stack
@@ -199,7 +189,8 @@ class LiveBackend:
         return resp.json()["choices"][0]["message"]["content"]
 
 
-def _last_nonempty_line(text: str) -> str:
+def last_nonempty_line(text: str) -> str:
+    """The last line holding non-whitespace, stripped; "" when there is none."""
     for line in reversed(text.split("\n")):
         if line.strip():
             return line.strip()
@@ -218,7 +209,7 @@ def extract_structured(response_text: str, schema_kind: str) -> Any:
             raise ExtractionError("empty response", response_text)
         return text
 
-    line = _last_nonempty_line(response_text)
+    line = last_nonempty_line(response_text)
     if schema_kind == "boolean_decision":
         m = re.fullmatch(r"DECISION:\s*(YES|NO)", line, re.IGNORECASE)
         if not m:
@@ -260,7 +251,6 @@ class Gateway:
     def __init__(self, backend):
         self.backend = backend
         self.call_counts: Counter[str] = Counter()
-        self._lock = threading.Lock()
 
     @property
     def mode(self) -> str:
@@ -296,11 +286,6 @@ class Gateway:
         return extract_structured(retry.response_text, schema_kind), retry
 
     def _invoke(self, key: str, template_id: str, rendered: str) -> ChatExchange:
-        with self._lock:
-            self.call_counts[template_id] += 1
-        started = time.monotonic()
+        self.call_counts[template_id] += 1
         response = self.backend.complete(key, template_id, rendered)
-        latency_ms = int((time.monotonic() - started) * 1000)
-        return ChatExchange(template_id, rendered, response,
-                            (len(rendered.split()), len(response.split())),
-                            latency_ms)
+        return ChatExchange(template_id, rendered, response)

@@ -16,8 +16,8 @@ import logging
 from dataclasses import replace
 
 from . import prompts
-from .errors import ExtractionError, TransportError
-from .llm import Gateway
+from .errors import LLM_TROUBLE
+from .llm import Gateway, last_nonempty_line
 from .model import MANAGER_ROLE, MeetingTranscript, TaskAssignment, WorkPlan
 
 log = logging.getLogger(__name__)
@@ -25,8 +25,6 @@ log = logging.getLogger(__name__)
 DEFAULT_MEETING_ROUNDS = 2
 MAX_TASKS = 16
 NO_STATEMENT = "(no statement)"
-
-_LLM_TROUBLE = (TransportError, ExtractionError)
 
 
 def render_transcript(transcript_turns: list[tuple[str, str]] | tuple) -> str:
@@ -42,13 +40,8 @@ def format_task_list(tasks: list[TaskAssignment]) -> str:
 def parse_plan_groups(response_text: str) -> list[list[int]] | None:
     """Read the final non-empty line as a JSON list of lists of ints.
     Returns None when it is anything else."""
-    line = ""
-    for candidate in reversed(response_text.split("\n")):
-        if candidate.strip():
-            line = candidate.strip()
-            break
     try:
-        data = json.loads(line)
+        data = json.loads(last_nonempty_line(response_text))
     except json.JSONDecodeError:
         return None
     if not isinstance(data, list):
@@ -127,7 +120,7 @@ class Planner:
             try:
                 task_text = self.define_task(path, content, issue_text)
                 role_text = self.define_role(task_text, issue_text)
-            except _LLM_TROUBLE as exc:
+            except LLM_TROUBLE as exc:
                 self.notes.append(f"plan: {path}: task definition failed ({exc})")
                 log.warning("skipping %s: %s", path, exc)
                 continue
@@ -169,7 +162,7 @@ class Planner:
             text, _ = self.gateway.complete_structured(template_id, variables,
                                                        "plain_text")
             return text
-        except _LLM_TROUBLE as exc:
+        except LLM_TROUBLE as exc:
             self.notes.append(f"meeting: {speaker}: turn failed ({exc})")
             log.warning("meeting turn by %s failed: %s", speaker, exc)
             return NO_STATEMENT
@@ -187,7 +180,7 @@ class Planner:
                     {"role": task.developer_role, "transcript": rendered},
                     "plain_text")
                 refined.append(replace(task, developer_role=role))
-            except _LLM_TROUBLE as exc:
+            except LLM_TROUBLE as exc:
                 self.notes.append(f"plan: task {i}: role refinement failed ({exc})")
                 refined.append(task)
         return refined
@@ -204,7 +197,7 @@ class Planner:
                  "transcript": render_transcript(transcript.turns)},
                 "plain_text")
             groups = parse_plan_groups(response)
-        except _LLM_TROUBLE as exc:
+        except LLM_TROUBLE as exc:
             self.notes.append(f"plan: work-plan call failed ({exc})")
             groups = None
         if groups is None:

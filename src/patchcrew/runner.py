@@ -15,16 +15,15 @@ The generated patch itself lands at ``<out_dir>/<instance_id>.patch``.
 from __future__ import annotations
 
 import logging
-import shutil
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .coder import Coder, TaskResult
-from .custodian import (Custodian, EvolutionMemory, load_memory,
-                        read_repo_files, save_memory)
+from .custodian import (Custodian, EvolutionMemory, LocateResult,
+                        load_memory, read_repo_files, save_memory)
 from .diffs import CodeChange, render_change
-from .gitops import make_run_root, snapshot
+from .gitops import Workspace, destroy, snapshot
 from .llm import Gateway, LiveBackend, RecordBackend, ReplayBackend
 from .model import IssueInstance
 from .planner import Planner, render_transcript
@@ -46,7 +45,6 @@ class RunConfig:
     use_oracle: bool = False
     qa_enabled: bool = True
     hints_enabled: bool = True
-    seed: int = 0
     out_dir: Path = field(default_factory=lambda: Path("runs"))
 
     def __post_init__(self):
@@ -63,6 +61,53 @@ def build_gateway(config: RunConfig) -> Gateway:
     if config.llm_mode == "record":
         return Gateway(RecordBackend(LiveBackend(), config.cassette_path))
     return Gateway(LiveBackend())
+
+
+@dataclass
+class Located:
+    """The locate stage's output: the base revision's files, the issue
+    text with hints folded in, and the custodian that ranked them."""
+    workspace: Workspace  # already removed unless keep_workspaces
+    repo_files: dict[str, str]
+    issue: str
+    custodian: Custodian
+    candidates: list[str]
+    result: LocateResult | None  # None when oracle files bypassed ranking
+
+
+def locate_files(instance: IssueInstance, config: RunConfig,
+                 gateway: Gateway) -> Located:
+    """Snapshot the base revision, read its files, and pick candidate files
+    with the custodian (or take the oracle files). The checkout is removed
+    once read, and the memory is saved once the custodian is done with it,
+    since nothing later reads the one or changes the other."""
+    workspace = snapshot(instance.repo_path, instance.base_revision)
+    try:
+        repo_files = read_repo_files(workspace.path)
+    finally:
+        if not config.keep_workspaces:
+            destroy(workspace)
+
+    memory = EvolutionMemory()
+    if config.memory_path and Path(config.memory_path).exists():
+        memory = load_memory(config.memory_path)
+    custodian = Custodian(gateway, memory)
+
+    issue = instance.issue_text
+    if config.hints_enabled and instance.hints_text:
+        issue = f"{issue}\n\nHints:\n{instance.hints_text}"
+
+    result = None
+    if config.use_oracle and instance.oracle_files:
+        candidates = list(instance.oracle_files)
+        log.info("oracle files supplied, custodian bypassed")
+    else:
+        result = custodian.locate(repo_files, issue, config.top_k)
+        candidates = list(result.candidates)
+
+    if config.memory_path:
+        save_memory(custodian.memory, config.memory_path)
+    return Located(workspace, repo_files, issue, custodian, candidates, result)
 
 
 @dataclass
@@ -84,68 +129,42 @@ def resolve_instance(instance: IssueInstance, config: RunConfig,
                      gateway: Gateway | None = None) -> RunOutcome:
     started = time.monotonic()
     gateway = gateway or build_gateway(config)
-    run_root = make_run_root()
-    workspace_note = ""
-    try:
-        workspace = snapshot(instance.repo_path, instance.base_revision,
-                             root=run_root)
-        repo_files = read_repo_files(workspace.path)
+    located = locate_files(instance, config, gateway)
+    repo_files, issue, custodian = (located.repo_files, located.issue,
+                                    located.custodian)
 
-        memory = EvolutionMemory()
-        if config.memory_path and Path(config.memory_path).exists():
-            memory = load_memory(config.memory_path)
-        custodian = Custodian(gateway, memory)
+    planner = Planner(gateway, meeting_rounds=config.meeting_rounds)
+    coder = Coder(gateway, n_max=config.max_review_iters,
+                  qa_enabled=config.qa_enabled)
 
-        issue = instance.issue_text
-        if config.hints_enabled and instance.hints_text:
-            issue = f"{issue}\n\nHints:\n{instance.hints_text}"
+    tasks = planner.build_team(located.candidates, repo_files, issue)
+    task_results: list[TaskResult] = []
+    if tasks:
+        transcript = planner.kickoff_meeting(tasks, issue)
+        tasks = planner.refine_roles(tasks, transcript)
+        plan = planner.make_plan(transcript, tasks)
+        summaries = {path: entry.summary
+                     for path, entry in custodian.memory.entries.items()}
+        change, task_results = coder.resolve_issue(tasks, plan, repo_files,
+                                                   summaries)
+    else:
+        transcript = None
+        plan = None
+        change = CodeChange(())
 
-        if config.use_oracle and instance.oracle_files:
-            candidates = list(instance.oracle_files)
-            log.info("oracle files supplied, custodian bypassed "
-                     "(bm25_calls=%d)", custodian.bm25_calls)
-        else:
-            located = custodian.locate(repo_files, issue, config.top_k)
-            candidates = list(located.candidates)
-
-        planner = Planner(gateway, meeting_rounds=config.meeting_rounds)
-        coder = Coder(gateway, n_max=config.max_review_iters,
-                      qa_enabled=config.qa_enabled)
-
-        tasks = planner.build_team(candidates, repo_files, issue)
-        task_results: list[TaskResult] = []
-        if tasks:
-            transcript = planner.kickoff_meeting(tasks, issue)
-            tasks = planner.refine_roles(tasks, transcript)
-            plan = planner.make_plan(transcript, tasks)
-            summaries = {path: entry.summary
-                         for path, entry in custodian.memory.entries.items()}
-            change, task_results = coder.resolve_issue(tasks, plan, repo_files,
-                                                       summaries)
-        else:
-            transcript = None
-            plan = None
-            change = CodeChange(())
-
-        if config.memory_path:
-            save_memory(custodian.memory, config.memory_path)
-
-        notes = custodian.notes + planner.notes + coder.notes
-        report_dir = config.out_dir / instance.instance_id
-        patch_path = config.out_dir / f"{instance.instance_id}.patch"
-        elapsed = time.monotonic() - started
-        if config.keep_workspaces:
-            workspace_note = str(workspace.path)
-        _write_report(report_dir, patch_path, instance, config, gateway,
-                      custodian, transcript, plan, tasks, task_results,
-                      change, notes, elapsed, workspace_note)
-        return RunOutcome(instance_id=instance.instance_id, change=change,
-                          patch_path=patch_path, report_dir=report_dir,
-                          task_results=task_results, notes=notes,
-                          elapsed_seconds=elapsed)
-    finally:
-        if not config.keep_workspaces:
-            shutil.rmtree(run_root, ignore_errors=True)
+    notes = custodian.notes + planner.notes + coder.notes
+    report_dir = config.out_dir / instance.instance_id
+    patch_path = config.out_dir / f"{instance.instance_id}.patch"
+    elapsed = time.monotonic() - started
+    workspace_note = (str(located.workspace.path) if config.keep_workspaces
+                      else "")
+    _write_report(report_dir, patch_path, instance, config, gateway,
+                  custodian, transcript, plan, tasks, task_results,
+                  change, notes, elapsed, workspace_note)
+    return RunOutcome(instance_id=instance.instance_id, change=change,
+                      patch_path=patch_path, report_dir=report_dir,
+                      task_results=task_results, notes=notes,
+                      elapsed_seconds=elapsed)
 
 
 def _write_report(report_dir: Path, patch_path: Path, instance: IssueInstance,
@@ -217,7 +236,7 @@ def _write_report(report_dir: Path, patch_path: Path, instance: IssueInstance,
         f" meeting_rounds={config.meeting_rounds}"
         f" oracle={str(config.use_oracle).lower()}"
         f" qa={str(config.qa_enabled).lower()}"
-        f" hints={str(config.hints_enabled).lower()} seed={config.seed}",
+        f" hints={str(config.hints_enabled).lower()}",
         f"llm_calls: total={gateway.total_calls()} {counts}".rstrip(),
         f"bm25_calls: {custodian.bm25_calls}",
         f"network_calls: {gateway.network_calls}",

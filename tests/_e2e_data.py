@@ -222,3 +222,14 @@ def write_instance(path: Path, repo_dir: Path, sha: str, **kwargs) -> Path:
 FIXTURE_DIR = Path(__file__).resolve().parent / "fixtures" / "e2e"
 CASSETTE_PATH = FIXTURE_DIR / "cassette.jsonl"
 EXPECTED_PATCH_PATH = FIXTURE_DIR / "expected.patch"
+EXPECTED_REPORT_DIR = FIXTURE_DIR / "expected_report"  # minus run.txt
+
+
+def cassette_without(template_id: str, dest: Path) -> Path:
+    """A copy of the fixture cassette with every record of one template
+    dropped, so replaying a call of that template misses."""
+    records = [line for line in CASSETTE_PATH.read_text(
+        encoding="utf-8").splitlines()
+        if line.strip() and json.loads(line)["template_id"] != template_id]
+    dest.write_text("\n".join(records) + "\n", encoding="utf-8")
+    return dest

@@ -2,8 +2,10 @@
 
 Runs the full pipeline against the toy repository from ``_e2e_data`` with
 authored responses behind a recording gateway, then writes the resulting
-``cassette.jsonl`` and ``expected.patch`` next to this script. Run it after
-changing the fixture data or any prompt variable layout:
+``cassette.jsonl``, ``expected.patch`` and ``expected_report/`` (the report
+tree minus ``run.txt``, whose wall time varies) next to this script. Run it
+after changing the fixture data, any prompt variable layout or the report
+format:
 
     python3 tests/fixtures/e2e/gen_cassette.py
 """
@@ -56,9 +58,13 @@ def main() -> int:
 
         patch_text = outcome.patch_path.read_text(encoding="utf-8")
         (out_dir / "expected.patch").write_text(patch_text, encoding="utf-8")
+        report = out_dir / "expected_report"
+        shutil.rmtree(report, ignore_errors=True)
+        shutil.copytree(outcome.report_dir, report,
+                        ignore=shutil.ignore_patterns("run.txt"))
         print(f"wrote {cassette} ({len(cassette.read_text().splitlines())} "
               f"records)")
-        print(f"wrote {out_dir / 'expected.patch'}")
+        print(f"wrote {out_dir / 'expected.patch'} and {report}")
         print(patch_text, end="")
         return 0
     finally:

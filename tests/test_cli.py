@@ -7,11 +7,12 @@ import pytest
 import _e2e_data as e2e
 
 from patchcrew.cli import main
+from patchcrew.custodian import load_memory
 from patchcrew.llm import cassette_key
 
 
-def _run_flags(tmp_path, *extra: str) -> list[str]:
-    return ["--cassette", str(e2e.CASSETTE_PATH),
+def _run_flags(tmp_path, *extra: str, cassette=e2e.CASSETTE_PATH) -> list[str]:
+    return ["--cassette", str(cassette),
             "--top-k", str(e2e.TOP_K),
             "--meeting-rounds", str(e2e.MEETING_ROUNDS),
             "--out-dir", str(tmp_path / "runs"), *extra]
@@ -73,6 +74,25 @@ def test_locate_ranks_and_marks_candidates(fixture_instance_file, tmp_path,
     assert "candidates: 1" in out
     marked = [l for l in lines if l.endswith("*")]
     assert len(marked) == 1
+
+
+def test_locate_reads_and_writes_memory(fixture_instance_file, tmp_path,
+                                        capsys):
+    memory_path = tmp_path / "memory.jsonl"
+    code = main(["locate", str(fixture_instance_file), *_run_flags(tmp_path),
+                 "--memory-path", str(memory_path)])
+    assert code == 0
+    assert set(load_memory(memory_path).entries) == set(e2e.REPO_FILES)
+
+    # every summary is remembered, so a cassette without P2 records suffices
+    no_summaries = e2e.cassette_without("P2", tmp_path / "no-p2.jsonl")
+    capsys.readouterr()
+    code = main(["locate", str(fixture_instance_file),
+                 *_run_flags(tmp_path, cassette=no_summaries),
+                 "--memory-path", str(memory_path)])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    assert "candidates: 1" in out
 
 
 def test_locate_oracle_bypass(fixture_repo, tmp_path, capsys):

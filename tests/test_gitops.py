@@ -9,8 +9,9 @@ import _e2e_data as e2e
 
 from patchcrew.diffs import CodeChange, compute_diff
 from patchcrew.errors import GitError
-from patchcrew.gitops import (Workspace, apply_change, destroy, make_run_root,
-                              snapshot, verify_revision)
+from patchcrew import gitops
+from patchcrew.gitops import (Workspace, apply_change, destroy, snapshot,
+                              verify_revision)
 
 
 def _workspace(tmp_path, files: dict[str, str]) -> Workspace:
@@ -74,10 +75,34 @@ def test_two_snapshots_never_share_a_directory(fixture_repo, tmp_path):
         destroy(ws2)
 
 
-def test_make_run_root(tmp_path):
-    root = make_run_root(tmp_path)
-    assert root.is_dir()
-    assert root.name.startswith("patchcrew-")
+def test_snapshot_under_a_relative_root(fixture_repo, tmp_path, monkeypatch):
+    repo, sha = fixture_repo
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "runs").mkdir()
+    ws = snapshot(repo, sha, root="runs")
+    try:
+        assert ws.path.is_absolute()
+        assert ws.path.parent.parent == tmp_path / "runs"
+        assert (ws.path / "calc.py").read_text(encoding="utf-8") == e2e.CALC_OLD
+    finally:
+        destroy(ws)
+    assert list((tmp_path / "runs").iterdir()) == []
+
+
+def test_snapshot_removes_its_directory_when_git_fails(fixture_repo, tmp_path,
+                                                       monkeypatch):
+    repo, sha = fixture_repo
+    real_git = gitops._git
+
+    def failing_checkout(args, cwd):
+        if args[0] == "checkout":
+            raise GitError("git checkout failed: injected")
+        return real_git(args, cwd)
+
+    monkeypatch.setattr(gitops, "_git", failing_checkout)
+    with pytest.raises(GitError, match="injected"):
+        snapshot(repo, sha, root=tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 # --- atomic application -----------------------------------------------------------

@@ -199,14 +199,6 @@ def test_gateway_counts_calls_per_template():
     assert gw.total_calls() == 3
 
 
-def test_gateway_exchange_carries_token_proxy():
-    gw = scripted_gateway({"P1": "two words"})
-    exchange = gw.complete("P1", {"diff": "a b c"})
-    assert exchange.token_counts[1] == 2
-    assert exchange.token_counts[0] > 0
-    assert exchange.latency_ms >= 0
-
-
 def test_structured_retry_uses_distinct_key_and_reminder(tmp_path):
     variables = {"issue": "x", "summary": "y"}
     from patchcrew.prompts import render

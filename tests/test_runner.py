@@ -7,6 +7,7 @@ import pytest
 import _e2e_data as e2e
 
 from patchcrew.custodian import load_memory
+from patchcrew.errors import CassetteMissError
 from patchcrew.llm import Gateway, ReplayBackend
 from patchcrew.model import instance_from_dict
 from patchcrew.runner import RunConfig, RunOutcome, build_gateway, resolve_instance
@@ -85,6 +86,8 @@ def test_resolve_instance_report_layout(fixture_repo, tmp_path):
     run_text = (report / "run.txt").read_text(encoding="utf-8")
     assert f"instance: {e2e.INSTANCE_ID}" in run_text
     assert "mode: replay" in run_text
+    assert ("flags: top_k=4 max_review_iters=3 meeting_rounds=1 oracle=false"
+            " qa=true hints=true\n") in run_text
     assert "network_calls: 0" in run_text
     assert "bm25_calls: 1" in run_text
 
@@ -116,6 +119,31 @@ def test_resolve_instance_persists_memory(fixture_repo, tmp_path):
     outcome = resolve_instance(_instance(fixture_repo),
                                _config(tmp_path, memory_path=str(memory_path)))
     assert outcome.produced_change
+
+
+def test_resolve_instance_keeps_memory_when_a_later_stage_fails(
+        fixture_repo, tmp_path):
+    cassette = e2e.cassette_without("MEETING_OPEN",
+                                    tmp_path / "no-meeting.jsonl")
+    memory_path = tmp_path / "memory.jsonl"
+    with pytest.raises(CassetteMissError, match="MEETING_OPEN:"):
+        resolve_instance(_instance(fixture_repo),
+                         _config(tmp_path, cassette_path=str(cassette),
+                                 memory_path=str(memory_path)))
+    assert set(load_memory(memory_path).entries) == set(e2e.REPO_FILES)
+
+
+def _tree(root) -> dict[str, bytes]:
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_replay_report_matches_checked_in_report(fixture_repo, tmp_path):
+    outcome = resolve_instance(_instance(fixture_repo), _config(tmp_path))
+    produced = _tree(outcome.report_dir)
+    del produced["run.txt"]  # carries the wall time
+    assert produced == _tree(e2e.EXPECTED_REPORT_DIR)
+    assert outcome.patch_path.read_bytes() == e2e.EXPECTED_PATCH_PATH.read_bytes()
 
 
 def test_resolve_instance_is_deterministic(fixture_repo, tmp_path):
