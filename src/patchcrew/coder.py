@@ -8,7 +8,8 @@ into the task text for the next iteration. The loop runs at most n_max
 iterations and the final iteration's diff ships even without approval.
 
 Every iteration rewrites the original file, not the previous attempt;
-only the task text accumulates review feedback.
+only the task text accumulates review feedback. resolve_issue runs the
+tasks of one plan stage concurrently.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .diffs import (CodeChange, FileDiff, compute_diff, keyed_lines,
                     render_file_diff)
 from .errors import LLM_TROUBLE
 from .intervals import LineIntervalSet, normalize
-from .llm import Gateway
+from .llm import Gateway, map_concurrently
 from .model import ReviewOutcome, TaskAssignment
 
 log = logging.getLogger(__name__)
@@ -287,28 +288,56 @@ class Coder:
                       ) -> tuple[CodeChange, list[TaskResult]]:
         """Execute the plan's groups in order and merge the results.
 
-        Tasks run in group order (and in index order inside a group), each
-        seeing the file state left by earlier groups, so two tasks on one
-        file compose instead of conflicting. The merged change holds one
-        diff per file, original state against final state, sorted by path;
-        a failed task simply contributes nothing.
+        A group's tasks run concurrently, each seeing the file state left
+        by earlier groups. Tasks of one group on the same file run one after
+        another in one worker, each seeing the one before, so two tasks on
+        one file compose instead of conflicting. Results and notes are
+        merged in group order, as if the tasks had run one by one. The
+        merged change holds one diff per file, original state against
+        final state, sorted by path; a failed task simply contributes
+        nothing.
         """
         summaries = summaries or {}
         current: dict[str, str] = {}
         results: list[TaskResult] = []
-        for group in plan.groups:
-            for idx in group:
-                task = tasks[idx]
-                path = task.file_path
-                exists = path in original_files or path in current
-                content = current.get(path, original_files.get(path, ""))
-                task = self.spawn_qa(task, content)
-                result = self.execute_task(task, content,
-                                           is_new_file=not exists,
-                                           summary=summaries.get(path, ""))
-                results.append(result)
+
+        def run_file(indices: list[int]):
+            """One group's tasks on one file, in group order. Each task gets
+            a coder of its own, so its notes stay apart from other workers'.
+            Returns idx -> (result, notes), and the file's new content, or
+            None when no task changed it."""
+            path = tasks[indices[0]].file_path
+            exists = path in original_files or path in current
+            content = current.get(path, original_files.get(path, ""))
+            changed: str | None = None
+            done: dict[int, tuple[TaskResult, list[str]]] = {}
+            for idx in indices:
+                worker = Coder(self.gateway, n_max=self.n_max,
+                               qa_enabled=self.qa_enabled)
+                task = worker.spawn_qa(tasks[idx], content)
+                result = worker.execute_task(task, content,
+                                             is_new_file=not exists,
+                                             summary=summaries.get(path, ""))
+                done[idx] = (result, worker.notes)
                 if not result.failed and result.new_content != content:
-                    current[path] = result.new_content
+                    content = changed = result.new_content
+                    exists = True
+            return done, changed
+
+        for group in plan.groups:
+            by_file: dict[str, list[int]] = {}
+            for idx in group:
+                by_file.setdefault(tasks[idx].file_path, []).append(idx)
+            finished: dict[int, tuple[TaskResult, list[str]]] = {}
+            for path, (done, changed) in zip(
+                    by_file, map_concurrently(run_file, by_file.values())):
+                finished.update(done)
+                if changed is not None:
+                    current[path] = changed
+            for idx in group:
+                result, notes = finished[idx]
+                results.append(result)
+                self.notes += notes
         diffs: list[FileDiff] = []
         for path in sorted(current):
             original = original_files.get(path, "")

@@ -26,7 +26,7 @@ from pathlib import Path
 from . import prompts
 from .diffs import compute_diff, render_file_diff
 from .errors import LLM_TROUBLE
-from .llm import Gateway
+from .llm import Gateway, map_concurrently
 
 log = logging.getLogger(__name__)
 
@@ -71,21 +71,22 @@ def rank_files(repo_files: dict[str, str], issue_text: str) -> list[RankedFile]:
     if not issue_text.strip():
         raise ValueError("rank_files needs non-empty issue text")
 
-    docs = {path: tokenize(content) + tokenize(path)
-            for path, content in repo_files.items()}
+    # one term-frequency Counter and one length per document, not its tokens
+    docs: dict[str, tuple[Counter[str], int]] = {}
+    doc_freq: Counter[str] = Counter()
+    for path, content in repo_files.items():
+        terms = tokenize(content) + tokenize(path)
+        tf = Counter(terms)
+        docs[path] = (tf, len(terms))
+        doc_freq.update(tf.keys())
     n_docs = len(docs)
-    avg_len = sum(len(t) for t in docs.values()) / n_docs
+    avg_len = sum(dl for _, dl in docs.values()) / n_docs
     if avg_len == 0:
         avg_len = 1.0
-    doc_freq: Counter[str] = Counter()
-    for terms in docs.values():
-        doc_freq.update(set(terms))
 
     query = tokenize(issue_text)
     scores: dict[str, float] = {}
-    for path, terms in docs.items():
-        tf = Counter(terms)
-        dl = len(terms)
+    for path, (tf, dl) in docs.items():
         score = 0.0
         for term in query:
             f = tf.get(term, 0)
@@ -93,8 +94,8 @@ def rank_files(repo_files: dict[str, str], issue_text: str) -> list[RankedFile]:
                 continue
             idf = math.log((n_docs - doc_freq[term] + 0.5)
                            / (doc_freq[term] + 0.5) + 1.0)
-            score += idf * (f * (BM25_K1 + 1)) / (
-                f + BM25_K1 * (1 - BM25_B + BM25_B * dl / avg_len))
+            norm = 1 - BM25_B + BM25_B * dl / avg_len
+            score += idf * f * (BM25_K1 + 1) / (f + BM25_K1 * norm)
         scores[path] = score
 
     ordered = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -249,8 +250,10 @@ class Custodian:
     def locate(self, repo_files: dict[str, str], issue_text: str,
                k: int) -> LocateResult:
         """Rank all files, then keep a top-k file unless the relevance
-        check answers NO on its summary. LLM trouble on one file keeps the
-        file (fail-open) and records a note; a replay cassette miss still
+        check answers NO on its summary. The top-k files are summarized and
+        judged concurrently; their paths are distinct, so their memory
+        entries are too. LLM trouble on one file keeps the file (fail-open)
+        and records a note, in rank order; a replay cassette miss still
         raises, since that is a configuration error, not an LLM failure.
         """
         if k < 1:
@@ -258,9 +261,8 @@ class Custodian:
         ranked = rank_files(repo_files, issue_text)
         self.bm25_calls += 1
         top = ranked[:k]
-        candidates: list[str] = []
-        undetermined: list[str] = []
-        for rf in top:
+
+        def judge(rf: RankedFile) -> bool | Exception:
             try:
                 summary = self.summarize_file(rf.path, repo_files[rf.path])
                 relevant, _ = self.gateway.complete_structured(
@@ -268,12 +270,19 @@ class Custodian:
                     {"issue": issue_text, "summary": summary},
                     "boolean_decision")
             except LLM_TROUBLE as exc:
-                self.notes.append(f"locate: {rf.path}: undetermined ({exc})")
-                log.warning("relevance undetermined for %s: %s", rf.path, exc)
+                return exc
+            return relevant
+
+        candidates: list[str] = []
+        undetermined: list[str] = []
+        for rf, verdict in zip(top, map_concurrently(judge, top)):
+            if isinstance(verdict, Exception):
+                self.notes.append(f"locate: {rf.path}: undetermined ({verdict})")
+                log.warning("relevance undetermined for %s: %s", rf.path,
+                            verdict)
                 candidates.append(rf.path)
                 undetermined.append(rf.path)
-                continue
-            if relevant:
+            elif verdict:
                 candidates.append(rf.path)
         return LocateResult(
             candidates=tuple(candidates),

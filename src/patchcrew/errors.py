@@ -41,6 +41,15 @@ class TransportError(PatchcrewError):
         self.attempts = attempts
 
 
+class RateLimitError(TransportError):
+    """The API refused a call under its rate limit (HTTP 429).
+    ``retry_after`` is the wait in seconds the server asked for, or None."""
+
+    def __init__(self, message: str, retry_after: float | None = None):
+        super().__init__(message)
+        self.retry_after = retry_after
+
+
 class CassetteMissError(PatchcrewError):
     """Replay mode has no record for the requested key. Never falls back to live."""
 

@@ -1,8 +1,11 @@
 """Manager agent: build per-file tasks and roles, hold the kick-off
 meeting, and emit an execution schedule.
 
+Task and role calls for different files, and the role refinements after
+the meeting, run concurrently (llm.map_concurrently); notes keep task order.
 The meeting is a circular speech: the manager opens, each developer speaks
-once per round in task order, the manager summarizes. The schedule asked of
+once per round in task order, the manager summarizes. Its turns run one at
+a time, since each reads the transcript so far. The schedule asked of
 the model is a JSON list of lists of task indices; whatever comes back is
 repaired into a real partition (unknown or repeated indices dropped,
 missing indices appended as final singleton stages), because a plan that
@@ -17,13 +20,12 @@ from dataclasses import replace
 
 from . import prompts
 from .errors import LLM_TROUBLE
-from .llm import Gateway, last_nonempty_line
+from .llm import MAX_TASKS, Gateway, last_nonempty_line, map_concurrently
 from .model import MANAGER_ROLE, MeetingTranscript, TaskAssignment, WorkPlan
 
 log = logging.getLogger(__name__)
 
 DEFAULT_MEETING_ROUNDS = 2
-MAX_TASKS = 16
 NO_STATEMENT = "(no statement)"
 
 
@@ -105,8 +107,9 @@ class Planner:
 
     def build_team(self, candidate_paths: list[str], repo_files: dict[str, str],
                    issue_text: str) -> list[TaskAssignment]:
-        """One task + one developer role per candidate file. A file whose
-        task or role call fails is skipped with a note; the rest proceed."""
+        """One task + one developer role per candidate file, the files
+        side by side. A file whose task or role call fails is skipped with
+        a note; the rest proceed."""
         if len(candidate_paths) > self.max_tasks:
             dropped = candidate_paths[self.max_tasks:]
             self.notes.append(
@@ -114,18 +117,26 @@ class Planner:
                 f"{len(dropped)} lowest-ranked files: {', '.join(dropped)}")
             log.warning("task cap reached, dropping %d files", len(dropped))
             candidate_paths = candidate_paths[:self.max_tasks]
-        tasks: list[TaskAssignment] = []
-        for path in candidate_paths:
-            content = repo_files.get(path, "")
+
+        def define(path: str) -> TaskAssignment | Exception:
             try:
-                task_text = self.define_task(path, content, issue_text)
+                task_text = self.define_task(path, repo_files.get(path, ""),
+                                             issue_text)
                 role_text = self.define_role(task_text, issue_text)
             except LLM_TROUBLE as exc:
-                self.notes.append(f"plan: {path}: task definition failed ({exc})")
-                log.warning("skipping %s: %s", path, exc)
-                continue
-            tasks.append(TaskAssignment(file_path=path, task_text=task_text,
-                                        developer_role=role_text))
+                return exc
+            return TaskAssignment(file_path=path, task_text=task_text,
+                                  developer_role=role_text)
+
+        tasks: list[TaskAssignment] = []
+        for path, outcome in zip(candidate_paths,
+                                 map_concurrently(define, candidate_paths)):
+            if isinstance(outcome, Exception):
+                self.notes.append(f"plan: {path}: task definition failed "
+                                  f"({outcome})")
+                log.warning("skipping %s: %s", path, outcome)
+            else:
+                tasks.append(outcome)
         return tasks
 
     def kickoff_meeting(self, tasks: list[TaskAssignment],
@@ -169,20 +180,29 @@ class Planner:
 
     def refine_roles(self, tasks: list[TaskAssignment],
                      transcript: MeetingTranscript) -> list[TaskAssignment]:
-        """Rewrite each developer role in the light of the meeting; a
-        failed rewrite keeps the original role. Pairing is positional."""
+        """Rewrite each developer role in the light of the meeting, the
+        tasks side by side; a failed rewrite keeps the original role.
+        Pairing is positional."""
         rendered = render_transcript(transcript.turns)
-        refined: list[TaskAssignment] = []
-        for i, task in enumerate(tasks):
+
+        def refine(task: TaskAssignment) -> TaskAssignment | Exception:
             try:
                 role, _ = self.gateway.complete_structured(
                     prompts.ROLE_REFINEMENT,
                     {"role": task.developer_role, "transcript": rendered},
                     "plain_text")
-                refined.append(replace(task, developer_role=role))
             except LLM_TROUBLE as exc:
-                self.notes.append(f"plan: task {i}: role refinement failed ({exc})")
-                refined.append(task)
+                return exc
+            return replace(task, developer_role=role)
+
+        refined: list[TaskAssignment] = []
+        for i, (task, outcome) in enumerate(
+                zip(tasks, map_concurrently(refine, tasks))):
+            if isinstance(outcome, Exception):
+                self.notes.append(f"plan: task {i}: role refinement failed "
+                                  f"({outcome})")
+                outcome = task
+            refined.append(outcome)
         return refined
 
     def make_plan(self, transcript: MeetingTranscript,

@@ -1,5 +1,13 @@
 """End-to-end issue resolution: snapshot, locate, plan, code, report.
 
+Independent LLM calls run concurrently (llm.map_concurrently): the
+per-file summaries and relevance checks of locate, the per-file task and
+role definitions, the role refinements after the meeting, and the tasks
+of each plan.txt stage, one stage after another. The kick-off meeting
+runs turn by turn, since each turn reads the transcript so far. Every
+stage merges its results and notes in rank or task order, so the report
+is the same as if every call had run in turn.
+
 Artifacts per run, under ``<out_dir>/<instance_id>/``:
   meeting.txt   the kick-off transcript and summary
   plan.txt      tasks, roles, and the staged schedule

@@ -13,6 +13,7 @@ phases), so they stay correct regardless of BM25 rank order.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import re
 import subprocess
@@ -233,3 +234,21 @@ def cassette_without(template_id: str, dest: Path) -> Path:
         if line.strip() and json.loads(line)["template_id"] != template_id]
     dest.write_text("\n".join(records) + "\n", encoding="utf-8")
     return dest
+
+
+@contextlib.contextmanager
+def calls_in_turn():
+    """Run every stage's calls one at a time, in input order, as a serial
+    pipeline would. A recording backend appends records as calls finish, so
+    only in this mode does a cassette list them in a fixed order."""
+    from patchcrew import coder, custodian, planner
+
+    modules = (custodian, planner, coder)
+    saved = [module.map_concurrently for module in modules]
+    for module in modules:
+        module.map_concurrently = lambda fn, items: [fn(item) for item in items]
+    try:
+        yield
+    finally:
+        for module, original in zip(modules, saved):
+            module.map_concurrently = original

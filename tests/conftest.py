@@ -9,8 +9,10 @@ from patchcrew.llm import Gateway, ReplayBackend
 
 class ScriptedBackend:
     """Per-template responses for direct unit tests: a string answers every
-    call, a list is consumed in order, a callable sees the rendered prompt.
-    A missing template is a test bug, not an LLM failure."""
+    call, a list is consumed in the order calls arrive, a callable sees the
+    rendered prompt. Calls a stage makes concurrently arrive in any order,
+    so script those with a callable. A missing template is a test bug, not
+    an LLM failure."""
 
     mode = "replay"
     network_calls = 0

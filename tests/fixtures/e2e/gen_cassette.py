@@ -8,6 +8,10 @@ after changing the fixture data, any prompt variable layout or the report
 format:
 
     python3 tests/fixtures/e2e/gen_cassette.py
+
+Every stage's calls are made one at a time (``calls_in_turn``), so the
+cassette lists its records in a fixed order and a regenerated fixture
+equals the checked-in one byte for byte.
 """
 
 from __future__ import annotations
@@ -27,8 +31,7 @@ from patchcrew.model import load_instance  # noqa: E402
 from patchcrew.runner import RunConfig, resolve_instance  # noqa: E402
 
 
-def main() -> int:
-    out_dir = Path(__file__).resolve().parent
+def main(out_dir: Path = Path(__file__).resolve().parent) -> int:
     cassette = out_dir / "cassette.jsonl"
     if cassette.exists():
         cassette.unlink()
@@ -45,7 +48,8 @@ def main() -> int:
                            top_k=data.TOP_K,
                            meeting_rounds=data.MEETING_ROUNDS,
                            out_dir=work / "runs")
-        outcome = resolve_instance(instance, config, gateway=gateway)
+        with data.calls_in_turn():
+            outcome = resolve_instance(instance, config, gateway=gateway)
         if not outcome.produced_change:
             print("pipeline produced no change; fixture data is broken",
                   file=sys.stderr)

@@ -350,6 +350,39 @@ def test_resolve_issue_composes_tasks_on_one_file():
     assert apply_file_diff("a\nb\nc\n", change.file_diffs[0]) == "A\nb\nC\n"
 
 
+def test_resolve_issue_composes_tasks_on_one_file_in_one_stage():
+    # tasks 0 and 2 edit mod.py in the same stage as task 1 on other.py;
+    # task 2 must see task 0's edit, not the file as the stage began
+    seen: list[str] = []
+
+    def intervals(prompt):
+        seen.append(prompt)
+        return "[[3,3]]" if "third line" in prompt else "[[1,1]]"
+
+    def replace_line(prompt):
+        if "other.py" in prompt:
+            return "Y\n"
+        return "A\n" if "first line" in prompt else "C\n"
+
+    gw = scripted_gateway({"P9": intervals, "P10": replace_line})
+    coder = Coder(gw, qa_enabled=False)
+    tasks = [TaskAssignment("mod.py", "change the first line", "dev"),
+             TaskAssignment("other.py", "change the line", "dev"),
+             TaskAssignment("mod.py", "change the third line", "dev")]
+    plan = WorkPlan(groups=((2, 1, 0),), transcript_ref="meeting.txt")
+    files = {"mod.py": "a\nb\nc\n", "other.py": "x\n"}
+    change, results = coder.resolve_issue(tasks, plan, files)
+    # results follow the group's order; on mod.py task 2 ran first
+    assert [r.task.file_path for r in results] == ["mod.py", "other.py",
+                                                    "mod.py"]
+    assert results[0].new_content == "a\nb\nC\n"
+    assert results[2].new_content == "A\nb\nC\n"
+    assert [apply_file_diff(files[fd.old_path], fd) for fd
+            in change.file_diffs] == ["A\nb\nC\n", "Y\n"]
+    first_line_prompt = next(p for p in seen if "first line" in p)
+    assert "1: a\n2: b\n3: C" in first_line_prompt
+
+
 def test_resolve_issue_marks_new_files():
     gw = scripted_gateway({"P10": "x = 1\n"})
     coder = Coder(gw, qa_enabled=False)

@@ -4,6 +4,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import bm25_scores_brute
 from conftest import ScriptedBackend, scripted_gateway
@@ -93,6 +95,25 @@ def test_rank_files_matches_brute_force_oracle():
             assert rf.bm25_score == pytest.approx(expected[rf.path], abs=1e-9)
         order = [rf.bm25_score for rf in ranked]
         assert order == sorted(order, reverse=True)
+
+
+_FEW_WORDS = st.sampled_from(["alpha", "beta", "gamma", "parse"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(docs=st.lists(st.lists(_FEW_WORDS, max_size=30), min_size=1,
+                     max_size=8),
+       copies=st.lists(st.integers(0, 7), max_size=4),
+       query=st.lists(_FEW_WORDS, min_size=1, max_size=8))
+def test_rank_files_scores_equal_the_oracle_exactly(docs, copies, query):
+    # few words, so terms repeat within a document and within the query,
+    # plus byte-identical copies of some documents
+    files = {f"m{i}.py": " ".join(words) for i, words in enumerate(docs)}
+    for n, i in enumerate(copies):
+        files[f"copy{n}.py"] = files[f"m{i % len(docs)}.py"]
+    expected = bm25_scores_brute(files, " ".join(query))
+    ranked = rank_files(files, " ".join(query))
+    assert {rf.path: rf.bm25_score for rf in ranked} == expected
 
 
 # --- memory entries ----------------------------------------------------------

@@ -1,17 +1,21 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
+import time
 
 import pytest
 
 from conftest import ScriptedBackend, scripted_gateway
 
 from patchcrew.errors import (CassetteMissError, ExtractionError,
-                              TransportError)
+                              RateLimitError, TransportError)
 from patchcrew.intervals import LineIntervalSet
-from patchcrew.llm import (Gateway, LiveBackend, RecordBackend, ReplayBackend,
-                           canonical_vars, cassette_key, extract_structured,
-                           read_cassette)
+from patchcrew.llm import (MAX_TASKS, RATE_LIMIT_RETRIES, Gateway, LiveBackend,
+                           RecordBackend, ReplayBackend, canonical_vars,
+                           cassette_key, extract_structured, map_concurrently,
+                           read_cassette, retry_after_seconds)
 
 
 # --- keys ------------------------------------------------------------------
@@ -94,6 +98,106 @@ def test_record_backend_skips_keys_already_on_disk(tmp_path):
     assert read_cassette(path)["P1:k1"]["response_text"] == "old"
 
 
+def _run_threads(n_threads: int, work) -> None:
+    """work(thread_index) on n_threads threads started together, under a
+    short switch interval; every thread must finish within 60 s."""
+    start = threading.Barrier(n_threads, timeout=30)
+    errors: list[BaseException] = []
+
+    def body(t: int) -> None:
+        try:
+            start.wait()
+            work(t)
+        except BaseException as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=body, args=(t,))
+                   for t in range(n_threads)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+
+
+def test_record_backend_concurrent_appends_stay_whole(tmp_path):
+    # records over 16 KB take more than one write each; every thread
+    # records every key, in its own order
+    path = tmp_path / "c.jsonl"
+    backend = RecordBackend(ScriptedBackend({"P1": "r" * 20_000}), path)
+    keys = [f"P1:k{i}" for i in range(32)]
+
+    def record(t: int) -> None:
+        for key in keys[4 * t:] + keys[:4 * t]:
+            backend.complete(key, "P1", f"{key} " + "p" * 20_000)
+
+    _run_threads(8, record)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert sorted(json.loads(line)["key"] for line in lines) == sorted(keys)
+    records = read_cassette(path)
+    assert all(records[key]["rendered_prompt"].startswith(f"{key} ")
+               for key in keys)
+
+
+def test_call_counters_lose_no_update_across_threads():
+    gateway = Gateway(LiveBackend(transport=lambda prompt: "ok",
+                                  sleeper=lambda s: None))
+
+    def call(t: int) -> None:
+        for n in range(200):
+            gateway.complete("P1", {"diff": f"{t}-{n}"})
+
+    _run_threads(8, call)
+    assert gateway.call_counts == {"P1": 1600}
+    assert gateway.network_calls == 1600
+
+
+def test_map_concurrently_keeps_input_order():
+    # later items finish first
+    out = map_concurrently(lambda i: time.sleep(0.01 * (4 - i)) or i * i,
+                           range(5))
+    assert out == [0, 1, 4, 9, 16]
+    assert map_concurrently(lambda i: i, []) == []
+
+
+def test_map_concurrently_reraises_the_first_failure_after_all_finish():
+    finished: list[int] = []
+
+    def work(i: int) -> int:
+        time.sleep(0.01 * (4 - i))
+        finished.append(i)
+        if i in (1, 3):
+            raise CassetteMissError(f"P1:{i}")
+        return i
+
+    with pytest.raises(CassetteMissError) as info:
+        map_concurrently(work, range(5))
+    assert info.value.key == "P1:1"
+    assert sorted(finished) == [0, 1, 2, 3, 4]
+
+
+def test_map_concurrently_caps_its_threads():
+    lock = threading.Lock()
+    running, peak = [0], [0]
+
+    def work(i: int) -> None:
+        with lock:
+            running[0] += 1
+            peak[0] = max(peak[0], running[0])
+        time.sleep(0.02)
+        with lock:
+            running[0] -= 1
+
+    map_concurrently(work, range(2 * MAX_TASKS))
+    assert 1 < peak[0] <= MAX_TASKS
+
+
 # --- live backend retries ---------------------------------------------------
 
 class FlakyTransport:
@@ -128,6 +232,130 @@ def test_live_backend_gives_up_after_three_attempts():
     assert info.value.attempts == 3
     assert sleeps == [1.0, 2.0]
     assert backend.network_calls == 3
+
+
+class FakeClock:
+    """A clock that only moves when the backend sleeps."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.sleeps: list[float] = []
+
+    def sleep(self, seconds: float) -> None:
+        self.sleeps.append(seconds)
+        self.now += seconds
+
+
+def test_live_backend_waits_as_long_as_a_429_asks():
+    answers = iter([RateLimitError("HTTP 429", retry_after=7.0), "done"])
+
+    def transport(prompt):
+        answer = next(answers)
+        if isinstance(answer, Exception):
+            raise answer
+        return answer
+
+    clock = FakeClock()
+    backend = LiveBackend(transport=transport, sleeper=clock.sleep,
+                          clock=lambda: clock.now)
+    assert backend.complete("k", "P1", "p") == "done"
+    assert clock.sleeps == [7.0]
+    assert backend.network_calls == 2
+
+
+def test_live_backend_gives_up_on_a_lasting_rate_limit():
+    def refuse(prompt):
+        raise RateLimitError("HTTP 429")
+
+    clock = FakeClock()
+    backend = LiveBackend(transport=refuse, sleeper=clock.sleep,
+                          clock=lambda: clock.now)
+    with pytest.raises(TransportError, match="still rate limited") as info:
+        backend.complete("k", "P1", "p")
+    # without Retry-After the backoff doubles, capped at 60 s per wait
+    assert clock.sleeps == [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 60.0, 60.0]
+    assert info.value.attempts == RATE_LIMIT_RETRIES + 1
+
+
+class CappedTransport:
+    """Answers at most ``limit`` calls at once, like an API's concurrency
+    limit; a call beyond it gets HTTP 429 with a Retry-After of ``wait``."""
+
+    def __init__(self, limit: int = 4, wait: float = 0.1, hold: float = 0.01):
+        self.limit, self.wait, self.hold = limit, wait, hold
+        self._lock = threading.Lock()
+        self.in_flight = 0
+        self.refused = 0
+
+    def __call__(self, prompt: str) -> str:
+        with self._lock:
+            if self.in_flight >= self.limit:
+                self.refused += 1
+                raise RateLimitError("HTTP 429", retry_after=self.wait)
+            self.in_flight += 1
+        try:
+            time.sleep(self.hold)
+            return f"answer to {prompt}"
+        finally:
+            with self._lock:
+                self.in_flight -= 1
+
+
+def test_live_backend_rides_out_429s_under_a_full_stage():
+    transport = CappedTransport()
+    sleeps: list[float] = []
+
+    def sleep(seconds):
+        sleeps.append(seconds)
+        time.sleep(seconds)
+
+    backend = LiveBackend(transport=transport, sleeper=sleep)
+    prompts_ = [f"p{i}" for i in range(MAX_TASKS)]
+    answers = map_concurrently(
+        lambda p: backend.complete(p, "P1", p), prompts_)
+    assert answers == [f"answer to {p}" for p in prompts_]
+    assert transport.refused > 0
+    # each refused call waited out the server's pause, not the backoff
+    assert sleeps and all(0 < s <= transport.wait for s in sleeps)
+    assert backend.network_calls == MAX_TASKS + transport.refused
+
+
+class FakeResponse:
+    def __init__(self, status_code: int, headers=None, body=None):
+        self.status_code = status_code
+        self.headers = headers or {}
+        self._body = body
+
+    def raise_for_status(self):
+        if self.status_code >= 400:
+            raise ConnectionError(f"HTTP {self.status_code}")
+
+    def json(self):
+        return self._body
+
+
+def test_http_transport_turns_429_into_a_rate_limit(monkeypatch):
+    requests = pytest.importorskip("requests")
+    replies = iter([
+        FakeResponse(429, {"Retry-After": "3"}),
+        FakeResponse(200, body={"choices": [{"message": {"content": "hi"}}]}),
+    ])
+    monkeypatch.setattr(requests, "post", lambda *a, **kw: next(replies))
+    clock = FakeClock()
+    backend = LiveBackend("key", sleeper=clock.sleep, clock=lambda: clock.now)
+    assert backend.complete("k", "P1", "p") == "hi"
+    assert clock.sleeps == [3.0]
+
+
+def test_retry_after_seconds():
+    assert retry_after_seconds("120") == 120.0
+    assert retry_after_seconds(" 1.5 ") == 1.5
+    assert retry_after_seconds(None) is None
+    assert retry_after_seconds("soon") is None
+    assert retry_after_seconds("Wed, 21 Oct 2015 07:28:00 GMT") == 0.0
+    later = time.strftime("%a, %d %b %Y %H:%M:%S GMT",
+                          time.gmtime(time.time() + 90))
+    assert 80 < retry_after_seconds(later) <= 90
 
 
 def test_live_backend_requires_api_key(monkeypatch):

@@ -71,8 +71,11 @@ def test_repair_groups_always_partitions(groups, n_tasks):
 # --- team building ---------------------------------------------------------------
 
 def test_build_team_assigns_task_and_role():
-    gw = scripted_gateway({"P4": ["task a", "task b"],
-                           "P5": ["role a", "role b"]})
+    # answers keyed by prompt: the candidates' calls run on threads, so
+    # they may arrive in any order
+    gw = scripted_gateway({
+        "P4": lambda p: "task a" if "file a.py" in p else "task b",
+        "P5": lambda p: "role a" if "task a" in p else "role b"})
     planner = Planner(gw)
     tasks = planner.build_team(["a.py", "b.py"], {"a.py": "x", "b.py": "y"},
                                "the issue")
@@ -182,7 +185,8 @@ def _transcript() -> MeetingTranscript:
 
 
 def test_refine_roles_rewrites_positionally():
-    gw = scripted_gateway({"P6": ["new role 0", "new role 1"]})
+    gw = scripted_gateway({
+        "P6": lambda p: "new role 0" if "dev 0" in p else "new role 1"})
     planner = Planner(gw)
     refined = planner.refine_roles([_task(0), _task(1)], _transcript())
     assert [t.developer_role for t in refined] == ["new role 0", "new role 1"]

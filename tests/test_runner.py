@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib.util
 import json
 
 import pytest
@@ -144,6 +145,18 @@ def test_replay_report_matches_checked_in_report(fixture_repo, tmp_path):
     del produced["run.txt"]  # carries the wall time
     assert produced == _tree(e2e.EXPECTED_REPORT_DIR)
     assert outcome.patch_path.read_bytes() == e2e.EXPECTED_PATCH_PATH.read_bytes()
+
+
+def test_gen_cassette_reproduces_the_fixture(tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "gen_cassette", e2e.FIXTURE_DIR / "gen_cassette.py")
+    gen_cassette = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen_cassette)
+    assert gen_cassette.main(tmp_path) == 0
+    for name in ("cassette.jsonl", "expected.patch"):
+        assert ((tmp_path / name).read_bytes()
+                == (e2e.FIXTURE_DIR / name).read_bytes())
+    assert _tree(tmp_path / "expected_report") == _tree(e2e.EXPECTED_REPORT_DIR)
 
 
 def test_resolve_instance_is_deterministic(fixture_repo, tmp_path):
