@@ -40,13 +40,16 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
                         help="backend: replay (default), record, or live")
     parser.add_argument("--cassette", metavar="PATH",
                         help="cassette file for replay/record modes")
-    parser.add_argument("--top-k", type=int, default=10,
-                        help="files considered by the custodian (default 10)")
-    parser.add_argument("--max-review-iters", type=int, default=3,
-                        help="review-loop bound per task (default 3)")
-    parser.add_argument("--meeting-rounds", type=int, default=2,
+    parser.add_argument("--top-k", type=int, default=RunConfig.top_k,
+                        help="files considered by the custodian "
+                             "(default %(default)s)")
+    parser.add_argument("--max-review-iters", type=int,
+                        default=RunConfig.max_review_iters,
+                        help="review-loop bound per task (default %(default)s)")
+    parser.add_argument("--meeting-rounds", type=int,
+                        default=RunConfig.meeting_rounds,
                         help="developer rounds in the kick-off meeting "
-                             "(default 2)")
+                             "(default %(default)s)")
     parser.add_argument("--memory-path", metavar="PATH",
                         help="persist the custodian memory at this path")
     parser.add_argument("--keep-workspaces", action="store_true",

@@ -8,14 +8,15 @@ into the task text for the next iteration. The loop runs at most n_max
 iterations and the final iteration's diff ships even without approval.
 
 Every iteration rewrites the original file, not the previous attempt;
-only the task text accumulates review feedback. resolve_issue runs the
-tasks of one plan stage concurrently.
+only the task text accumulates review feedback. resolve_issue gives each
+file one task, and runs the tasks of one plan stage concurrently.
 """
 
 from __future__ import annotations
 
 import logging
 import re
+from collections import Counter
 from dataclasses import dataclass, replace
 
 from . import prompts
@@ -149,7 +150,7 @@ class Coder:
         if not self.qa_enabled:
             return task
         try:
-            qa_role, _ = self.gateway.complete_structured(
+            qa_role = self.gateway.complete_structured(
                 prompts.QA_ROLE,
                 {"task": task.task_text, "file_content": file_content},
                 "plain_text")
@@ -166,7 +167,7 @@ class Coder:
         normalized and clamped to the file; empty means append at end."""
         if file_content == "":
             raise ValueError("locate_lines needs non-empty content")
-        intervals, _ = self.gateway.complete_structured(
+        intervals = self.gateway.complete_structured(
             prompts.LINE_INTERVALS,
             {"role": role, "path": path, "task": task_text,
              "numbered_content": number_lines(file_content)},
@@ -179,11 +180,10 @@ class Coder:
         whitespace-only response deletes the part."""
         blocks: list[str] = []
         for segment in old_parts:
-            exchange = self.gateway.complete(
+            text = self.gateway.complete(
                 prompts.REPLACEMENT_CODE,
                 {"role": role, "path": path, "task": task_text,
                  "context": context, "segment": segment})
-            text = exchange.response_text
             blocks.append("" if not text.strip() else strip_code_fences(text))
         return blocks
 
@@ -286,78 +286,51 @@ class Coder:
                       original_files: dict[str, str],
                       summaries: dict[str, str] | None = None,
                       ) -> tuple[CodeChange, list[TaskResult]]:
-        """Execute the plan's groups in order and merge the results.
+        """Execute the plan's stages in order and merge the results.
 
-        A group's tasks run concurrently, each seeing the file state left
-        by earlier groups. Tasks of one group on the same file run one after
-        another in one worker, each seeing the one before, so two tasks on
-        one file compose instead of conflicting. Results and notes are
-        merged in group order, as if the tasks had run one by one. The
-        merged change holds one diff per file, original state against
-        final state, sorted by path; a failed task simply contributes
-        nothing.
+        Each task edits a file of its own: two tasks naming one path raise
+        ValueError. So stages order the execution only, and every task
+        starts from its file's original content. A stage's tasks run
+        concurrently, each with a coder of its own, so its notes stay apart
+        from other workers'. Results and notes are merged in stage order,
+        as if the tasks had run one by one. The change holds the diff of
+        each task that changed its file (a failed task has none), sorted
+        by path.
         """
+        shared = sorted(path for path, n in Counter(
+            task.file_path for task in tasks).items() if n > 1)
+        if shared:
+            raise ValueError(f"tasks share a file: {', '.join(shared)}")
         summaries = summaries or {}
-        current: dict[str, str] = {}
+
+        def run(idx: int) -> tuple[TaskResult, list[str]]:
+            path = tasks[idx].file_path
+            content = original_files.get(path, "")
+            worker = Coder(self.gateway, n_max=self.n_max,
+                           qa_enabled=self.qa_enabled)
+            task = worker.spawn_qa(tasks[idx], content)
+            result = worker.execute_task(
+                task, content, is_new_file=path not in original_files,
+                summary=summaries.get(path, ""))
+            return result, worker.notes
+
         results: list[TaskResult] = []
-
-        def run_file(indices: list[int]):
-            """One group's tasks on one file, in group order. Each task gets
-            a coder of its own, so its notes stay apart from other workers'.
-            Returns idx -> (result, notes), and the file's new content, or
-            None when no task changed it."""
-            path = tasks[indices[0]].file_path
-            exists = path in original_files or path in current
-            content = current.get(path, original_files.get(path, ""))
-            changed: str | None = None
-            done: dict[int, tuple[TaskResult, list[str]]] = {}
-            for idx in indices:
-                worker = Coder(self.gateway, n_max=self.n_max,
-                               qa_enabled=self.qa_enabled)
-                task = worker.spawn_qa(tasks[idx], content)
-                result = worker.execute_task(task, content,
-                                             is_new_file=not exists,
-                                             summary=summaries.get(path, ""))
-                done[idx] = (result, worker.notes)
-                if not result.failed and result.new_content != content:
-                    content = changed = result.new_content
-                    exists = True
-            return done, changed
-
         for group in plan.groups:
-            by_file: dict[str, list[int]] = {}
-            for idx in group:
-                by_file.setdefault(tasks[idx].file_path, []).append(idx)
-            finished: dict[int, tuple[TaskResult, list[str]]] = {}
-            for path, (done, changed) in zip(
-                    by_file, map_concurrently(run_file, by_file.values())):
-                finished.update(done)
-                if changed is not None:
-                    current[path] = changed
-            for idx in group:
-                result, notes = finished[idx]
+            for result, notes in map_concurrently(run, group):
                 results.append(result)
                 self.notes += notes
-        diffs: list[FileDiff] = []
-        for path in sorted(current):
-            original = original_files.get(path, "")
-            final = current[path]
-            if final == original:
-                continue
-            fd = compute_diff(original, final, path)
-            if path not in original_files:
-                fd = replace(fd, is_new_file=True)
-            diffs.append(fd)
+        diffs = sorted((r.file_diff for r in results if r.file_diff.hunks),
+                       key=lambda fd: fd.path)
         return CodeChange(tuple(diffs)), results
 
     def _review(self, qa_role: str, task_text: str,
                 diff_text: str) -> ReviewOutcome:
-        comment, _ = self.gateway.complete_structured(
+        comment = self.gateway.complete_structured(
             prompts.REVIEW,
             {"qa_role": qa_role, "task": task_text, "diff": diff_text,
              "comment": "", "phase": "comment"},
             "plain_text")
-        decision, _ = self.gateway.complete_structured(
+        decision = self.gateway.complete_structured(
             prompts.REVIEW,
             {"qa_role": qa_role, "task": task_text, "diff": diff_text,
              "comment": comment, "phase": "decision"},

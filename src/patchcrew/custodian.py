@@ -199,8 +199,6 @@ def read_repo_files(root: str | Path) -> dict[str, str]:
 class LocateResult:
     candidates: tuple[str, ...]  # kept files, in BM25 rank order
     ranked: tuple[RankedFile, ...]  # full ranking
-    examined: tuple[str, ...]  # top-k paths that were summarized and judged
-    undetermined: tuple[str, ...]  # retained without a usable relevance call
 
 
 class Custodian:
@@ -226,7 +224,7 @@ class Custodian:
         if entry is not None and len(entry.lineage) - 1 < MAX_LINEAGE_UPDATES:
             diff_text = render_file_diff(compute_diff(entry.content, content, path))
             if len(diff_text) < len(content):
-                message, _ = self.gateway.complete_structured(
+                message = self.gateway.complete_structured(
                     prompts.COMMIT_MESSAGE, {"diff": diff_text}, "plain_text")
                 summary = f"{entry.summary}\nUPDATE: {message}"
                 self.memory.put(path, MemoryEntry(
@@ -237,7 +235,7 @@ class Custodian:
                 ))
                 return summary
 
-        summary, _ = self.gateway.complete_structured(
+        summary = self.gateway.complete_structured(
             prompts.FILE_SUMMARY, {"path": path, "content": content}, "plain_text")
         self.memory.put(path, MemoryEntry(
             content_hash=digest,
@@ -265,7 +263,7 @@ class Custodian:
         def judge(rf: RankedFile) -> bool | Exception:
             try:
                 summary = self.summarize_file(rf.path, repo_files[rf.path])
-                relevant, _ = self.gateway.complete_structured(
+                relevant = self.gateway.complete_structured(
                     prompts.RELEVANCE_DECISION,
                     {"issue": issue_text, "summary": summary},
                     "boolean_decision")
@@ -274,19 +272,12 @@ class Custodian:
             return relevant
 
         candidates: list[str] = []
-        undetermined: list[str] = []
         for rf, verdict in zip(top, map_concurrently(judge, top)):
             if isinstance(verdict, Exception):
                 self.notes.append(f"locate: {rf.path}: undetermined ({verdict})")
                 log.warning("relevance undetermined for %s: %s", rf.path,
                             verdict)
                 candidates.append(rf.path)
-                undetermined.append(rf.path)
             elif verdict:
                 candidates.append(rf.path)
-        return LocateResult(
-            candidates=tuple(candidates),
-            ranked=tuple(ranked),
-            examined=tuple(rf.path for rf in top),
-            undetermined=tuple(undetermined),
-        )
+        return LocateResult(candidates=tuple(candidates), ranked=tuple(ranked))

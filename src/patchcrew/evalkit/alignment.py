@@ -18,11 +18,10 @@ def score_alignment(gateway: Gateway, task_text: str,
     after the format-reminder retry (such instances are excluded from the
     distribution rather than guessed)."""
     try:
-        score, _ = gateway.complete_structured(
+        return gateway.complete_structured(
             prompts.ALIGNMENT_SCORE,
             {"task": task_text, "diff": change_text},
             "score_1_to_5")
-        return score
     except LLM_TROUBLE as exc:
         log.warning("alignment score unavailable: %s", exc)
         return None

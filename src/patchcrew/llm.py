@@ -27,7 +27,6 @@ import re
 import threading
 import time
 from collections import Counter
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Callable, Iterable, TypeVar
@@ -53,7 +52,8 @@ BACKOFF_START_SECONDS = 1.0
 # for (at most MAX_RETRY_AFTER_SECONDS), or after the backoff without one.
 RATE_LIMIT_RETRIES = 8
 MAX_RETRY_AFTER_SECONDS = 60.0
-# The most tasks a plan holds, and so the most calls map_concurrently
+# The most tasks a plan holds (one per file; the team build drops the
+# lowest-ranked files beyond it), and so the most calls map_concurrently
 # makes at once.
 MAX_TASKS = 16
 
@@ -95,13 +95,6 @@ def map_concurrently(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
     with ThreadPoolExecutor(max_workers=min(len(items), MAX_TASKS)) as pool:
         futures = [pool.submit(fn, item) for item in items]
     return [future.result() for future in futures]
-
-
-@dataclass(frozen=True)
-class ChatExchange:
-    template_id: str
-    rendered_prompt: str
-    response_text: str
 
 
 def read_cassette(path: str | Path) -> dict[str, dict[str, str]]:
@@ -357,30 +350,30 @@ class Gateway:
     def total_calls(self) -> int:
         return sum(self.call_counts.values())
 
-    def complete(self, template_id: str, variables: dict[str, str]) -> ChatExchange:
+    def complete(self, template_id: str, variables: dict[str, str]) -> str:
+        """The response text to the rendered template."""
         rendered = prompts.render(template_id, variables)
         key = cassette_key(template_id, variables)
         return self._invoke(key, template_id, rendered)
 
     def complete_structured(self, template_id: str, variables: dict[str, str],
-                            schema_kind: str) -> tuple[Any, ChatExchange]:
+                            schema_kind: str) -> Any:
         """Complete and parse; on a parse failure, retry once with a format
         reminder appended (the retry has its own cassette key), then raise."""
-        exchange = self.complete(template_id, variables)
+        response = self.complete(template_id, variables)
         try:
-            return extract_structured(exchange.response_text, schema_kind), exchange
+            return extract_structured(response, schema_kind)
         except ExtractionError:
             log.info("extraction failed for %s, retrying with format reminder",
                      template_id)
         retry_key = cassette_key(template_id,
                                  {**variables, "format_reminder": "1"})
-        retry_prompt = (exchange.rendered_prompt + "\n"
+        retry_prompt = (prompts.render(template_id, variables) + "\n"
                         + _FORMAT_REMINDERS[schema_kind] + "\n")
-        retry = self._invoke(retry_key, template_id, retry_prompt)
-        return extract_structured(retry.response_text, schema_kind), retry
+        return extract_structured(
+            self._invoke(retry_key, template_id, retry_prompt), schema_kind)
 
-    def _invoke(self, key: str, template_id: str, rendered: str) -> ChatExchange:
+    def _invoke(self, key: str, template_id: str, rendered: str) -> str:
         with self._lock:
             self.call_counts[template_id] += 1
-        response = self.backend.complete(key, template_id, rendered)
-        return ChatExchange(template_id, rendered, response)
+        return self.backend.complete(key, template_id, rendered)

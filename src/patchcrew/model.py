@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 from typing import Any
 
 from .errors import InstanceError
@@ -56,9 +56,17 @@ class IssueInstance:
             raise ValueError("repo_path must be non-empty")
         if not self.base_revision:
             raise ValueError("base_revision must be non-empty")
+        # one task per file: each oracle path once, in one spelling
+        seen: set[str] = set()
         for p in self.oracle_files:
             if not p or Path(p).is_absolute() or ".." in Path(p).parts:
                 raise ValueError(f"oracle file path must be relative without '..': {p!r}")
+            if PurePosixPath(p).as_posix() != p:
+                raise ValueError(f"oracle file path must be in normal form "
+                                 f"{PurePosixPath(p).as_posix()!r}: {p!r}")
+            if p in seen:
+                raise ValueError(f"oracle file path listed more than once: {p!r}")
+            seen.add(p)
 
 
 @dataclass(frozen=True)

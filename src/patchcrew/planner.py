@@ -81,42 +81,38 @@ def repair_groups(groups: list[list[int]], n_tasks: int) -> tuple[tuple[int, ...
 
 class Planner:
     def __init__(self, gateway: Gateway, *,
-                 meeting_rounds: int = DEFAULT_MEETING_ROUNDS,
-                 max_tasks: int = MAX_TASKS):
+                 meeting_rounds: int = DEFAULT_MEETING_ROUNDS):
         if meeting_rounds < 1:
             raise ValueError("meeting_rounds must be >= 1")
         self.gateway = gateway
         self.meeting_rounds = meeting_rounds
-        self.max_tasks = max_tasks
         self.notes: list[str] = []
 
     def define_task(self, file_path: str, file_content: str,
                     issue_text: str) -> str:
-        text, _ = self.gateway.complete_structured(
+        return self.gateway.complete_structured(
             prompts.TASK_DEFINITION,
             {"issue": issue_text, "path": file_path, "file_content": file_content},
             "plain_text")
-        return text
 
     def define_role(self, task_text: str, issue_text: str) -> str:
-        text, _ = self.gateway.complete_structured(
+        return self.gateway.complete_structured(
             prompts.DEVELOPER_ROLE,
             {"issue": issue_text, "task": task_text},
             "plain_text")
-        return text
 
     def build_team(self, candidate_paths: list[str], repo_files: dict[str, str],
                    issue_text: str) -> list[TaskAssignment]:
         """One task + one developer role per candidate file, the files
         side by side. A file whose task or role call fails is skipped with
         a note; the rest proceed."""
-        if len(candidate_paths) > self.max_tasks:
-            dropped = candidate_paths[self.max_tasks:]
+        if len(candidate_paths) > MAX_TASKS:
+            dropped = candidate_paths[MAX_TASKS:]
             self.notes.append(
-                f"plan: task cap {self.max_tasks} reached, dropped "
+                f"plan: task cap {MAX_TASKS} reached, dropped "
                 f"{len(dropped)} lowest-ranked files: {', '.join(dropped)}")
             log.warning("task cap reached, dropping %d files", len(dropped))
-            candidate_paths = candidate_paths[:self.max_tasks]
+            candidate_paths = candidate_paths[:MAX_TASKS]
 
         def define(path: str) -> TaskAssignment | Exception:
             try:
@@ -170,9 +166,8 @@ class Planner:
     def _turn(self, template_id: str, variables: dict[str, str],
               speaker: str) -> str:
         try:
-            text, _ = self.gateway.complete_structured(template_id, variables,
-                                                       "plain_text")
-            return text
+            return self.gateway.complete_structured(template_id, variables,
+                                                    "plain_text")
         except LLM_TROUBLE as exc:
             self.notes.append(f"meeting: {speaker}: turn failed ({exc})")
             log.warning("meeting turn by %s failed: %s", speaker, exc)
@@ -187,7 +182,7 @@ class Planner:
 
         def refine(task: TaskAssignment) -> TaskAssignment | Exception:
             try:
-                role, _ = self.gateway.complete_structured(
+                role = self.gateway.complete_structured(
                     prompts.ROLE_REFINEMENT,
                     {"role": task.developer_role, "transcript": rendered},
                     "plain_text")
@@ -211,7 +206,7 @@ class Planner:
         An unusable response degrades to fully serialized singletons."""
         n = len(tasks)
         try:
-            response, _ = self.gateway.complete_structured(
+            response = self.gateway.complete_structured(
                 prompts.WORK_PLAN,
                 {"task_list": format_task_list(tasks),
                  "transcript": render_transcript(transcript.turns)},

@@ -94,10 +94,8 @@ def render(template_id: str, variables: dict[str, str]) -> str:
     for name, value in variables.items():
         if not isinstance(value, str):
             raise TemplateError(f"variable {name!r} must be a string")
-    out = tpl.body
-    for name in tpl.required_vars:
-        out = out.replace(f"<<{name}>>", variables[name])
-    return out
+    # one pass over the body, so an inserted value is never searched again
+    return _PLACEHOLDER.sub(lambda m: variables[m.group(1)], tpl.body)
 
 
 _define(COMMIT_MESSAGE, """

@@ -3,7 +3,8 @@
 Independent LLM calls run concurrently (llm.map_concurrently): the
 per-file summaries and relevance checks of locate, the per-file task and
 role definitions, the role refinements after the meeting, and the tasks
-of each plan.txt stage, one stage after another. The kick-off meeting
+of each plan.txt stage, one stage after another. Each task edits a file
+of its own, starting from the base revision. The kick-off meeting
 runs turn by turn, since each turn reads the transcript so far. Every
 stage merges its results and notes in rank or task order, so the report
 is the same as if every call had run in turn.
@@ -27,14 +28,14 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .coder import Coder, TaskResult
+from .coder import DEFAULT_MAX_REVIEW_ITERS, Coder, TaskResult
 from .custodian import (Custodian, EvolutionMemory, LocateResult,
                         load_memory, read_repo_files, save_memory)
 from .diffs import CodeChange, render_change
 from .gitops import Workspace, destroy, snapshot
 from .llm import Gateway, LiveBackend, RecordBackend, ReplayBackend
 from .model import IssueInstance
-from .planner import Planner, render_transcript
+from .planner import DEFAULT_MEETING_ROUNDS, Planner, render_transcript
 
 log = logging.getLogger(__name__)
 
@@ -46,8 +47,8 @@ class RunConfig:
     llm_mode: str = "replay"
     cassette_path: str | None = None
     top_k: int = 10
-    max_review_iters: int = 3
-    meeting_rounds: int = 2
+    max_review_iters: int = DEFAULT_MAX_REVIEW_ITERS
+    meeting_rounds: int = DEFAULT_MEETING_ROUNDS
     memory_path: str | None = None
     keep_workspaces: bool = False
     use_oracle: bool = False

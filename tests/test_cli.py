@@ -109,6 +109,23 @@ def test_locate_oracle_bypass(fixture_repo, tmp_path, capsys):
     assert "rank" not in out
 
 
+@pytest.mark.parametrize("oracle,named", [
+    (["calc.py", "calc.py"], "listed more than once: 'calc.py'"),
+    (["./calc.py", "calc.py"], "normal form 'calc.py': './calc.py'"),
+], ids=["repeated", "dot-prefix"])
+def test_resolve_oracle_file_in_two_spellings_is_exit_2(
+        fixture_repo, tmp_path, capsys, oracle, named):
+    repo, sha = fixture_repo
+    data = e2e.instance_dict(repo, sha)
+    data["oracle_files"] = oracle
+    instance = tmp_path / "oracle.json"
+    instance.write_text(json.dumps(data), encoding="utf-8")
+    code = main(["resolve", str(instance), *_run_flags(tmp_path), "--oracle"])
+    assert code == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "runs" / f"{e2e.INSTANCE_ID}.patch").exists()
+
+
 # --- evaluate ---------------------------------------------------------------------
 
 @pytest.fixture()

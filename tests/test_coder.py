@@ -333,54 +333,32 @@ def test_context_windows_large_files():
     assert len(keyed_lines(context)) < 120
 
 
-# --- multi-task merging ----------------------------------------------------------------
+# --- one task per file ----------------------------------------------------------------
 
-def test_resolve_issue_composes_tasks_on_one_file():
-    locates = iter(["[[1,1]]", "[[3,3]]"])
-    replacements = iter(["A\n", "C\n"])
-    gw = scripted_gateway({"P9": lambda _p: next(locates),
-                           "P10": lambda _p: next(replacements)})
+def test_resolve_issue_rejects_tasks_sharing_a_file():
+    gw = scripted_gateway({})
     coder = Coder(gw, qa_enabled=False)
-    tasks = [_task(), _task()]
-    plan = WorkPlan(groups=((0,), (1,)), transcript_ref="meeting.txt")
-    change, results = coder.resolve_issue(tasks, plan, {"mod.py": "a\nb\nc\n"})
-    assert len(results) == 2
-    assert results[1].new_content == "A\nb\nC\n"
-    assert len(change.file_diffs) == 1
-    assert apply_file_diff("a\nb\nc\n", change.file_diffs[0]) == "A\nb\nC\n"
+    plan = WorkPlan(groups=((0,), (1, 2)), transcript_ref="meeting.txt")
+    tasks = [_task(), _task(path="other.py"), _task()]
+    with pytest.raises(ValueError, match="share a file: mod.py"):
+        coder.resolve_issue(tasks, plan, {"mod.py": FILE, "other.py": FILE})
+    assert gw.total_calls() == 0
 
 
-def test_resolve_issue_composes_tasks_on_one_file_in_one_stage():
-    # tasks 0 and 2 edit mod.py in the same stage as task 1 on other.py;
-    # task 2 must see task 0's edit, not the file as the stage began
-    seen: list[str] = []
-
-    def intervals(prompt):
-        seen.append(prompt)
-        return "[[3,3]]" if "third line" in prompt else "[[1,1]]"
-
-    def replace_line(prompt):
-        if "other.py" in prompt:
-            return "Y\n"
-        return "A\n" if "first line" in prompt else "C\n"
-
-    gw = scripted_gateway({"P9": intervals, "P10": replace_line})
+def test_resolve_issue_merges_one_diff_per_task_sorted_by_path():
+    # z.py's stage runs first; each task starts from its own file's
+    # original content, and the change lists the files by path
+    gw = scripted_gateway({"P9": "[[1,1]]",
+                           "P10": lambda p: "Z\n" if "z.py" in p else "A\n"})
     coder = Coder(gw, qa_enabled=False)
-    tasks = [TaskAssignment("mod.py", "change the first line", "dev"),
-             TaskAssignment("other.py", "change the line", "dev"),
-             TaskAssignment("mod.py", "change the third line", "dev")]
-    plan = WorkPlan(groups=((2, 1, 0),), transcript_ref="meeting.txt")
-    files = {"mod.py": "a\nb\nc\n", "other.py": "x\n"}
+    tasks = [_task(path="a.py"), _task(path="z.py")]
+    plan = WorkPlan(groups=((1,), (0,)), transcript_ref="meeting.txt")
+    files = {"a.py": "a\nb\n", "z.py": "z\nb\n"}
     change, results = coder.resolve_issue(tasks, plan, files)
-    # results follow the group's order; on mod.py task 2 ran first
-    assert [r.task.file_path for r in results] == ["mod.py", "other.py",
-                                                    "mod.py"]
-    assert results[0].new_content == "a\nb\nC\n"
-    assert results[2].new_content == "A\nb\nC\n"
-    assert [apply_file_diff(files[fd.old_path], fd) for fd
-            in change.file_diffs] == ["A\nb\nC\n", "Y\n"]
-    first_line_prompt = next(p for p in seen if "first line" in p)
-    assert "1: a\n2: b\n3: C" in first_line_prompt
+    assert [r.task.file_path for r in results] == ["z.py", "a.py"]
+    assert [fd.path for fd in change.file_diffs] == ["a.py", "z.py"]
+    assert [apply_file_diff(files[fd.path], fd) for fd
+            in change.file_diffs] == ["A\nb\n", "Z\nb\n"]
 
 
 def test_resolve_issue_marks_new_files():

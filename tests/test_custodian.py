@@ -292,10 +292,10 @@ def test_locate_filters_on_relevance():
     result = custodian.locate(LOCATE_FILES, "login rejects valid passwords", 2)
     assert custodian.bm25_calls == 1
     assert len(result.ranked) == len(LOCATE_FILES)
-    assert len(result.examined) == 2
+    assert "auth.py" in [rf.path for rf in result.ranked[:2]]
     assert result.candidates == ("auth.py",)
-    assert result.undetermined == ()
-    assert set(result.examined) <= set(LOCATE_FILES)
+    assert gw.call_counts == {"P2": 2, "P3": 2}
+    assert custodian.notes == []
 
 
 def test_locate_keeps_file_when_relevance_call_fails():
@@ -308,16 +308,17 @@ def test_locate_keeps_file_when_relevance_call_fails():
     custodian = Custodian(gw)
     result = custodian.locate(LOCATE_FILES, "login rejects valid passwords", 2)
     assert "auth.py" in result.candidates
-    assert result.undetermined == ("auth.py",)
-    assert any("undetermined" in note for note in custodian.notes)
+    assert custodian.notes == ["locate: auth.py: undetermined (offline)"]
 
 
 def test_locate_keeps_file_when_relevance_is_unparseable():
     gw = scripted_gateway({"P2": _summary_by_path, "P3": "no marker at all"})
     custodian = Custodian(gw)
     result = custodian.locate(LOCATE_FILES, "login rejects valid passwords", 1)
-    assert result.candidates == result.examined
-    assert result.undetermined == result.examined
+    top = result.ranked[0].path
+    assert result.candidates == (top,)
+    assert len(custodian.notes) == 1
+    assert custodian.notes[0].startswith(f"locate: {top}: undetermined (")
 
 
 def test_locate_propagates_cassette_misses(tmp_path):

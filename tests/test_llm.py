@@ -439,11 +439,19 @@ def test_structured_retry_uses_distinct_key_and_reminder(tmp_path):
          "template_id": "P3", "rendered_prompt": rendered,
          "response_text": "DECISION: NO"},
     ])
-    gw = Gateway(ReplayBackend(path))
-    value, exchange = gw.complete_structured("P3", variables,
-                                             "boolean_decision")
+    prompts_seen: list[str] = []
+
+    class PromptRecordingReplay(ReplayBackend):
+        def complete(self, key, template_id, rendered_prompt):
+            prompts_seen.append(rendered_prompt)
+            return super().complete(key, template_id, rendered_prompt)
+
+    gw = Gateway(PromptRecordingReplay(path))
+    value = gw.complete_structured("P3", variables, "boolean_decision")
     assert value is False
-    assert "Format reminder" in exchange.rendered_prompt
+    assert prompts_seen[0] == rendered
+    assert prompts_seen[1].startswith(rendered)
+    assert "Format reminder" in prompts_seen[1]
     assert gw.call_counts["P3"] == 2
 
 
@@ -471,7 +479,7 @@ def test_structured_retry_miss_raises_cassette_miss(tmp_path):
 
 def test_no_retry_when_first_response_parses():
     gw = scripted_gateway({"P3": "fine\nDECISION: YES"})
-    value, _ = gw.complete_structured("P3", {"issue": "i", "summary": "s"},
-                                      "boolean_decision")
+    value = gw.complete_structured("P3", {"issue": "i", "summary": "s"},
+                                   "boolean_decision")
     assert value is True
     assert gw.call_counts["P3"] == 1

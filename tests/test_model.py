@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -47,6 +48,21 @@ def test_issue_instance_requires_core_fields():
 def test_issue_instance_rejects_unsafe_oracle_paths(path):
     with pytest.raises(ValueError):
         IssueInstance("id", "/repo", "rev", "text", oracle_files=(path,))
+
+
+@pytest.mark.parametrize("paths,named", [
+    (("a.py", "b.py", "a.py"), "listed more than once: 'a.py'"),
+    (("./a.py",), "'./a.py'"),
+    (("a//b.py",), "'a//b.py'"),
+    (("a/./b.py",), "'a/./b.py'"),
+    (("a/b.py/",), "'a/b.py/'"),
+], ids=["repeated", "dot-prefix", "double-slash", "dot-segment",
+        "trailing-slash"])
+def test_oracle_files_are_listed_once_in_normal_form(paths, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        IssueInstance("id", "/repo", "rev", "text", oracle_files=paths)
+    with pytest.raises(InstanceError, match=re.escape(named)):
+        instance_from_dict(_instance_data(oracle_files=list(paths)))
 
 
 def test_task_assignment_validation():

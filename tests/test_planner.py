@@ -100,7 +100,7 @@ def test_build_team_skips_file_on_llm_failure():
 
 def test_build_team_caps_candidates():
     gw = scripted_gateway({"P4": "task", "P5": "role"})
-    planner = Planner(gw, max_tasks=16)
+    planner = Planner(gw)
     paths = [f"f{i:02d}.py" for i in range(17)]
     tasks = planner.build_team(paths, {p: "" for p in paths}, "issue")
     assert len(tasks) == 16

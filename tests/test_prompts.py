@@ -30,6 +30,24 @@ def test_render_substitutes_all_placeholders():
     assert "<<" not in out
 
 
+_VARIABLE_PAIRS = [(tid, a, b) for tid in sorted(EXPECTED_IDS)
+                   for a in get_template(tid).required_vars
+                   for b in get_template(tid).required_vars if a != b]
+
+
+@pytest.mark.parametrize("template_id,inserted,named", _VARIABLE_PAIRS)
+def test_render_leaves_inserted_values_alone(template_id, inserted, named):
+    # a value that spells another variable's placeholder (a diff or an
+    # issue quoting a prompt, say) reaches the model verbatim
+    body = get_template(template_id).body
+    variables = {name: f"value of {name}"
+                 for name in get_template(template_id).required_vars}
+    variables[inserted] = f"<<{named}>>"
+    out = render(template_id, variables)
+    assert out.count(f"<<{named}>>") == body.count(f"<<{inserted}>>")
+    assert out.count(f"value of {named}") == body.count(f"<<{named}>>")
+
+
 def test_render_missing_variable():
     with pytest.raises(TemplateError, match="missing variable: summary"):
         render(prompts.RELEVANCE_DECISION, {"issue": "x"})
