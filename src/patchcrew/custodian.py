@@ -35,22 +35,16 @@ BM25_B = 0.75
 MAX_LINEAGE_UPDATES = 5
 MEMORY_FORMAT_VERSION = "evolution-memory-v1"
 
-_CAMEL_BOUNDARY = re.compile(r"(?<=[a-z0-9])(?=[A-Z])")
-_NON_ALNUM = re.compile(r"[^0-9A-Za-z]+")
+# a run of capitals then a run of lowercase letters and digits: camelCase
+# splits before each capital that follows a lowercase letter or digit, and
+# any other character ends the term
+_TERM = re.compile(r"[A-Z]*[a-z0-9]*")
 
 
 def tokenize(text: str) -> list[str]:
     """Lowercased terms: split on punctuation, underscores, and camelCase
     boundaries; keep terms of length >= 2; preserve duplicates."""
-    terms: list[str] = []
-    for chunk in _NON_ALNUM.split(text):
-        if not chunk:
-            continue
-        for piece in _CAMEL_BOUNDARY.split(chunk):
-            lowered = piece.lower()
-            if len(lowered) >= 2:
-                terms.append(lowered)
-    return terms
+    return [term.lower() for term in _TERM.findall(text) if len(term) >= 2]
 
 
 @dataclass(frozen=True)
@@ -175,24 +169,6 @@ def load_memory(path: str | Path) -> EvolutionMemory:
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}:{lineno}: bad memory record: {exc}") from exc
     return memory
-
-
-def read_repo_files(root: str | Path) -> dict[str, str]:
-    """All text files under root as repo-relative posix paths, sorted.
-    Skips .git and files that do not decode as UTF-8."""
-    root = Path(root)
-    files: dict[str, str] = {}
-    for path in sorted(root.rglob("*")):
-        if not path.is_file() or path.is_symlink():
-            continue
-        rel = path.relative_to(root)
-        if ".git" in rel.parts:
-            continue
-        try:
-            files[rel.as_posix()] = path.read_bytes().decode("utf-8")
-        except UnicodeDecodeError:
-            log.debug("skipping undecodable file %s", rel)
-    return files
 
 
 @dataclass(frozen=True)

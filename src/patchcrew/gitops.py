@@ -1,20 +1,26 @@
-"""Workspaces: isolated checkouts of a pinned revision, and atomic patch
-application against them.
+"""The repository at a pinned revision: its files read straight from git's
+object store, isolated checkouts of it, and atomic patch application
+against those checkouts.
 
-A snapshot clones the source repository into a fresh directory and
-detaches HEAD at the requested revision; the source repository is never
-written to, and ``destroy`` removes the snapshot again. Application is
-all-or-nothing per change: every file's new content is computed in memory
-first, and nothing touches disk unless every file applies cleanly, so a
-failed apply leaves the workspace byte-identical.
+``read_repo_files`` lists the revision's tree and streams its blobs through
+one ``git cat-file --batch`` process; nothing is written to disk, so
+locating files needs no checkout. A snapshot clones the source repository
+into a fresh directory and checks out the requested revision, detached;
+the source repository is never written to, and ``destroy`` removes the
+snapshot again. Application is all-or-nothing per change: every file's new
+content is computed in memory first, and nothing touches disk unless every
+file applies cleanly, so a failed apply leaves the workspace
+byte-identical.
 """
 
 from __future__ import annotations
 
 import logging
+import os
 import shutil
 import subprocess
 import tempfile
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,15 +29,20 @@ from .errors import GitError
 
 log = logging.getLogger(__name__)
 
+# ls-tree modes of regular files; symlinks (120000) and gitlinks (160000)
+# have no text of their own to rank.
+_FILE_MODES = (b"100644", b"100755")
 
-def _git(args: list[str], cwd: str | Path) -> str:
+
+def _git(args: list[str], cwd: str | Path) -> bytes:
     try:
-        proc = subprocess.run(["git", *args], cwd=str(cwd), text=True,
+        proc = subprocess.run(["git", *args], cwd=str(cwd),
                               capture_output=True, check=False)
     except FileNotFoundError as exc:
         raise GitError("git executable not found") from exc
     if proc.returncode != 0:
-        raise GitError(f"git {' '.join(args)} failed: {proc.stderr.strip()}")
+        raise GitError(f"git {' '.join(args)} failed: "
+                       f"{proc.stderr.decode(errors='replace').strip()}")
     return proc.stdout
 
 
@@ -45,7 +56,88 @@ def verify_revision(repo_path: str | Path, revision: str) -> str:
     except GitError as exc:
         raise GitError(f"revision {revision!r} not resolvable in {repo}: "
                        f"{exc}") from exc
-    return out.strip()
+    return out.decode().strip()
+
+
+def read_repo_files(repo_path: str | Path, revision: str) -> dict[str, str]:
+    """Every UTF-8 text file of the revision, keyed by its repo-relative
+    posix path, in the order a sorted walk of a checkout would give.
+
+    The files come from the object store, not from a checkout. Contents are
+    the committed blobs, what ``git show <rev>:<path>`` prints. They differ
+    from a checkout's files only where ``.gitattributes`` or
+    ``core.autocrlf`` makes checkout convert them, and then they are the
+    content ``git diff`` compares. Symlinks, gitlinks and blobs that do not
+    decode as UTF-8 are skipped. Every git failure raises GitError.
+    """
+    repo = Path(repo_path)
+    sha = verify_revision(repo, revision)
+    listing = _git(["ls-tree", "-r", "-z", "--full-tree", sha], repo)
+    blobs: list[tuple[str, bytes]] = []
+    for entry in listing.split(b"\0")[:-1]:
+        meta, path = entry.split(b"\t", 1)
+        mode, _, oid = meta.split(b" ")
+        if mode in _FILE_MODES:
+            blobs.append((os.fsdecode(path), oid))
+    # a checkout walk orders by path components; git's tree order differs
+    # (it sorts "a-b" before the directory "a/")
+    blobs.sort(key=lambda blob: blob[0].split("/"))
+
+    # cat-file answers each object id with "<oid> blob <size>\n", the
+    # content and "\n"; a thread feeds the ids while this one reads, so
+    # neither pipe fills up and no output is held beyond one blob
+    try:
+        proc = subprocess.Popen(["git", "cat-file", "--batch"], cwd=str(repo),
+                                stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE)
+    except FileNotFoundError as exc:
+        raise GitError("git executable not found") from exc
+    files: dict[str, str] = {}
+    with proc:  # closes the pipes and reaps the process, also on error
+        feeder = threading.Thread(
+            target=_feed, args=(proc.stdin, b"".join(oid + b"\n"
+                                                     for _, oid in blobs)))
+        feeder.start()
+        try:
+            for path, _ in blobs:
+                header = proc.stdout.readline().split()
+                if header[1:2] != [b"blob"]:
+                    reply = b" ".join(header).decode() or "no output"
+                    raise _cat_file_error(proc, f"{path}: {reply}")
+                size = int(header[2])
+                data = proc.stdout.read(size)
+                if len(data) != size or proc.stdout.read(1) != b"\n":
+                    raise _cat_file_error(proc, f"{path}: output ends early")
+                try:
+                    files[path] = data.decode("utf-8")
+                except UnicodeDecodeError:
+                    log.debug("skipping undecodable file %s", path)
+            if proc.wait() != 0:
+                raise _cat_file_error(proc, f"exit status {proc.returncode}")
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+            feeder.join()
+    return files
+
+
+def _feed(pipe, data: bytes) -> None:
+    """Write data to a child's stdin and close it. A child that dies first
+    breaks the pipe; the reader of its output reports why."""
+    try:
+        with pipe:
+            pipe.write(data)
+    except BrokenPipeError:
+        pass
+
+
+def _cat_file_error(proc: subprocess.Popen, detail: str) -> GitError:
+    """Stop cat-file and describe its failure, with its stderr."""
+    proc.kill()
+    proc.wait()
+    err = proc.stderr.read().decode(errors="replace").strip()
+    return GitError(f"git cat-file --batch failed: {detail}"
+                    + (f": {err}" if err else ""))
 
 
 @dataclass(frozen=True)
@@ -64,8 +156,9 @@ def snapshot(repo_path: str | Path, revision: str,
     dest = Path(tempfile.mkdtemp(prefix="ws-", dir=root)).resolve()
     target = dest / "repo"
     try:
-        _git(["clone", "--quiet", str(Path(repo_path).resolve()), str(target)],
-             dest)
+        # clone writes no files, so the checkout of sha is the only one
+        _git(["clone", "--quiet", "--no-checkout",
+              str(Path(repo_path).resolve()), str(target)], dest)
         _git(["checkout", "--quiet", "--detach", sha], target)
     except BaseException:
         shutil.rmtree(dest, ignore_errors=True)

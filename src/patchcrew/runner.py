@@ -1,4 +1,8 @@
-"""End-to-end issue resolution: snapshot, locate, plan, code, report.
+"""End-to-end issue resolution: locate, plan, code, report.
+
+Locate reads the base revision's files straight from the repository's
+object store (gitops.read_repo_files), so a resolve makes no checkout;
+``--keep-workspaces`` alone makes one, for the user to inspect.
 
 Independent LLM calls run concurrently (llm.map_concurrently): the
 per-file summaries and relevance checks of locate, the per-file task and
@@ -30,9 +34,9 @@ from pathlib import Path
 
 from .coder import DEFAULT_MAX_REVIEW_ITERS, Coder, TaskResult
 from .custodian import (Custodian, EvolutionMemory, LocateResult,
-                        load_memory, read_repo_files, save_memory)
+                        load_memory, save_memory)
 from .diffs import CodeChange, render_change
-from .gitops import Workspace, destroy, snapshot
+from .gitops import Workspace, read_repo_files, snapshot
 from .llm import Gateway, LiveBackend, RecordBackend, ReplayBackend
 from .model import IssueInstance
 from .planner import DEFAULT_MEETING_ROUNDS, Planner, render_transcript
@@ -76,7 +80,7 @@ def build_gateway(config: RunConfig) -> Gateway:
 class Located:
     """The locate stage's output: the base revision's files, the issue
     text with hints folded in, and the custodian that ranked them."""
-    workspace: Workspace  # already removed unless keep_workspaces
+    workspace: Workspace | None  # a checkout only with keep_workspaces
     repo_files: dict[str, str]
     issue: str
     custodian: Custodian
@@ -86,16 +90,14 @@ class Located:
 
 def locate_files(instance: IssueInstance, config: RunConfig,
                  gateway: Gateway) -> Located:
-    """Snapshot the base revision, read its files, and pick candidate files
-    with the custodian (or take the oracle files). The checkout is removed
-    once read, and the memory is saved once the custodian is done with it,
-    since nothing later reads the one or changes the other."""
-    workspace = snapshot(instance.repo_path, instance.base_revision)
-    try:
-        repo_files = read_repo_files(workspace.path)
-    finally:
-        if not config.keep_workspaces:
-            destroy(workspace)
+    """Read the base revision's files from the object store, and pick
+    candidate files with the custodian (or take the oracle files). Only
+    keep_workspaces makes a checkout, which is left for the user. The
+    memory is saved once the custodian is done with it, since nothing later
+    changes it."""
+    repo_files = read_repo_files(instance.repo_path, instance.base_revision)
+    workspace = (snapshot(instance.repo_path, instance.base_revision)
+                 if config.keep_workspaces else None)
 
     memory = EvolutionMemory()
     if config.memory_path and Path(config.memory_path).exists():
@@ -165,8 +167,7 @@ def resolve_instance(instance: IssueInstance, config: RunConfig,
     report_dir = config.out_dir / instance.instance_id
     patch_path = config.out_dir / f"{instance.instance_id}.patch"
     elapsed = time.monotonic() - started
-    workspace_note = (str(located.workspace.path) if config.keep_workspaces
-                      else "")
+    workspace_note = str(located.workspace.path) if located.workspace else ""
     _write_report(report_dir, patch_path, instance, config, gateway,
                   custodian, transcript, plan, tasks, task_results,
                   change, notes, elapsed, workspace_note)

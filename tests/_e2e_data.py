@@ -189,10 +189,17 @@ def build_fixture_repo(repo_dir: Path, files=None) -> str:
         target = repo_dir / rel
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(content, encoding="utf-8")
+    return commit_all(repo_dir)
+
+
+def commit_all(repo_dir: Path, message: str = "baseline") -> str:
+    """Commit everything under repo_dir (initialised if need be); returns
+    the commit hash."""
     env_args = ["-c", "user.name=dev", "-c", "user.email=dev@example.com"]
-    subprocess.run(["git", "init", "-q"], cwd=repo_dir, check=True)
+    if not (repo_dir / ".git").exists():
+        subprocess.run(["git", "init", "-q"], cwd=repo_dir, check=True)
     subprocess.run(["git", "add", "-A"], cwd=repo_dir, check=True)
-    subprocess.run(["git", *env_args, "commit", "-q", "-m", "baseline"],
+    subprocess.run(["git", *env_args, "commit", "-q", "-m", message],
                    cwd=repo_dir, check=True)
     out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=repo_dir,
                          check=True, capture_output=True, text=True)

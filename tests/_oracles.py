@@ -3,15 +3,52 @@
 Each oracle is written the slow, obvious way so a disagreement points at
 the implementation under test, not at shared code: overlap via explicit
 line sets, BM25 via a per-document textbook scorer, logistic regression
-via a hand-rolled two-parameter Newton solver.
+via a hand-rolled two-parameter Newton solver, tokenizing by splitting
+twice, and a repository's files by walking a checkout.
 """
 
 from __future__ import annotations
 
 import math
+import re
+from pathlib import Path
 
 from patchcrew.custodian import BM25_B, BM25_K1, tokenize
 from patchcrew.intervals import LineIntervalSet
+
+_CAMEL_BOUNDARY = re.compile(r"(?<=[a-z0-9])(?=[A-Z])")
+_NON_ALNUM = re.compile(r"[^0-9A-Za-z]+")
+
+
+def tokenize_two_pass(text: str) -> list[str]:
+    """Split on non-alphanumerics, then split each chunk at camelCase
+    boundaries; lowercase, and keep terms of length >= 2."""
+    terms: list[str] = []
+    for chunk in _NON_ALNUM.split(text):
+        if not chunk:
+            continue
+        for piece in _CAMEL_BOUNDARY.split(chunk):
+            lowered = piece.lower()
+            if len(lowered) >= 2:
+                terms.append(lowered)
+    return terms
+
+
+def read_checkout(root: Path) -> dict[str, str]:
+    """Every regular file of a checkout outside .git that decodes as UTF-8,
+    as repo-relative posix paths in sorted order."""
+    files: dict[str, str] = {}
+    for path in sorted(root.rglob("*")):
+        if not path.is_file() or path.is_symlink():
+            continue
+        rel = path.relative_to(root)
+        if ".git" in rel.parts:
+            continue
+        try:
+            files[rel.as_posix()] = path.read_bytes().decode("utf-8")
+        except UnicodeDecodeError:
+            pass
+    return files
 
 
 def overlap_by_line_sets(ref: LineIntervalSet, gen: LineIntervalSet) -> float:

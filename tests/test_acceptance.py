@@ -8,11 +8,9 @@ the checks that must hold for the package to be considered working.
 
 from __future__ import annotations
 
-import json
 import random
 import time
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -7,14 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import bm25_scores_brute
-from conftest import ScriptedBackend, scripted_gateway
+import _e2e_data as e2e
+from _oracles import bm25_scores_brute, tokenize_two_pass
+from conftest import scripted_gateway
 
 from patchcrew.custodian import (MAX_LINEAGE_UPDATES, Custodian,
                                  EvolutionMemory, MemoryEntry, content_hash,
-                                 load_memory, rank_files, read_repo_files,
-                                 save_memory, tokenize)
+                                 load_memory, rank_files, save_memory,
+                                 tokenize)
 from patchcrew.errors import CassetteMissError, TransportError
+from patchcrew.gitops import read_repo_files
 from patchcrew.llm import Gateway, ReplayBackend
 
 
@@ -32,6 +34,22 @@ from patchcrew.llm import Gateway, ReplayBackend
 ])
 def test_tokenize(text, expected):
     assert tokenize(text) == expected
+
+
+_TOKEN_TEXT = st.text(
+    alphabet=st.sampled_from(list("aZ09_-./ \n\tHTTPServer1Bxyz")
+                             + ["\u00e9", "\u00c9", "\u00df", "\u0130",
+                                "\u212a", "\u4e2d", "\U0001f600"])
+    | st.characters(),
+    max_size=60)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_TOKEN_TEXT, st.sampled_from(
+    ["HTTPServer", "a1B", "camelCaseName", "x2Y3z", "ÉcoleNormale",
+     "naïveBayes", "ABc", "1A", "snake_case2Name"])))
+def test_tokenize_matches_two_pass_split(text):
+    assert tokenize(text) == tokenize_two_pass(text)
 
 
 # --- ranking -----------------------------------------------------------------
@@ -246,14 +264,13 @@ def test_load_memory_reports_bad_record_line(tmp_path):
 # --- repository walking ---------------------------------------------------------
 
 def test_read_repo_files_skips_git_binaries_and_symlinks(tmp_path):
-    (tmp_path / ".git").mkdir()
-    (tmp_path / ".git" / "config").write_text("[core]\n", encoding="utf-8")
     (tmp_path / "pkg").mkdir()
     (tmp_path / "pkg" / "b.py").write_text("beta\n", encoding="utf-8")
     (tmp_path / "a.py").write_text("alpha\n", encoding="utf-8")
     (tmp_path / "blob.bin").write_bytes(b"\xff\xfe\x00junk")
-    (tmp_path / "link.py").symlink_to(tmp_path / "a.py")
-    files = read_repo_files(tmp_path)
+    (tmp_path / "link.py").symlink_to("a.py")
+    sha = e2e.commit_all(tmp_path)
+    files = read_repo_files(tmp_path, sha)
     assert list(files) == ["a.py", "pkg/b.py"]
     assert files["pkg/b.py"] == "beta\n"
 

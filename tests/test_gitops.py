@@ -1,17 +1,19 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 import subprocess
 
 import pytest
 
 import _e2e_data as e2e
+from _oracles import read_checkout
 
 from patchcrew.diffs import CodeChange, compute_diff
 from patchcrew.errors import GitError
 from patchcrew import gitops
-from patchcrew.gitops import (Workspace, apply_change, destroy, snapshot,
-                              verify_revision)
+from patchcrew.gitops import (Workspace, apply_change, destroy,
+                              read_repo_files, snapshot, verify_revision)
 
 
 def _workspace(tmp_path, files: dict[str, str]) -> Workspace:
@@ -103,6 +105,140 @@ def test_snapshot_removes_its_directory_when_git_fails(fixture_repo, tmp_path,
     with pytest.raises(GitError, match="injected"):
         snapshot(repo, sha, root=tmp_path)
     assert list(tmp_path.iterdir()) == []
+
+
+# --- reading a revision from the object store ------------------------------------
+
+def _git_out(repo, *args: str) -> str:
+    return subprocess.run(["git", *args], cwd=repo, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+@pytest.fixture()
+def odd_repo(tmp_path):
+    """A repository whose base revision holds every kind of tree entry the
+    reader meets. A later commit changes and deletes files, so reading the
+    base cannot pass by reading the working tree."""
+    repo = tmp_path / "odd"
+    files = {
+        "top.py": b"print('top')\n",
+        "pkg/sub/deep.py": b"x = 1\n",
+        "pkg-b.txt": b"sorts before pkg/ in a git tree, after it in a walk\n",
+        "pkg.txt": b"dot\n",
+        "empty.txt": b"",
+        "dir with space/caf\u00e9 men\u00fc.md": "na\u00efve \u4e2d\n".encode(),
+        "latin1.txt": b"caf\xe9\n",
+        "crlf.txt": b"one\r\ntwo\r\n",
+        "big.txt": b"".join(b"line %d of a file larger than a pipe\n" % i
+                            for i in range(8000)),
+    }
+    for rel, content in files.items():
+        (repo / rel).parent.mkdir(parents=True, exist_ok=True)
+        (repo / rel).write_bytes(content)
+    (repo / "run.sh").write_bytes(b"#!/bin/sh\necho run\n")
+    (repo / "run.sh").chmod(0o755)
+    (repo / "link.py").symlink_to("top.py")
+    first = e2e.commit_all(repo)
+    subprocess.run(["git", "update-index", "--add", "--cacheinfo",
+                    f"160000,{first},sub"], cwd=repo, check=True)
+    subprocess.run(["git", "-c", "user.name=dev", "-c",
+                    "user.email=dev@example.com", "commit", "-q", "-m",
+                    "add a gitlink"], cwd=repo, check=True)
+    base = _git_out(repo, "rev-parse", "HEAD")
+    (repo / "top.py").write_bytes(b"print('changed')\n")
+    (repo / "pkg.txt").unlink()
+    e2e.commit_all(repo, "later")
+    return repo, base
+
+
+def test_read_repo_files_matches_a_checkout(odd_repo, tmp_path):
+    repo, base = odd_repo
+    checkout = tmp_path / "checkout"
+    subprocess.run(["git", "clone", "-q", "--no-checkout", str(repo),
+                    str(checkout)], check=True)
+    subprocess.run(["git", "checkout", "-q", "--detach", base],
+                   cwd=checkout, check=True)
+    assert (checkout / "sub").is_dir()  # the gitlink, as a checkout has it
+
+    files = read_repo_files(repo, base)
+    expected = read_checkout(checkout)
+    assert files == expected
+    assert list(files) == list(expected)
+    assert "run.sh" in files and "empty.txt" in files
+    assert "link.py" not in files and "latin1.txt" not in files
+    assert files["top.py"] == "print('top')\n"
+    assert files["crlf.txt"] == "one\r\ntwo\r\n"
+    assert list(files).index("pkg-b.txt") > list(files).index(
+        "pkg/sub/deep.py")
+
+
+def test_read_repo_files_errors_name_the_revision_and_repo(odd_repo,
+                                                           tmp_path):
+    repo, _ = odd_repo
+    with pytest.raises(GitError, match="'no-such-rev' not resolvable"):
+        read_repo_files(repo, "no-such-rev")
+    plain = tmp_path / "plain"
+    plain.mkdir()
+    with pytest.raises(GitError,
+                       match=re.escape(f"{plain} is not a git repository")):
+        read_repo_files(plain, "HEAD")
+
+
+@pytest.fixture()
+def cat_file_procs(monkeypatch):
+    """Every git cat-file process started while the fixture is active."""
+    started: list[subprocess.Popen] = []
+
+    class Recording(subprocess.Popen):
+        def __init__(self, args, *rest, **kwargs):
+            super().__init__(args, *rest, **kwargs)
+            if "cat-file" in args:
+                started.append(self)
+
+    monkeypatch.setattr(gitops.subprocess, "Popen", Recording)
+    return started
+
+
+def test_read_repo_files_reports_a_missing_blob(odd_repo, cat_file_procs):
+    repo, base = odd_repo
+    oid = _git_out(repo, "rev-parse", f"{base}:pkg/sub/deep.py")
+    (repo / ".git" / "objects" / oid[:2] / oid[2:]).unlink()
+    with pytest.raises(GitError, match=f"pkg/sub/deep.py: {oid} missing"):
+        read_repo_files(repo, base)
+    assert len(cat_file_procs) == 1
+    assert cat_file_procs[0].returncode is not None  # reaped
+
+
+def test_read_repo_files_reaps_cat_file_when_reading_raises(
+        odd_repo, cat_file_procs, monkeypatch):
+    repo, base = odd_repo
+
+    class Failing:
+        def __init__(self, stream):
+            self.stream = stream
+
+        def readline(self):
+            return self.stream.readline()
+
+        def read(self, size):
+            raise RuntimeError("injected read failure")
+
+        def close(self):
+            self.stream.close()
+
+    real_popen = gitops.subprocess.Popen
+
+    def failing_popen(args, *rest, **kwargs):
+        proc = real_popen(args, *rest, **kwargs)
+        if "cat-file" in args:
+            proc.stdout = Failing(proc.stdout)
+        return proc
+
+    monkeypatch.setattr(gitops.subprocess, "Popen", failing_popen)
+    with pytest.raises(RuntimeError, match="injected"):
+        read_repo_files(repo, base)
+    assert len(cat_file_procs) == 1
+    assert cat_file_procs[0].returncode is not None  # reaped
 
 
 # --- atomic application -----------------------------------------------------------

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import importlib.util
-import json
+import subprocess
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -10,8 +12,9 @@ import _e2e_data as e2e
 from patchcrew.custodian import load_memory
 from patchcrew.errors import CassetteMissError
 from patchcrew.llm import Gateway, ReplayBackend
+from patchcrew import runner
 from patchcrew.model import instance_from_dict
-from patchcrew.runner import RunConfig, RunOutcome, build_gateway, resolve_instance
+from patchcrew.runner import RunConfig, build_gateway, resolve_instance
 
 
 def _config(tmp_path, **overrides) -> RunConfig:
@@ -145,6 +148,36 @@ def test_replay_report_matches_checked_in_report(fixture_repo, tmp_path):
     del produced["run.txt"]  # carries the wall time
     assert produced == _tree(e2e.EXPECTED_REPORT_DIR)
     assert outcome.patch_path.read_bytes() == e2e.EXPECTED_PATCH_PATH.read_bytes()
+
+
+def test_resolve_instance_makes_no_checkout(fixture_repo, tmp_path,
+                                           monkeypatch):
+    def no_checkout(*args, **kwargs):
+        raise AssertionError("resolve made a checkout")
+
+    monkeypatch.setattr(runner, "snapshot", no_checkout)
+    outcome = resolve_instance(_instance(fixture_repo), _config(tmp_path))
+    produced = _tree(outcome.report_dir)
+    assert b"workspace_kept: -\n" in produced.pop("run.txt")
+    assert produced == _tree(e2e.EXPECTED_REPORT_DIR)
+    assert outcome.patch_path.read_bytes() == e2e.EXPECTED_PATCH_PATH.read_bytes()
+
+
+def test_resolve_instance_keeps_a_detached_checkout_on_request(
+        fixture_repo, tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    _, sha = fixture_repo
+    outcome = resolve_instance(_instance(fixture_repo),
+                               _config(tmp_path, keep_workspaces=True))
+    run_text = (outcome.report_dir / "run.txt").read_text(encoding="utf-8")
+    kept = Path(run_text.split("workspace_kept: ")[1].splitlines()[0])
+    assert kept.is_relative_to(tmp_path)
+    assert (kept / "calc.py").read_text(encoding="utf-8") == e2e.CALC_OLD
+    git = lambda *args: subprocess.run(["git", *args], cwd=kept,
+                                       capture_output=True, text=True)
+    assert git("rev-parse", "HEAD").stdout.strip() == sha
+    assert git("symbolic-ref", "-q", "HEAD").returncode == 1  # detached
+    assert git("status", "--porcelain").stdout == ""
 
 
 def test_gen_cassette_reproduces_the_fixture(tmp_path):
