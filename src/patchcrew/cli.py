@@ -51,7 +51,8 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
                         help="developer rounds in the kick-off meeting "
                              "(default %(default)s)")
     parser.add_argument("--memory-path", metavar="PATH",
-                        help="persist the custodian memory at this path")
+                        help="persist the custodian memory at this path, "
+                             "and its BM25 term index at PATH.bm25")
     parser.add_argument("--keep-workspaces", action="store_true",
                         help="retain temporary checkouts for debugging")
     parser.add_argument("--oracle", action="store_true",
@@ -111,6 +112,8 @@ def cmd_locate(args: argparse.Namespace) -> int:
         marker = " *" if rf.path in kept else ""
         print(f"{rf.rank:>4}  {rf.bm25_score:>10.4f}  {rf.path}{marker}")
     print(f"candidates: {len(result.candidates)}")
+    if located.workspace is not None:
+        print(f"workspace: {located.workspace.path}")
     for note in located.custodian.notes:
         print(f"note: {note}")
     return EXIT_OK if result.candidates else EXIT_DEGENERATE

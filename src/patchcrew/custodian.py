@@ -2,7 +2,12 @@
 
 Ranking is plain BM25 (k1=1.2, b=0.75) over file contents with the file's
 own path tokens appended once per document, since issues often name modules
-outright.
+outright. BM25 needs only each document's term counts and length, so it
+ranks from a TermIndex: the term counts of each file's content, kept by
+the git blob id that names that content. The index follows the evolution
+memory's idea: it persists next to the memory (``<memory-path>.bm25``), so
+a new revision tokenizes only the blobs that changed, and a file's content
+is read only when a summary or a later stage needs it.
 
 Summaries are memoized in an EvolutionMemory so a file is fully
 re-summarized at most once while it stays unchanged. When a file changes a
@@ -20,6 +25,7 @@ import logging
 import math
 import re
 from collections import Counter
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,6 +40,7 @@ BM25_K1 = 1.2
 BM25_B = 0.75
 MAX_LINEAGE_UPDATES = 5
 MEMORY_FORMAT_VERSION = "evolution-memory-v1"
+TERM_INDEX_FORMAT_VERSION = "bm25-term-index-v1"
 
 # a run of capitals then a run of lowercase letters and digits: camelCase
 # splits before each capital that follows a lowercase letter or digit, and
@@ -54,47 +61,143 @@ class RankedFile:
     rank: int
 
 
-def rank_files(repo_files: dict[str, str], issue_text: str) -> list[RankedFile]:
-    """Score every file against the issue text with BM25.
+def term_counts(text: str) -> Counter[str]:
+    """How often each term of the text occurs in it."""
+    return Counter(tokenize(text))
 
-    IDF is ln((N - n_t + 0.5) / (n_t + 0.5) + 1). Repeated query terms
-    contribute once per occurrence. Ties break by ascending path.
+
+def rank_files(documents: Mapping[str, Mapping[str, int]],
+               issue_text: str) -> list[RankedFile]:
+    """Score every file against the issue text with BM25, given each
+    file's path and the term counts of its content.
+
+    The path's own terms count once more, added here. IDF is
+    ln((N - n_t + 0.5) / (n_t + 0.5) + 1). Repeated query terms contribute
+    once per occurrence, summed in query order. Ties break by ascending
+    path.
     """
-    if not repo_files:
+    if not documents:
         raise ValueError("rank_files needs at least one file")
     if not issue_text.strip():
         raise ValueError("rank_files needs non-empty issue text")
 
-    # one term-frequency Counter and one length per document, not its tokens
-    docs: dict[str, tuple[Counter[str], int]] = {}
+    query = tokenize(issue_text)
+    wanted = set(query)
+    # per document: its length and the counts of the query's terms in it
+    docs: list[tuple[str, int, dict[str, int]]] = []
     doc_freq: Counter[str] = Counter()
-    for path, content in repo_files.items():
-        terms = tokenize(content) + tokenize(path)
-        tf = Counter(terms)
-        docs[path] = (tf, len(terms))
+    total_len = 0
+    for path, counts in documents.items():
+        path_terms = tokenize(path)
+        tf = {term: counts[term] for term in wanted if term in counts}
+        for term in path_terms:
+            if term in wanted:
+                tf[term] = tf.get(term, 0) + 1
+        dl = sum(counts.values()) + len(path_terms)
+        docs.append((path, dl, tf))
         doc_freq.update(tf.keys())
+        total_len += dl
     n_docs = len(docs)
-    avg_len = sum(dl for _, dl in docs.values()) / n_docs
+    avg_len = total_len / n_docs
     if avg_len == 0:
         avg_len = 1.0
+    idf = {term: math.log((n_docs - n + 0.5) / (n + 0.5) + 1.0)
+           for term, n in doc_freq.items()}
 
-    query = tokenize(issue_text)
     scores: dict[str, float] = {}
-    for path, (tf, dl) in docs.items():
+    for path, dl, tf in docs:
         score = 0.0
+        norm = 1 - BM25_B + BM25_B * dl / avg_len
         for term in query:
             f = tf.get(term, 0)
             if f == 0:
                 continue
-            idf = math.log((n_docs - doc_freq[term] + 0.5)
-                           / (doc_freq[term] + 0.5) + 1.0)
-            norm = 1 - BM25_B + BM25_B * dl / avg_len
-            score += idf * f * (BM25_K1 + 1) / (f + BM25_K1 * norm)
+            score += idf[term] * f * (BM25_K1 + 1) / (f + BM25_K1 * norm)
         scores[path] = score
 
     ordered = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
     return [RankedFile(path=p, bm25_score=s, rank=i + 1)
             for i, (p, s) in enumerate(ordered)]
+
+
+class TermIndex:
+    """git blob id -> the term counts of the blob's content, or None for a
+    blob that is not UTF-8 text, so that it is not read again. A blob id
+    names the exact content, so an entry never goes stale."""
+
+    def __init__(self):
+        self.blobs: dict[str, dict[str, int] | None] = {}
+
+    def update(self, listing: Mapping[str, str],
+               read: Callable[[list[str]], Mapping[str, str]]) -> None:
+        """Bring the index to a listing of path -> blob id: count the terms
+        of each blob it does not know, reading one path per such blob, and
+        drop every blob the listing does not name, so the index never holds
+        more blobs than one revision has. ``read`` gives the UTF-8 contents
+        of the paths it is asked for."""
+        unknown = {oid: path for path, oid in listing.items()
+                   if oid not in self.blobs}
+        texts = read(list(unknown.values()))
+        shared: dict[str, str] = {}  # one string per term across these blobs
+        for oid, path in unknown.items():
+            text = texts.get(path)
+            self.blobs[oid] = None if text is None else {
+                shared.setdefault(term, term): n
+                for term, n in term_counts(text).items()}
+        self.blobs = {oid: self.blobs[oid] for oid in listing.values()}
+
+    def documents(self, listing: Mapping[str, str]
+                  ) -> dict[str, dict[str, int]]:
+        """path -> content term counts, for each listed path of UTF-8
+        text; the input rank_files takes."""
+        return {path: counts for path, oid in listing.items()
+                if (counts := self.blobs[oid]) is not None}
+
+
+def save_term_index(index: TermIndex, path: str | Path) -> None:
+    """Persist as a version line followed by one JSON record per blob,
+    written to a temporary file that then replaces the old one."""
+    path = Path(path)
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    with tmp.open("w", encoding="utf-8") as out:
+        out.write(TERM_INDEX_FORMAT_VERSION + "\n")
+        out.writelines(
+            json.dumps({"blob": oid, "terms": terms}, ensure_ascii=True,
+                       separators=(",", ":")) + "\n"
+            for oid, terms in index.blobs.items())
+    tmp.replace(path)
+
+
+def load_term_index(path: str | Path) -> TermIndex:
+    path = Path(path)
+    with path.open(encoding="utf-8") as lines:
+        if lines.readline().rstrip("\n") != TERM_INDEX_FORMAT_VERSION:
+            raise ValueError(f"{path}: not a {TERM_INDEX_FORMAT_VERSION} file")
+        numbered = [(lineno, line) for lineno, line
+                    in enumerate(lines, start=2) if line.strip()]
+    # one parse of all records interns the terms: within one call, json
+    # gives every repeat of a key the string object it made first. Where
+    # that parse fails, each line is parsed alone, to name the bad one.
+    try:
+        records = json.loads("[" + ",".join(line for _, line in numbered)
+                             + "]")
+    except ValueError:
+        records = []
+    if len(records) != len(numbered):
+        records = [None] * len(numbered)
+    index = TermIndex()
+    for (lineno, line), obj in zip(numbered, records):
+        try:
+            obj = obj or json.loads(line)
+            terms = obj["terms"]
+            # the sum of counts is an int only if every count is one
+            if terms is not None and type(sum(terms.values())) is not int:
+                raise ValueError("term counts must be integers")
+            index.blobs[obj["blob"]] = terms
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise ValueError(f"{path}:{lineno}: bad term index record: "
+                             f"{exc}") from exc
+    return index
 
 
 def content_hash(content: str) -> str:
@@ -221,24 +324,29 @@ class Custodian:
         ))
         return summary
 
-    def locate(self, repo_files: dict[str, str], issue_text: str,
-               k: int) -> LocateResult:
-        """Rank all files, then keep a top-k file unless the relevance
-        check answers NO on its summary. The top-k files are summarized and
-        judged concurrently; their paths are distinct, so their memory
-        entries are too. LLM trouble on one file keeps the file (fail-open)
-        and records a note, in rank order; a replay cassette miss still
-        raises, since that is a configuration error, not an LLM failure.
+    def locate(self, documents: Mapping[str, Mapping[str, int]],
+               issue_text: str, k: int,
+               read: Callable[[list[str]], Mapping[str, str]]
+               ) -> LocateResult:
+        """Rank all files (path -> content term counts, see rank_files),
+        then keep a top-k file unless the relevance check answers NO on its
+        summary. ``read`` gives the contents of the top-k files, in one
+        call. The top-k files are summarized and judged concurrently; their
+        paths are distinct, so their memory entries are too. LLM trouble on
+        one file keeps the file (fail-open) and records a note, in rank
+        order; a replay cassette miss still raises, since that is a
+        configuration error, not an LLM failure.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
-        ranked = rank_files(repo_files, issue_text)
+        ranked = rank_files(documents, issue_text)
         self.bm25_calls += 1
         top = ranked[:k]
+        contents = read([rf.path for rf in top])
 
         def judge(rf: RankedFile) -> bool | Exception:
             try:
-                summary = self.summarize_file(rf.path, repo_files[rf.path])
+                summary = self.summarize_file(rf.path, contents[rf.path])
                 relevant = self.gateway.complete_structured(
                     prompts.RELEVANCE_DECISION,
                     {"issue": issue_text, "summary": summary},

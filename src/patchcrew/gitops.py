@@ -2,9 +2,12 @@
 object store, isolated checkouts of it, and atomic patch application
 against those checkouts.
 
-``read_repo_files`` lists the revision's tree and streams its blobs through
-one ``git cat-file --batch`` process; nothing is written to disk, so
-locating files needs no checkout. A snapshot clones the source repository
+``list_repo_files`` lists the revision's tree as path -> blob id, and
+``read_repo_files`` streams the contents of just the blobs a caller asks
+for through one ``git cat-file --batch`` process. A blob id names the
+exact content, so a caller can keep what it derived from a blob under its
+id and never read that blob again. Nothing is written to disk, so locating
+files needs no checkout. A snapshot clones the source repository
 into a fresh directory and checks out the requested revision, detached;
 the source repository is never written to, and ``destroy`` removes the
 snapshot again. Application is all-or-nothing per change: every file's new
@@ -21,6 +24,7 @@ import shutil
 import subprocess
 import tempfile
 import threading
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -59,47 +63,57 @@ def verify_revision(repo_path: str | Path, revision: str) -> str:
     return out.decode().strip()
 
 
-def read_repo_files(repo_path: str | Path, revision: str) -> dict[str, str]:
-    """Every UTF-8 text file of the revision, keyed by its repo-relative
-    posix path, in the order a sorted walk of a checkout would give.
-
-    The files come from the object store, not from a checkout. Contents are
-    the committed blobs, what ``git show <rev>:<path>`` prints. They differ
-    from a checkout's files only where ``.gitattributes`` or
-    ``core.autocrlf`` makes checkout convert them, and then they are the
-    content ``git diff`` compares. Symlinks, gitlinks and blobs that do not
-    decode as UTF-8 are skipped. Every git failure raises GitError.
-    """
+def list_repo_files(repo_path: str | Path, revision: str) -> dict[str, str]:
+    """Every regular file of the revision: its repo-relative posix path and
+    the git blob id of its content, in the order a sorted walk of a
+    checkout would give. Symlinks and gitlinks are left out. Every git
+    failure raises GitError."""
     repo = Path(repo_path)
     sha = verify_revision(repo, revision)
     listing = _git(["ls-tree", "-r", "-z", "--full-tree", sha], repo)
-    blobs: list[tuple[str, bytes]] = []
+    blobs: list[tuple[str, str]] = []
     for entry in listing.split(b"\0")[:-1]:
         meta, path = entry.split(b"\t", 1)
         mode, _, oid = meta.split(b" ")
         if mode in _FILE_MODES:
-            blobs.append((os.fsdecode(path), oid))
+            blobs.append((os.fsdecode(path), oid.decode()))
     # a checkout walk orders by path components; git's tree order differs
     # (it sorts "a-b" before the directory "a/")
     blobs.sort(key=lambda blob: blob[0].split("/"))
+    return dict(blobs)
 
+
+def read_repo_files(repo_path: str | Path,
+                    blobs: Mapping[str, str]) -> dict[str, str]:
+    """The content of each given blob, path -> blob id as list_repo_files
+    gives them, keyed by path in the order given. A blob that does not
+    decode as UTF-8 is left out.
+
+    Contents are the committed blobs, what ``git show <rev>:<path>``
+    prints. They differ from a checkout's files only where
+    ``.gitattributes`` or ``core.autocrlf`` makes checkout convert them,
+    and then they are the content ``git diff`` compares. No blobs start no
+    git process. Every git failure raises GitError.
+    """
+    files: dict[str, str] = {}
+    if not blobs:
+        return files
     # cat-file answers each object id with "<oid> blob <size>\n", the
     # content and "\n"; a thread feeds the ids while this one reads, so
     # neither pipe fills up and no output is held beyond one blob
     try:
-        proc = subprocess.Popen(["git", "cat-file", "--batch"], cwd=str(repo),
-                                stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                                stderr=subprocess.PIPE)
+        proc = subprocess.Popen(["git", "cat-file", "--batch"],
+                                cwd=str(repo_path), stdin=subprocess.PIPE,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     except FileNotFoundError as exc:
         raise GitError("git executable not found") from exc
-    files: dict[str, str] = {}
     with proc:  # closes the pipes and reaps the process, also on error
         feeder = threading.Thread(
-            target=_feed, args=(proc.stdin, b"".join(oid + b"\n"
-                                                     for _, oid in blobs)))
+            target=_feed, args=(proc.stdin, "".join(
+                oid + "\n" for oid in blobs.values()).encode()))
         feeder.start()
         try:
-            for path, _ in blobs:
+            for path in blobs:
                 header = proc.stdout.readline().split()
                 if header[1:2] != [b"blob"]:
                     reply = b" ".join(header).decode() or "no output"

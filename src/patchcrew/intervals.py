@@ -35,12 +35,6 @@ class LineIntervalSet:
         """Total number of covered lines. Only meaningful on normalized sets."""
         return sum(e - s + 1 for s, e in self.intervals)
 
-    def covered_lines(self) -> set[int]:
-        lines: set[int] = set()
-        for s, e in self.intervals:
-            lines.update(range(s, e + 1))
-        return lines
-
     def clamped(self, max_line: int) -> "LineIntervalSet":
         """Clamp every interval to [1, max_line]; intervals entirely out of
         bounds are dropped."""

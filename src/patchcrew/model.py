@@ -116,9 +116,6 @@ class WorkPlan:
         if sorted(flat) != list(range(len(flat))):
             raise ValueError("groups must cover task indices 0..n-1 exactly once")
 
-    def task_count(self) -> int:
-        return sum(len(g) for g in self.groups)
-
 
 @dataclass(frozen=True)
 class ReviewOutcome:

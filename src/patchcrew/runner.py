@@ -1,8 +1,15 @@
 """End-to-end issue resolution: locate, plan, code, report.
 
-Locate reads the base revision's files straight from the repository's
-object store (gitops.read_repo_files), so a resolve makes no checkout;
-``--keep-workspaces`` alone makes one, for the user to inspect.
+Locate lists the base revision's files with their blob ids
+(gitops.list_repo_files), brings the custodian's term index up to that
+listing by reading only the blobs it does not know, ranks, and then reads
+the contents of the top-k files for their summaries. The planner and the
+coder get the contents of the candidate files only. Every content comes
+straight from the repository's object store (gitops.read_repo_files),
+each blob read at most once, so a resolve makes no checkout;
+``--keep-workspaces`` alone makes one, for the user to inspect. With a
+memory path the index persists at ``<memory-path>.bm25``; without one it
+lives for the run.
 
 Independent LLM calls run concurrently (llm.map_concurrently): the
 per-file summaries and relevance checks of locate, the per-file task and
@@ -33,10 +40,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .coder import DEFAULT_MAX_REVIEW_ITERS, Coder, TaskResult
-from .custodian import (Custodian, EvolutionMemory, LocateResult,
-                        load_memory, save_memory)
+from .custodian import (Custodian, EvolutionMemory, LocateResult, TermIndex,
+                        load_memory, load_term_index, save_memory,
+                        save_term_index)
 from .diffs import CodeChange, render_change
-from .gitops import Workspace, read_repo_files, snapshot
+from .gitops import Workspace, list_repo_files, read_repo_files, snapshot
 from .llm import Gateway, LiveBackend, RecordBackend, ReplayBackend
 from .model import IssueInstance
 from .planner import DEFAULT_MEETING_ROUNDS, Planner, render_transcript
@@ -78,10 +86,11 @@ def build_gateway(config: RunConfig) -> Gateway:
 
 @dataclass
 class Located:
-    """The locate stage's output: the base revision's files, the issue
-    text with hints folded in, and the custodian that ranked them."""
+    """The locate stage's output: the candidate files and their contents,
+    the issue text with hints folded in, and the custodian that ranked
+    them."""
     workspace: Workspace | None  # a checkout only with keep_workspaces
-    repo_files: dict[str, str]
+    files: dict[str, str]  # each candidate that is UTF-8 text at the base
     issue: str
     custodian: Custodian
     candidates: list[str]
@@ -90,14 +99,26 @@ class Located:
 
 def locate_files(instance: IssueInstance, config: RunConfig,
                  gateway: Gateway) -> Located:
-    """Read the base revision's files from the object store, and pick
-    candidate files with the custodian (or take the oracle files). Only
-    keep_workspaces makes a checkout, which is left for the user. The
-    memory is saved once the custodian is done with it, since nothing later
-    changes it."""
-    repo_files = read_repo_files(instance.repo_path, instance.base_revision)
-    workspace = (snapshot(instance.repo_path, instance.base_revision)
+    """List the base revision's files, and pick candidate files with the
+    custodian (or take the oracle files). Contents come from the object
+    store, each blob read at most once, and only where needed: the blobs
+    the term index does not know yet, the top-k files the custodian
+    summarizes, and the candidates. Only keep_workspaces makes a checkout,
+    which is left for the user. The memory and the index are saved once
+    the custodian is done with them, since nothing later changes them."""
+    repo = instance.repo_path
+    listing = list_repo_files(repo, instance.base_revision)
+    workspace = (snapshot(repo, instance.base_revision)
                  if config.keep_workspaces else None)
+    texts: dict[str, str] = {}  # blob id -> content
+
+    def read(paths: list[str]) -> dict[str, str]:
+        missing = {path: listing[path] for path in paths
+                   if listing[path] not in texts}
+        for path, text in read_repo_files(repo, missing).items():
+            texts[listing[path]] = text
+        return {path: texts[listing[path]] for path in paths
+                if listing[path] in texts}
 
     memory = EvolutionMemory()
     if config.memory_path and Path(config.memory_path).exists():
@@ -113,12 +134,21 @@ def locate_files(instance: IssueInstance, config: RunConfig,
         candidates = list(instance.oracle_files)
         log.info("oracle files supplied, custodian bypassed")
     else:
-        result = custodian.locate(repo_files, issue, config.top_k)
+        index_path = (Path(f"{config.memory_path}.bm25")
+                      if config.memory_path else None)
+        index = (load_term_index(index_path)
+                 if index_path and index_path.exists() else TermIndex())
+        index.update(listing, read)
+        result = custodian.locate(index.documents(listing), issue,
+                                  config.top_k, read)
         candidates = list(result.candidates)
+        if index_path:
+            save_term_index(index, index_path)
 
     if config.memory_path:
         save_memory(custodian.memory, config.memory_path)
-    return Located(workspace, repo_files, issue, custodian, candidates, result)
+    files = read([path for path in candidates if path in listing])
+    return Located(workspace, files, issue, custodian, candidates, result)
 
 
 @dataclass
@@ -141,14 +171,13 @@ def resolve_instance(instance: IssueInstance, config: RunConfig,
     started = time.monotonic()
     gateway = gateway or build_gateway(config)
     located = locate_files(instance, config, gateway)
-    repo_files, issue, custodian = (located.repo_files, located.issue,
-                                    located.custodian)
+    files, issue, custodian = located.files, located.issue, located.custodian
 
     planner = Planner(gateway, meeting_rounds=config.meeting_rounds)
     coder = Coder(gateway, n_max=config.max_review_iters,
                   qa_enabled=config.qa_enabled)
 
-    tasks = planner.build_team(located.candidates, repo_files, issue)
+    tasks = planner.build_team(located.candidates, files, issue)
     task_results: list[TaskResult] = []
     if tasks:
         transcript = planner.kickoff_meeting(tasks, issue)
@@ -156,7 +185,7 @@ def resolve_instance(instance: IssueInstance, config: RunConfig,
         plan = planner.make_plan(transcript, tasks)
         summaries = {path: entry.summary
                      for path, entry in custodian.memory.entries.items()}
-        change, task_results = coder.resolve_issue(tasks, plan, repo_files,
+        change, task_results = coder.resolve_issue(tasks, plan, files,
                                                    summaries)
     else:
         transcript = None

@@ -51,9 +51,17 @@ def read_checkout(root: Path) -> dict[str, str]:
     return files
 
 
+def covered_lines(intervals: LineIntervalSet) -> set[int]:
+    """Every line number an interval set covers, one by one."""
+    lines: set[int] = set()
+    for s, e in intervals.intervals:
+        lines.update(range(s, e + 1))
+    return lines
+
+
 def overlap_by_line_sets(ref: LineIntervalSet, gen: LineIntervalSet) -> float:
-    ref_lines = ref.covered_lines()
-    gen_lines = gen.covered_lines()
+    ref_lines = covered_lines(ref)
+    gen_lines = covered_lines(gen)
     if not ref_lines:
         raise ValueError("empty reference")
     return len(ref_lines & gen_lines) / len(ref_lines)

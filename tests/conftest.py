@@ -4,6 +4,7 @@ import pytest
 
 import _e2e_data as e2e
 
+from patchcrew.custodian import term_counts
 from patchcrew.llm import Gateway, ReplayBackend
 
 
@@ -41,6 +42,16 @@ class ScriptedBackend:
 
 def scripted_gateway(responses: dict) -> Gateway:
     return Gateway(ScriptedBackend(responses))
+
+
+def documents(files: dict[str, str]) -> dict[str, dict[str, int]]:
+    """What rank_files ranks, for files held in memory."""
+    return {path: term_counts(text) for path, text in files.items()}
+
+
+def reader(files: dict[str, str]):
+    """A Custodian.locate reader over files held in memory."""
+    return lambda paths: {path: files[path] for path in paths}
 
 
 @pytest.fixture()

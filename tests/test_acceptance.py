@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import _e2e_data as e2e
 from _oracles import (bm25_scores_brute, newton_logistic_univariate,
                       overlap_by_line_sets)
-from conftest import scripted_gateway
+from conftest import documents, reader, scripted_gateway
 
 from patchcrew.cli import main
 from patchcrew.coder import Coder
@@ -182,11 +182,13 @@ def test_c05_summaries_are_memoized_and_updated_incrementally():
     fresh summarization."""
     gateway = Gateway(ReplayBackend(e2e.CASSETTE_PATH))
     custodian = Custodian(gateway)
-    custodian.locate(e2e.REPO_FILES, e2e.ISSUE_TEXT, e2e.TOP_K)
+    custodian.locate(documents(e2e.REPO_FILES), e2e.ISSUE_TEXT, e2e.TOP_K,
+                     reader(e2e.REPO_FILES))
     p2_after_first = gateway.call_counts.get("P2", 0)
     assert p2_after_first == len(e2e.REPO_FILES)
 
-    custodian.locate(e2e.REPO_FILES, e2e.ISSUE_TEXT, e2e.TOP_K)
+    custodian.locate(documents(e2e.REPO_FILES), e2e.ISSUE_TEXT, e2e.TOP_K,
+                     reader(e2e.REPO_FILES))
     assert gateway.call_counts.get("P2", 0) == p2_after_first
 
     custodian.summarize_file(e2e.MEMO_PATH, e2e.MEMO_OLD)
@@ -242,7 +244,7 @@ def test_c07_ranking_matches_per_document_scorer():
             files["src/aa_dup.py"] = files[f"src/m00.py"]
         issue = " ".join(rng.choices(WORDS, k=rng.randint(2, 10)))
         expected = bm25_scores_brute(files, issue)
-        ranked = rank_files(files, issue)
+        ranked = rank_files(documents(files), issue)
         for rf in ranked:
             assert abs(rf.bm25_score - expected[rf.path]) < 1e-9
         for a, b in zip(ranked, ranked[1:]):

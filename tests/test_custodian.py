@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import hashlib
 import random
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,14 +12,15 @@ from hypothesis import strategies as st
 
 import _e2e_data as e2e
 from _oracles import bm25_scores_brute, tokenize_two_pass
-from conftest import scripted_gateway
+from conftest import documents, reader, scripted_gateway
 
 from patchcrew.custodian import (MAX_LINEAGE_UPDATES, Custodian,
-                                 EvolutionMemory, MemoryEntry, content_hash,
-                                 load_memory, rank_files, save_memory,
+                                 EvolutionMemory, MemoryEntry, TermIndex,
+                                 content_hash, load_memory, load_term_index,
+                                 rank_files, save_memory, save_term_index,
                                  tokenize)
 from patchcrew.errors import CassetteMissError, TransportError
-from patchcrew.gitops import read_repo_files
+from patchcrew.gitops import list_repo_files, read_repo_files
 from patchcrew.llm import Gateway, ReplayBackend
 
 
@@ -56,9 +60,9 @@ def test_tokenize_matches_two_pass_split(text):
 
 def test_rank_files_rejects_degenerate_input():
     with pytest.raises(ValueError, match="at least one file"):
-        rank_files({}, "issue")
+        rank_files(documents({}), "issue")
     with pytest.raises(ValueError, match="non-empty issue"):
-        rank_files({"a.py": "code"}, "   ")
+        rank_files(documents({"a.py": "code"}), "   ")
 
 
 def test_rank_files_prefers_matching_content():
@@ -66,7 +70,8 @@ def test_rank_files_prefers_matching_content():
         "auth.py": "def login(user):\n    check_password(user)\n",
         "math_utils.py": "def square(n):\n    return n * n\n",
     }
-    ranked = rank_files(files, "login fails when check_password raises")
+    ranked = rank_files(documents(files),
+                        "login fails when check_password raises")
     assert ranked[0].path == "auth.py"
     assert ranked[0].rank == 1
     assert ranked[1].rank == 2
@@ -78,13 +83,13 @@ def test_rank_files_scores_path_tokens():
         "billing/invoice.py": "def run():\n    pass\n",
         "core/engine.py": "def run():\n    pass\n",
     }
-    ranked = rank_files(files, "invoice totals are wrong")
+    ranked = rank_files(documents(files), "invoice totals are wrong")
     assert ranked[0].path == "billing/invoice.py"
 
 
 def test_rank_files_breaks_ties_by_path():
     files = {"b.py": "same text", "a.py": "same text", "c.py": "same text"}
-    ranked = rank_files(files, "same text")
+    ranked = rank_files(documents(files), "same text")
     assert [rf.path for rf in ranked] == ["a.py", "b.py", "c.py"]
     assert len({rf.bm25_score for rf in ranked}) == 1
 
@@ -107,7 +112,7 @@ def test_rank_files_matches_brute_force_oracle():
             ["alpha", "beta", "cache", "login", "missing", "flush"],
             k=rng.randint(2, 8)))
         expected = bm25_scores_brute(files, issue)
-        ranked = rank_files(files, issue)
+        ranked = rank_files(documents(files), issue)
         assert {rf.path for rf in ranked} == set(files)
         for rf in ranked:
             assert rf.bm25_score == pytest.approx(expected[rf.path], abs=1e-9)
@@ -130,8 +135,108 @@ def test_rank_files_scores_equal_the_oracle_exactly(docs, copies, query):
     for n, i in enumerate(copies):
         files[f"copy{n}.py"] = files[f"m{i % len(docs)}.py"]
     expected = bm25_scores_brute(files, " ".join(query))
-    ranked = rank_files(files, " ".join(query))
+    ranked = rank_files(documents(files), " ".join(query))
     assert {rf.path: rf.bm25_score for rf in ranked} == expected
+
+
+# --- term index ----------------------------------------------------------------
+
+def _blob_id(text: str) -> str:
+    """The id git gives a blob of this content."""
+    data = text.encode("utf-8")
+    return hashlib.sha1(b"blob %d\0" % len(data) + data).hexdigest()
+
+
+_STEP = st.lists(st.tuples(
+    st.sampled_from(["a.py", "b.py", "pkg/c.py", "pkg/d.py", "e.bin"]),
+    st.one_of(st.none(),  # delete the file
+              st.lists(_FEW_WORDS, max_size=12).map(" ".join),
+              st.sampled_from(["a.py", "b.py", "pkg/c.py"]))),  # copy it
+    min_size=1, max_size=4)
+
+
+BINARY = "\ufffd"
+
+
+@settings(max_examples=150, deadline=None)
+@given(steps=st.lists(_STEP, min_size=1, max_size=6),
+       query=st.lists(_FEW_WORDS, min_size=1, max_size=6))
+def test_term_index_across_revisions_ranks_like_the_oracle(steps, query):
+    # each step is one revision: files added, edited, deleted, or copied
+    # from another path (one blob under two paths); e.bin holds content
+    # that stands for bytes that are not UTF-8, which the reader leaves out
+    files: dict[str, str] = {}
+    index = TermIndex()
+    with tempfile.TemporaryDirectory() as tmp:
+        index_path = Path(tmp) / "memory.jsonl.bm25"
+        for step in steps:
+            for path, change in step:
+                if change is None:
+                    files.pop(path, None)
+                elif change in files:
+                    files[path] = files[change]
+                elif change not in ("a.py", "b.py", "pkg/c.py"):
+                    files[path] = BINARY + change if path == "e.bin" else change
+            listing = {path: _blob_id(files[path]) for path in sorted(files)}
+            known = set(index.blobs)
+            asked: list[str] = []
+
+            def read(paths):
+                asked.extend(paths)
+                return {p: files[p] for p in paths
+                        if not files[p].startswith(BINARY)}
+
+            index.update(listing, read)
+            assert sorted(listing[p] for p in asked) \
+                == sorted(set(listing.values()) - known)
+            save_term_index(index, index_path)
+            index = load_term_index(index_path)
+            assert set(index.blobs) == set(listing.values())
+
+            text = {p: c for p, c in files.items()
+                    if not c.startswith(BINARY)}
+            if not text:
+                continue
+            expected = bm25_scores_brute(text, " ".join(query))
+            ranked = rank_files(index.documents(listing), " ".join(query))
+            assert [(rf.path, rf.bm25_score) for rf in ranked] == sorted(
+                expected.items(), key=lambda kv: (-kv[1], kv[0]))
+
+
+def test_term_index_round_trips_and_records_skipped_blobs(tmp_path):
+    index = TermIndex()
+    index.update({"a.py": "1" * 40, "b.bin": "2" * 40},
+                 lambda paths: {"a.py": "alpha beta alpha"})
+    assert index.blobs == {"1" * 40: {"alpha": 2, "beta": 1}, "2" * 40: None}
+    path = tmp_path / "memory.jsonl.bm25"
+    save_term_index(index, path)
+    assert path.read_text(encoding="utf-8").splitlines()[0] \
+        == "bm25-term-index-v1"
+    assert load_term_index(path).blobs == index.blobs
+    # a blob already known, skipped ones too, is not read again
+    asked: list[str] = []
+    index.update({"a.py": "1" * 40, "b.bin": "2" * 40},
+                 lambda paths: asked.extend(paths) or {})
+    assert asked == []
+
+
+def test_load_term_index_rejects_wrong_version(tmp_path):
+    path = tmp_path / "memory.jsonl.bm25"
+    path.write_text("evolution-memory-v1\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="not a bm25-term-index-v1 file"):
+        load_term_index(path)
+
+
+@pytest.mark.parametrize("record", [
+    "{", '{"blob": "1"}', '{"blob": "1", "terms": {"a": 1.5}}',
+    '{"blob": "1", "terms": ["a"]}', "null", "1, 2",
+])
+def test_load_term_index_reports_bad_record_line(tmp_path, record):
+    path = tmp_path / "memory.jsonl.bm25"
+    path.write_text('bm25-term-index-v1\n{"blob": "0", "terms": null}\n'
+                    f"{record}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=":3: bad term index record"):
+        load_term_index(path)
 
 
 # --- memory entries ----------------------------------------------------------
@@ -270,7 +375,7 @@ def test_read_repo_files_skips_git_binaries_and_symlinks(tmp_path):
     (tmp_path / "blob.bin").write_bytes(b"\xff\xfe\x00junk")
     (tmp_path / "link.py").symlink_to("a.py")
     sha = e2e.commit_all(tmp_path)
-    files = read_repo_files(tmp_path, sha)
+    files = read_repo_files(tmp_path, list_repo_files(tmp_path, sha))
     assert list(files) == ["a.py", "pkg/b.py"]
     assert files["pkg/b.py"] == "beta\n"
 
@@ -282,6 +387,11 @@ LOCATE_FILES = {
     "billing.py": "def charge(card):\n    return card.total\n",
     "docs.md": "notes about the login flow and billing edge cases\n",
 }
+
+
+def _locate(custodian: Custodian, issue: str, k: int):
+    return custodian.locate(documents(LOCATE_FILES), issue, k,
+                            reader(LOCATE_FILES))
 
 
 def _summary_by_path(prompt: str) -> str:
@@ -300,13 +410,13 @@ def _yes_for_auth(prompt: str) -> str:
 def test_locate_requires_positive_k():
     custodian = Custodian(scripted_gateway({}))
     with pytest.raises(ValueError, match=">= 1"):
-        custodian.locate(LOCATE_FILES, "login broken", 0)
+        _locate(custodian, "login broken", 0)
 
 
 def test_locate_filters_on_relevance():
     gw = scripted_gateway({"P2": _summary_by_path, "P3": _yes_for_auth})
     custodian = Custodian(gw)
-    result = custodian.locate(LOCATE_FILES, "login rejects valid passwords", 2)
+    result = _locate(custodian, "login rejects valid passwords", 2)
     assert custodian.bm25_calls == 1
     assert len(result.ranked) == len(LOCATE_FILES)
     assert "auth.py" in [rf.path for rf in result.ranked[:2]]
@@ -323,7 +433,7 @@ def test_locate_keeps_file_when_relevance_call_fails():
 
     gw = scripted_gateway({"P2": _summary_by_path, "P3": flaky})
     custodian = Custodian(gw)
-    result = custodian.locate(LOCATE_FILES, "login rejects valid passwords", 2)
+    result = _locate(custodian, "login rejects valid passwords", 2)
     assert "auth.py" in result.candidates
     assert custodian.notes == ["locate: auth.py: undetermined (offline)"]
 
@@ -331,7 +441,7 @@ def test_locate_keeps_file_when_relevance_call_fails():
 def test_locate_keeps_file_when_relevance_is_unparseable():
     gw = scripted_gateway({"P2": _summary_by_path, "P3": "no marker at all"})
     custodian = Custodian(gw)
-    result = custodian.locate(LOCATE_FILES, "login rejects valid passwords", 1)
+    result = _locate(custodian, "login rejects valid passwords", 1)
     top = result.ranked[0].path
     assert result.candidates == (top,)
     assert len(custodian.notes) == 1
@@ -343,4 +453,4 @@ def test_locate_propagates_cassette_misses(tmp_path):
     cassette.write_text("", encoding="utf-8")
     custodian = Custodian(Gateway(ReplayBackend(cassette)))
     with pytest.raises(CassetteMissError):
-        custodian.locate(LOCATE_FILES, "login rejects valid passwords", 1)
+        _locate(custodian, "login rejects valid passwords", 1)

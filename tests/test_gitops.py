@@ -13,7 +13,8 @@ from patchcrew.diffs import CodeChange, compute_diff
 from patchcrew.errors import GitError
 from patchcrew import gitops
 from patchcrew.gitops import (Workspace, apply_change, destroy,
-                              read_repo_files, snapshot, verify_revision)
+                              list_repo_files, read_repo_files, snapshot,
+                              verify_revision)
 
 
 def _workspace(tmp_path, files: dict[str, str]) -> Workspace:
@@ -160,7 +161,7 @@ def test_read_repo_files_matches_a_checkout(odd_repo, tmp_path):
                    cwd=checkout, check=True)
     assert (checkout / "sub").is_dir()  # the gitlink, as a checkout has it
 
-    files = read_repo_files(repo, base)
+    files = read_repo_files(repo, list_repo_files(repo, base))
     expected = read_checkout(checkout)
     assert files == expected
     assert list(files) == list(expected)
@@ -172,16 +173,32 @@ def test_read_repo_files_matches_a_checkout(odd_repo, tmp_path):
         "pkg/sub/deep.py")
 
 
-def test_read_repo_files_errors_name_the_revision_and_repo(odd_repo,
+def test_read_repo_files_reads_only_the_blobs_asked_for(odd_repo,
+                                                        cat_file_procs):
+    repo, base = odd_repo
+    listing = list_repo_files(repo, base)
+    for path in ("top.py", "pkg/sub/deep.py", "run.sh"):
+        assert listing[path] == _git_out(repo, "rev-parse", f"{base}:{path}")
+    assert read_repo_files(repo, {}) == {}
+    assert cat_file_procs == []  # no blobs, no git process
+    asked = {path: listing[path]
+             for path in ("top.py", "latin1.txt", "empty.txt")}
+    files = read_repo_files(repo, asked)
+    assert list(files.items()) == [("top.py", "print('top')\n"),
+                                   ("empty.txt", "")]
+    assert len(cat_file_procs) == 1
+
+
+def test_list_repo_files_errors_name_the_revision_and_repo(odd_repo,
                                                            tmp_path):
     repo, _ = odd_repo
     with pytest.raises(GitError, match="'no-such-rev' not resolvable"):
-        read_repo_files(repo, "no-such-rev")
+        list_repo_files(repo, "no-such-rev")
     plain = tmp_path / "plain"
     plain.mkdir()
     with pytest.raises(GitError,
                        match=re.escape(f"{plain} is not a git repository")):
-        read_repo_files(plain, "HEAD")
+        list_repo_files(plain, "HEAD")
 
 
 @pytest.fixture()
@@ -204,7 +221,7 @@ def test_read_repo_files_reports_a_missing_blob(odd_repo, cat_file_procs):
     oid = _git_out(repo, "rev-parse", f"{base}:pkg/sub/deep.py")
     (repo / ".git" / "objects" / oid[:2] / oid[2:]).unlink()
     with pytest.raises(GitError, match=f"pkg/sub/deep.py: {oid} missing"):
-        read_repo_files(repo, base)
+        read_repo_files(repo, list_repo_files(repo, base))
     assert len(cat_file_procs) == 1
     assert cat_file_procs[0].returncode is not None  # reaped
 
@@ -236,7 +253,7 @@ def test_read_repo_files_reaps_cat_file_when_reading_raises(
 
     monkeypatch.setattr(gitops.subprocess, "Popen", failing_popen)
     with pytest.raises(RuntimeError, match="injected"):
-        read_repo_files(repo, base)
+        read_repo_files(repo, list_repo_files(repo, base))
     assert len(cat_file_procs) == 1
     assert cat_file_procs[0].returncode is not None  # reaped
 

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from _oracles import covered_lines
+
 from patchcrew.intervals import LineIntervalSet, normalize
 
 
@@ -21,7 +23,7 @@ def test_of_and_basic_queries():
     iv = LineIntervalSet.of((2, 4), (10, 10))
     assert not iv.is_empty()
     assert iv.line_count() == 4
-    assert iv.covered_lines() == {2, 3, 4, 10}
+    assert covered_lines(iv) == {2, 3, 4, 10}
     assert LineIntervalSet(()).is_empty()
     assert LineIntervalSet(()).line_count() == 0
 
@@ -55,7 +57,7 @@ intervals_strategy = st.lists(
 
 @given(intervals_strategy)
 def test_normalize_preserves_covered_lines(iv):
-    assert normalize(iv).covered_lines() == iv.covered_lines()
+    assert covered_lines(normalize(iv)) == covered_lines(iv)
 
 
 @given(intervals_strategy)
@@ -74,4 +76,4 @@ def test_normalize_idempotent(iv):
 @given(intervals_strategy)
 def test_line_count_matches_covered_lines_after_normalize(iv):
     norm = normalize(iv)
-    assert norm.line_count() == len(norm.covered_lines())
+    assert norm.line_count() == len(covered_lines(norm))

@@ -8,9 +8,11 @@ from pathlib import Path
 import pytest
 
 import _e2e_data as e2e
+from conftest import scripted_gateway
 
-from patchcrew.custodian import load_memory
+from patchcrew.custodian import load_memory, load_term_index
 from patchcrew.errors import CassetteMissError
+from patchcrew.gitops import list_repo_files
 from patchcrew.llm import Gateway, ReplayBackend
 from patchcrew import runner
 from patchcrew.model import instance_from_dict
@@ -178,6 +180,114 @@ def test_resolve_instance_keeps_a_detached_checkout_on_request(
     assert git("rev-parse", "HEAD").stdout.strip() == sha
     assert git("symbolic-ref", "-q", "HEAD").returncode == 1  # detached
     assert git("status", "--porcelain").stdout == ""
+
+
+# --- incremental locate ------------------------------------------------------------
+
+EVOLVING = {
+    "cache.py": "class Cache:\n    def evict(self):\n        return cache_limit\n",
+    "store.py": "def store(cache, key):\n    return cache.put(key)\n",
+    "util.py": "def clamp(value, low, high):\n    return value\n",
+    "docs/notes.md": "Notes on eviction of stale entries.\n",
+}
+EVOLVING_ISSUE = "cache eviction keeps stale entries past the cache limit"
+
+
+@pytest.fixture()
+def evolving_repo(tmp_path):
+    """Two revisions: the second edits store.py and adds fresh.py. Both
+    hold blob.bin, which is not UTF-8."""
+    repo = tmp_path / "evolving"
+    repo.mkdir()
+    (repo / "blob.bin").write_bytes(b"\xff\xfe cache eviction")
+    first = e2e.build_fixture_repo(repo, EVOLVING)
+    (repo / "store.py").write_text("def store(cache, key):\n"
+                                   "    return cache.evict(key)\n",
+                                   encoding="utf-8")
+    (repo / "fresh.py").write_text("def fresh_cache():\n    return {}\n",
+                                   encoding="utf-8")
+    second = e2e.commit_all(repo, "second")
+    return repo, first, second
+
+
+def _locate(repo, sha, config):
+    data = e2e.instance_dict(repo, sha)
+    data["issue_text"] = EVOLVING_ISSUE
+    gateway = scripted_gateway({"P1": "an update", "P2": "a summary",
+                                "P3": "DECISION: YES"})
+    return runner.locate_files(instance_from_dict(data), config, gateway)
+
+
+def _spy_reads(monkeypatch) -> list[str]:
+    """Every path runner asks the object store for, in order."""
+    asked: list[str] = []
+    real = runner.read_repo_files
+
+    def spy(repo, blobs):
+        asked.extend(blobs)
+        return real(repo, blobs)
+
+    monkeypatch.setattr(runner, "read_repo_files", spy)
+    return asked
+
+
+def test_warm_locate_reads_only_unknown_blobs_and_candidates(
+        evolving_repo, tmp_path, monkeypatch):
+    repo, first, second = evolving_repo
+    config = _config(tmp_path, top_k=2,
+                     memory_path=str(tmp_path / "memory.jsonl"))
+    asked = _spy_reads(monkeypatch)
+    _locate(repo, first, config)
+    assert sorted(asked) == sorted([*EVOLVING, "blob.bin"])
+
+    asked.clear()
+    located = _locate(repo, second, config)
+    top = [rf.path for rf in located.result.ranked[:2]]
+    assert len(asked) == len(set(asked))  # each blob read once
+    assert set(asked) == {"store.py", "fresh.py", *top}
+    assert "blob.bin" not in asked
+    assert located.candidates == top
+    assert located.files == {path: (repo / path).read_text(encoding="utf-8")
+                             for path in top}
+
+
+def test_term_index_keeps_only_the_latest_listing(evolving_repo, tmp_path):
+    repo, first, second = evolving_repo
+    memory_path = tmp_path / "memory.jsonl"
+    config = _config(tmp_path, top_k=2, memory_path=str(memory_path))
+    _locate(repo, first, config)
+    old = list_repo_files(repo, first)
+    _locate(repo, second, config)
+    new = list_repo_files(repo, second)
+    index = load_term_index(f"{memory_path}.bm25")
+    assert set(index.blobs) == set(new.values())
+    assert old["store.py"] not in index.blobs
+    assert index.blobs[new["blob.bin"]] is None
+
+
+def test_locate_without_memory_path_writes_no_index(evolving_repo, tmp_path):
+    repo, first, _ = evolving_repo
+    located = _locate(repo, first, _config(tmp_path, top_k=2))
+    assert located.candidates
+    assert not list(tmp_path.glob("*.bm25"))
+
+
+def test_oracle_resolve_reads_only_the_oracle_files(fixture_repo, tmp_path,
+                                                    monkeypatch):
+    asked = _spy_reads(monkeypatch)
+    instance = _instance(fixture_repo, oracle_files=["calc.py"])
+    resolve_instance(instance, _config(tmp_path, use_oracle=True))
+    assert asked == ["calc.py"]
+
+
+def test_oracle_path_missing_from_the_tree_is_a_new_file(fixture_repo,
+                                                         tmp_path):
+    instance = _instance(fixture_repo, oracle_files=["fresh.py"])
+    outcome = resolve_instance(instance, _config(tmp_path, use_oracle=True),
+                               gateway=scripted_gateway(e2e.RESPONSES))
+    assert [fd.path for fd in outcome.change.file_diffs] == ["fresh.py"]
+    assert outcome.change.file_diffs[0].is_new_file
+    assert "new file mode" in outcome.patch_path.read_text(encoding="utf-8")
 
 
 def test_gen_cassette_reproduces_the_fixture(tmp_path):
