@@ -9,7 +9,8 @@ iterations and the final iteration's diff ships even without approval.
 
 Every iteration rewrites the original file, not the previous attempt;
 only the task text accumulates review feedback. resolve_issue gives each
-file one task, and runs the tasks of one plan stage concurrently.
+file one task, and runs all the plan's tasks concurrently: the stages
+order the report, not the execution.
 """
 
 from __future__ import annotations
@@ -286,16 +287,16 @@ class Coder:
                       original_files: dict[str, str],
                       summaries: dict[str, str] | None = None,
                       ) -> tuple[CodeChange, list[TaskResult]]:
-        """Execute the plan's stages in order and merge the results.
+        """Execute every task of the plan and merge the results.
 
         Each task edits a file of its own: two tasks naming one path raise
-        ValueError. So stages order the execution only, and every task
-        starts from its file's original content. A stage's tasks run
+        ValueError. So every task starts from its file's original content,
+        nothing passes from one stage to the next, and all the tasks run
         concurrently, each with a coder of its own, so its notes stay apart
-        from other workers'. Results and notes are merged in stage order,
-        as if the tasks had run one by one. The change holds the diff of
-        each task that changed its file (a failed task has none), sorted
-        by path.
+        from other workers'. The stages order the report, not the
+        execution: results and notes are merged in stage order, as if the
+        tasks had run one by one. The change holds the diff of each task
+        that changed its file (a failed task has none), sorted by path.
         """
         shared = sorted(path for path, n in Counter(
             task.file_path for task in tasks).items() if n > 1)
@@ -315,10 +316,10 @@ class Coder:
             return result, worker.notes
 
         results: list[TaskResult] = []
-        for group in plan.groups:
-            for result, notes in map_concurrently(run, group):
-                results.append(result)
-                self.notes += notes
+        order = [idx for group in plan.groups for idx in group]
+        for result, notes in map_concurrently(run, order):
+            results.append(result)
+            self.notes += notes
         diffs = sorted((r.file_diff for r in results if r.file_diff.hunks),
                        key=lambda fd: fd.path)
         return CodeChange(tuple(diffs)), results

@@ -129,12 +129,13 @@ class TermIndex:
         self.blobs: dict[str, dict[str, int] | None] = {}
 
     def update(self, listing: Mapping[str, str],
-               read: Callable[[list[str]], Mapping[str, str]]) -> None:
+               read: Callable[[list[str]], Mapping[str, str]]) -> bool:
         """Bring the index to a listing of path -> blob id: count the terms
         of each blob it does not know, reading one path per such blob, and
         drop every blob the listing does not name, so the index never holds
         more blobs than one revision has. ``read`` gives the UTF-8 contents
-        of the paths it is asked for."""
+        of the paths it is asked for. Returns whether a blob was added or
+        dropped."""
         unknown = {oid: path for path, oid in listing.items()
                    if oid not in self.blobs}
         texts = read(list(unknown.values()))
@@ -144,7 +145,9 @@ class TermIndex:
             self.blobs[oid] = None if text is None else {
                 shared.setdefault(term, term): n
                 for term, n in term_counts(text).items()}
+        held = len(self.blobs)
         self.blobs = {oid: self.blobs[oid] for oid in listing.values()}
+        return bool(unknown) or len(self.blobs) < held
 
     def documents(self, listing: Mapping[str, str]
                   ) -> dict[str, dict[str, int]]:

@@ -4,20 +4,29 @@ Two command groups: ones that already passed before the change (they must
 keep passing) and ones the change must newly make pass. A command passes
 when it exits 0 within the timeout; timeouts and missing executables are
 failures, not crashes.
+
+Commands are untrusted. Each runs in a session of its own, so a timeout
+kills every process it started, not only its shell, and none of them sees
+the LLM API key.
 """
 
 from __future__ import annotations
 
 import logging
+import os
+import signal
 import subprocess
 from dataclasses import dataclass
 
 from ..gitops import Workspace
+from ..llm import API_KEY_ENV
 from ..model import TestSpec
 
 log = logging.getLogger(__name__)
 
 _STDERR_TAIL = 2000
+# how long output is still read after a timed-out command's group is killed
+_DRAIN_SECONDS = 1
 
 
 @dataclass(frozen=True)
@@ -42,17 +51,24 @@ class TestRunResult:
 
 
 def _run_command(command: str, cwd, timeout_seconds: int) -> CommandResult:
-    try:
-        proc = subprocess.run(command, shell=True, cwd=str(cwd),
-                              capture_output=True, text=True,
-                              timeout=timeout_seconds)
-    except subprocess.TimeoutExpired as exc:
-        stderr = exc.stderr or b""
-        if isinstance(stderr, bytes):
-            stderr = stderr.decode("utf-8", errors="replace")
-        return CommandResult(command, None, True, stderr[-_STDERR_TAIL:])
+    env = {name: value for name, value in os.environ.items()
+           if name != API_KEY_ENV}
+    with subprocess.Popen(command, shell=True, cwd=str(cwd), env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True, start_new_session=True) as proc:
+        try:
+            _, stderr = proc.communicate(timeout=timeout_seconds)
+        except subprocess.TimeoutExpired:
+            # the shell is not reaped yet, so its pid still names the group
+            os.killpg(proc.pid, signal.SIGKILL)
+            try:
+                _, stderr = proc.communicate(timeout=_DRAIN_SECONDS)
+            except subprocess.TimeoutExpired as exc:
+                # a process that left the session still holds the pipes
+                stderr = (exc.stderr or b"").decode("utf-8", errors="replace")
+            return CommandResult(command, None, True, stderr[-_STDERR_TAIL:])
     return CommandResult(command, proc.returncode, False,
-                         proc.stderr[-_STDERR_TAIL:])
+                         stderr[-_STDERR_TAIL:])
 
 
 def run_tests(workspace: Workspace, test_spec: TestSpec) -> TestRunResult:

@@ -1,15 +1,20 @@
 """Manager agent: build per-file tasks and roles, hold the kick-off
-meeting, and emit an execution schedule.
+meeting, and emit a staged work plan.
 
 Task and role calls for different files, and the role refinements after
 the meeting, run concurrently (llm.map_concurrently); notes keep task order.
+The work-plan call runs beside the role refinements, since both read only
+the transcript and the tasks' paths and first lines, which refinement
+leaves as they are; its notes follow theirs.
 The meeting is a circular speech: the manager opens, each developer speaks
 once per round in task order, the manager summarizes. Its turns run one at
-a time, since each reads the transcript so far. The schedule asked of
-the model is a JSON list of lists of task indices; whatever comes back is
-repaired into a real partition (unknown or repeated indices dropped,
-missing indices appended as final singleton stages), because a plan that
-skips or duplicates tasks is not executable.
+a time, since each reads the transcript so far. The plan asked of the
+model is a JSON list of lists of task indices, stages as the paper's
+manager writes them; whatever comes back is repaired into a real partition
+(unknown or repeated indices dropped, missing indices appended as final
+singleton stages), because a plan that skips or duplicates tasks is not
+executable. The stages order the report; since every task edits a file of
+its own, the coder runs all of them at once.
 """
 
 from __future__ import annotations
@@ -199,6 +204,21 @@ class Planner:
                 outcome = task
             refined.append(outcome)
         return refined
+
+    def refine_and_plan(self, tasks: list[TaskAssignment],
+                        transcript: MeetingTranscript
+                        ) -> tuple[list[TaskAssignment], WorkPlan]:
+        """refine_roles and make_plan side by side. The plan reads only the
+        transcript and each task's path and first line, which refinement
+        does not change, so it asks the model what it would ask after
+        refinement. Its notes are kept apart and follow the refinement's,
+        as if the two had run in turn."""
+        plan_maker = Planner(self.gateway)
+        refined, plan = map_concurrently(lambda unit: unit(), [
+            lambda: self.refine_roles(tasks, transcript),
+            lambda: plan_maker.make_plan(transcript, tasks)])
+        self.notes += plan_maker.notes
+        return refined, plan
 
     def make_plan(self, transcript: MeetingTranscript,
                   tasks: list[TaskAssignment]) -> WorkPlan:

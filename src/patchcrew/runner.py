@@ -13,11 +13,12 @@ lives for the run.
 
 Independent LLM calls run concurrently (llm.map_concurrently): the
 per-file summaries and relevance checks of locate, the per-file task and
-role definitions, the role refinements after the meeting, and the tasks
-of each plan.txt stage, one stage after another. Each task edits a file
-of its own, starting from the base revision. The kick-off meeting
-runs turn by turn, since each turn reads the transcript so far. Every
-stage merges its results and notes in rank or task order, so the report
+role definitions, the role refinements after the meeting beside the
+work-plan call, and then every task of the plan at once. Each task edits
+a file of its own, starting from the base revision, so the plan.txt
+stages order the report, not the execution. The kick-off meeting runs
+turn by turn, since each turn reads the transcript so far. Every stage
+merges its results and notes in rank, task or plan order, so the report
 is the same as if every call had run in turn.
 
 Artifacts per run, under ``<out_dir>/<instance_id>/``:
@@ -105,7 +106,8 @@ def locate_files(instance: IssueInstance, config: RunConfig,
     the term index does not know yet, the top-k files the custodian
     summarizes, and the candidates. Only keep_workspaces makes a checkout,
     which is left for the user. The memory and the index are saved once
-    the custodian is done with them, since nothing later changes them."""
+    the custodian is done with them, since nothing later changes them; the
+    index only when this listing added or dropped a blob."""
     repo = instance.repo_path
     listing = list_repo_files(repo, instance.base_revision)
     workspace = (snapshot(repo, instance.base_revision)
@@ -138,11 +140,11 @@ def locate_files(instance: IssueInstance, config: RunConfig,
                       if config.memory_path else None)
         index = (load_term_index(index_path)
                  if index_path and index_path.exists() else TermIndex())
-        index.update(listing, read)
+        changed = index.update(listing, read)
         result = custodian.locate(index.documents(listing), issue,
                                   config.top_k, read)
         candidates = list(result.candidates)
-        if index_path:
+        if index_path and changed:
             save_term_index(index, index_path)
 
     if config.memory_path:
@@ -181,8 +183,7 @@ def resolve_instance(instance: IssueInstance, config: RunConfig,
     task_results: list[TaskResult] = []
     if tasks:
         transcript = planner.kickoff_meeting(tasks, issue)
-        tasks = planner.refine_roles(tasks, transcript)
-        plan = planner.make_plan(transcript, tasks)
+        tasks, plan = planner.refine_and_plan(tasks, transcript)
         summaries = {path: entry.summary
                      for path, entry in custodian.memory.entries.items()}
         change, task_results = coder.resolve_issue(tasks, plan, files,

@@ -31,8 +31,6 @@ _TAG = re.compile(r"# file (mod_\d\.py)")
 
 
 def _answer(template_id: str, prompt: str) -> str:
-    if template_id == "P7":
-        return "The tasks are independent.\n[[0,1,2,3]]"
     if template_id.startswith("MEETING"):
         return "Agreed."
     (path,) = set(_TAG.findall(prompt))
@@ -55,26 +53,32 @@ class StageBackend:
     """Scripted answers. With ``reverse``, a call about mod_i sleeps
     longer the smaller i is, so of a stage's calls the last file's finish
     first. ``fail`` names (template id, path) calls that raise
-    TransportError. ``barrier`` holds each call of one template until
-    N_FILES of them are in flight together, or fails it after 10 s."""
+    TransportError; a call about every file names mod_0.py. ``barrier``
+    holds each call of the templates it names until ``parties`` of them
+    are in flight together, or fails it after 10 s. ``plan`` is the work
+    plan P7 answers."""
 
     mode = "live"
     network_calls = 0
 
-    def __init__(self, *, reverse: bool = False, fail=(), barrier=None):
+    def __init__(self, *, reverse: bool = False, fail=(), barrier=(),
+                 parties: int = N_FILES, plan: str = "[[0,1,2,3]]"):
         self.reverse = reverse
         self.fail = set(fail)
         self.barrier = barrier
-        self._gate = threading.Barrier(N_FILES, timeout=10)
+        self.plan = plan
+        self._gate = threading.Barrier(parties, timeout=10)
 
     def complete(self, key: str, template_id: str, prompt: str) -> str:
-        if template_id == self.barrier:
+        if template_id in self.barrier:
             self._gate.wait()
         paths = set(_TAG.findall(prompt))
         if self.reverse and len(paths) == 1:
             time.sleep(0.02 * (N_FILES - int(min(paths)[len("mod_")])))
         if (template_id, min(paths, default="")) in self.fail:
             raise TransportError(f"{template_id} failed", attempts=3)
+        if template_id == "P7":
+            return f"The tasks are independent.\n{self.plan}"
         return _answer(template_id, prompt)
 
 
@@ -105,15 +109,59 @@ def _tree(root: Path) -> dict[str, bytes]:
     return files
 
 
+def _patched_files(report: Path) -> int:
+    patch = report.with_suffix(".patch").read_text(encoding="utf-8")
+    return patch.count("+    return")
+
+
 # one template per concurrent stage: locate, team build, role refinement,
-# and the coder's group of four tasks
+# and the coder's four tasks
 @pytest.mark.parametrize("template_id", ["P2", "P4", "P6", "P8"])
 def test_each_stage_has_its_calls_in_flight_together(four_file_repo, tmp_path,
                                                      template_id):
     report = _resolve(four_file_repo, tmp_path,
-                      StageBackend(barrier=template_id))
-    patch = report.with_suffix(".patch").read_text(encoding="utf-8")
-    assert patch.count("+    return") == N_FILES
+                      StageBackend(barrier=(template_id,)))
+    assert _patched_files(report) == N_FILES
+
+
+def test_tasks_of_different_plan_stages_are_in_flight_together(
+        four_file_repo, tmp_path):
+    report = _resolve(four_file_repo, tmp_path,
+                      StageBackend(plan="[[0],[1],[2],[3]]", barrier=("P9",)))
+    plan = (report / "plan.txt").read_text(encoding="utf-8")
+    assert "stage 4: tasks 3\n" in plan
+    assert _patched_files(report) == N_FILES
+
+
+def test_work_plan_call_is_in_flight_with_role_refinement(four_file_repo,
+                                                          tmp_path):
+    report = _resolve(four_file_repo, tmp_path,
+                      StageBackend(barrier=("P6", "P7"), parties=N_FILES + 1))
+    assert _patched_files(report) == N_FILES
+
+
+def test_fast_work_plan_failure_follows_slow_refinement_failures(
+        four_file_repo, tmp_path):
+    """All refinements and the plan call meet at a barrier; then the plan
+    call fails at once and the refinements of mod_1 and mod_2 fail after
+    a sleep. The notes still read as if refinement had run first."""
+    fail = (("P6", "mod_1.py"), ("P6", "mod_2.py"), ("P7", "mod_0.py"))
+    concurrent = _resolve(four_file_repo, tmp_path / "concurrent",
+                          StageBackend(reverse=True, fail=fail,
+                                       barrier=("P6", "P7"),
+                                       parties=N_FILES + 1))
+    notes = (concurrent / "notes.txt").read_text(encoding="utf-8")
+    assert notes.splitlines() == [
+        "plan: task 1: role refinement failed (P6 failed)",
+        "plan: task 2: role refinement failed (P6 failed)",
+        "plan: work-plan call failed (P7 failed)",
+        "plan: unusable work-plan response, falling back to sequential "
+        "singletons",
+    ]
+    with e2e.calls_in_turn():
+        serial = _resolve(four_file_repo, tmp_path / "serial",
+                          StageBackend(fail=fail))
+    assert _tree(concurrent) == _tree(serial)
 
 
 FAILURES = (("P3", "mod_1.py"), ("P3", "mod_2.py"), ("P6", "mod_2.py"),

@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import os
+import signal
+import time
+from pathlib import Path
+
 import pytest
 
 import _e2e_data as e2e
@@ -19,6 +24,7 @@ from patchcrew.evalkit.execution import run_tests
 from patchcrew.evalkit.metrics import ComplexityIndices, InstanceOutcome
 from patchcrew.errors import TransportError
 from patchcrew.gitops import Workspace
+from patchcrew.llm import API_KEY_ENV
 from patchcrew.model import TestSpec, load_instance
 
 
@@ -65,6 +71,65 @@ def test_run_tests_times_out(tmp_path):
     assert result.records[0].timed_out
     assert result.records[0].exit_code is None
     assert not result.records[0].passed
+
+
+def _alive(pid: int) -> bool:
+    """True while pid names a process that has not exited (a zombie has)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.fixture()
+def child_pid_file(tmp_path):
+    """A file a command writes its background child's pid to; the child
+    is killed at teardown if it is still running."""
+    pid_file = tmp_path / "child.pid"
+    yield pid_file
+    if pid_file.exists() and _alive(pid := int(pid_file.read_text())):
+        os.kill(pid, signal.SIGKILL)
+
+
+def test_timeout_kills_the_commands_children(tmp_path, child_pid_file):
+    ws = Workspace(path=tmp_path, revision="0" * 40)
+    spec = TestSpec(pass_to_pass=(f"sleep 5 & echo $! > {child_pid_file}; "
+                                  "wait",),
+                    fail_to_pass=(), timeout_seconds=1)
+    assert run_tests(ws, spec).records[0].timed_out
+    pid = int(child_pid_file.read_text())
+    deadline = time.monotonic() + 2
+    while _alive(pid) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not _alive(pid)
+
+
+def test_timeout_does_not_wait_for_a_child_that_left_the_session(
+        tmp_path, child_pid_file):
+    ws = Workspace(path=tmp_path, revision="0" * 40)
+    spec = TestSpec(pass_to_pass=("echo partial >&2; setsid sleep 4 & "
+                                  f"echo $! > {child_pid_file}; sleep 5",),
+                    fail_to_pass=(), timeout_seconds=1)
+    started = time.monotonic()
+    record = run_tests(ws, spec).records[0]
+    assert time.monotonic() - started < 3.5
+    assert record.timed_out
+    assert record.stderr_tail == "partial\n"
+
+
+def test_commands_do_not_see_the_api_key(tmp_path, monkeypatch):
+    monkeypatch.setenv(API_KEY_ENV, "leaked")
+    monkeypatch.setenv("PATCHCREW_PROBE", "kept")
+    ws = Workspace(path=tmp_path, revision="0" * 40)
+    spec = TestSpec(
+        pass_to_pass=(f'echo "${API_KEY_ENV}" >&2; test -z "${API_KEY_ENV}"',
+                      'test "$PATCHCREW_PROBE" = kept',
+                      "python3 -c pass"),
+        fail_to_pass=(), timeout_seconds=30)
+    result = run_tests(ws, spec)
+    assert "leaked" not in result.records[0].stderr_tail
+    assert [r.passed for r in result.records] == [True, True, True]
 
 
 def test_run_tests_runs_in_workspace_directory(tmp_path):

@@ -265,6 +265,21 @@ def test_term_index_keeps_only_the_latest_listing(evolving_repo, tmp_path):
     assert index.blobs[new["blob.bin"]] is None
 
 
+def test_unchanged_listing_leaves_the_index_file_alone(evolving_repo,
+                                                      tmp_path):
+    repo, first, second = evolving_repo
+    memory_path = tmp_path / "memory.jsonl"
+    index_path = tmp_path / "memory.jsonl.bm25"
+    config = _config(tmp_path, top_k=2, memory_path=str(memory_path))
+    cold = _locate(repo, first, config)
+    inode = index_path.stat().st_ino
+    warm = _locate(repo, first, config)
+    assert index_path.stat().st_ino == inode  # each save makes a new file
+    assert warm.result.ranked == cold.result.ranked
+    _locate(repo, second, config)
+    assert index_path.stat().st_ino != inode
+
+
 def test_locate_without_memory_path_writes_no_index(evolving_repo, tmp_path):
     repo, first, _ = evolving_repo
     located = _locate(repo, first, _config(tmp_path, top_k=2))
