@@ -13,7 +13,8 @@ the source repository is never written to, and ``destroy`` removes the
 snapshot again. Application is all-or-nothing per change: every file's new
 content is computed in memory first, and nothing touches disk unless every
 file applies cleanly, so a failed apply leaves the workspace
-byte-identical.
+byte-identical. No path of a change may lead out of the workspace, through
+``..`` or through a symlink the repository commits.
 """
 
 from __future__ import annotations
@@ -204,21 +205,27 @@ class ApplyStatus:
 def apply_change(workspace: Workspace, change: CodeChange) -> ApplyStatus:
     """Apply a change to the workspace atomically.
 
-    A mismatch anywhere makes the whole change not-applied and leaves every
+    A path that is absolute, holds ``..``, or resolves (through symlinks)
+    to a place outside the workspace is refused as an unsafe path. A
+    mismatch anywhere makes the whole change not-applied and leaves every
     file untouched. The returned status carries per-file outcomes; a
     mismatch is a result, not an exception, because unappliable changes are
     an expected measurement outcome.
     """
+    root = workspace.path.resolve()
     staged: list[tuple[Path, str | None]] = []
     results: list[FileApplyResult] = []
     ok = True
     for fd in change.file_diffs:
         rel = Path(fd.path)
-        if rel.is_absolute() or ".." in rel.parts:
+        target = workspace.path / rel
+        # a symlink the repository commits (lib -> /elsewhere) would
+        # otherwise carry a write out of the workspace
+        if rel.is_absolute() or ".." in rel.parts \
+                or not target.resolve().is_relative_to(root):
             results.append(FileApplyResult(fd.path, False, "unsafe path"))
             ok = False
             continue
-        target = workspace.path / rel
         old_content: str | None = None
         if target.exists():
             try:

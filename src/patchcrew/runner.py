@@ -2,14 +2,16 @@
 
 Locate lists the base revision's files with their blob ids
 (gitops.list_repo_files), brings the custodian's term index up to that
-listing by reading only the blobs it does not know, ranks, and then reads
-the contents of the top-k files for their summaries. The planner and the
+listing by reading only the blobs it does not know, ranks from the
+postings of the issue's own terms, and then reads the contents of the
+top-k files for their summaries. The planner and the
 coder get the contents of the candidate files only. Every content comes
 straight from the repository's object store (gitops.read_repo_files),
 each blob read at most once, so a resolve makes no checkout;
 ``--keep-workspaces`` alone makes one, for the user to inspect. With a
-memory path the index persists at ``<memory-path>.bm25``; without one it
-lives for the run.
+memory path the index persists at ``<memory-path>.bm25`` (an inverted
+file, see custodian.TermIndex), rewritten only when the listing added or
+dropped a blob; without one it lives for the run.
 
 Independent LLM calls run concurrently (llm.map_concurrently): the
 per-file summaries and relevance checks of locate, the per-file task and

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 import _e2e_data as e2e
 
-from patchcrew.custodian import term_counts
+from patchcrew.custodian import Documents, TermIndex
 from patchcrew.llm import Gateway, ReplayBackend
 
 
@@ -44,14 +46,24 @@ def scripted_gateway(responses: dict) -> Gateway:
     return Gateway(ScriptedBackend(responses))
 
 
-def documents(files: dict[str, str]) -> dict[str, dict[str, int]]:
-    """What rank_files ranks, for files held in memory."""
-    return {path: term_counts(text) for path, text in files.items()}
+def blob_id(text: str) -> str:
+    """The id git gives a blob of this content."""
+    data = text.encode("utf-8")
+    return hashlib.sha1(b"blob %d\0" % len(data) + data).hexdigest()
 
 
 def reader(files: dict[str, str]):
     """A Custodian.locate reader over files held in memory."""
     return lambda paths: {path: files[path] for path in paths}
+
+
+def documents(files: dict[str, str]) -> Documents:
+    """What rank_files ranks, for files held in memory: a term index
+    built from them."""
+    listing = {path: blob_id(text) for path, text in files.items()}
+    index = TermIndex()
+    index.update(listing, reader(files))
+    return index.documents(listing)
 
 
 @pytest.fixture()

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import hashlib
 import random
 import re
 import tempfile
@@ -12,7 +11,7 @@ from hypothesis import strategies as st
 
 import _e2e_data as e2e
 from _oracles import bm25_scores_brute, tokenize_two_pass
-from conftest import documents, reader, scripted_gateway
+from conftest import blob_id, documents, reader, scripted_gateway
 
 from patchcrew.custodian import (MAX_LINEAGE_UPDATES, Custodian,
                                  EvolutionMemory, MemoryEntry, TermIndex,
@@ -141,12 +140,6 @@ def test_rank_files_scores_equal_the_oracle_exactly(docs, copies, query):
 
 # --- term index ----------------------------------------------------------------
 
-def _blob_id(text: str) -> str:
-    """The id git gives a blob of this content."""
-    data = text.encode("utf-8")
-    return hashlib.sha1(b"blob %d\0" % len(data) + data).hexdigest()
-
-
 _STEP = st.lists(st.tuples(
     st.sampled_from(["a.py", "b.py", "pkg/c.py", "pkg/d.py", "e.bin"]),
     st.one_of(st.none(),  # delete the file
@@ -158,8 +151,12 @@ _STEP = st.lists(st.tuples(
 BINARY = "\ufffd"
 
 
+def _ranking(documents, query: str) -> list[tuple[str, float]]:
+    return [(rf.path, rf.bm25_score) for rf in rank_files(documents, query)]
+
+
 @settings(max_examples=150, deadline=None)
-@given(steps=st.lists(_STEP, min_size=1, max_size=6),
+@given(steps=st.lists(_STEP, min_size=1, max_size=8),
        query=st.lists(_FEW_WORDS, min_size=1, max_size=6))
 def test_term_index_across_revisions_ranks_like_the_oracle(steps, query):
     # each step is one revision: files added, edited, deleted, or copied
@@ -167,6 +164,7 @@ def test_term_index_across_revisions_ranks_like_the_oracle(steps, query):
     # that stands for bytes that are not UTF-8, which the reader leaves out
     files: dict[str, str] = {}
     index = TermIndex()
+    query = " ".join(query)
     with tempfile.TemporaryDirectory() as tmp:
         index_path = Path(tmp) / "memory.jsonl.bm25"
         for step in steps:
@@ -177,8 +175,8 @@ def test_term_index_across_revisions_ranks_like_the_oracle(steps, query):
                     files[path] = files[change]
                 elif change not in ("a.py", "b.py", "pkg/c.py"):
                     files[path] = BINARY + change if path == "e.bin" else change
-            listing = {path: _blob_id(files[path]) for path in sorted(files)}
-            known = set(index.blobs)
+            listing = {path: blob_id(files[path]) for path in sorted(files)}
+            known = set(index.docs)
             asked: list[str] = []
 
             def read(paths):
@@ -189,54 +187,149 @@ def test_term_index_across_revisions_ranks_like_the_oracle(steps, query):
             index.update(listing, read)
             assert sorted(listing[p] for p in asked) \
                 == sorted(set(listing.values()) - known)
-            save_term_index(index, index_path)
-            index = load_term_index(index_path)
-            assert set(index.blobs) == set(listing.values())
+            assert set(index.docs) == set(listing.values())
 
             text = {p: c for p, c in files.items()
                     if not c.startswith(BINARY)}
-            if not text:
-                continue
-            expected = bm25_scores_brute(text, " ".join(query))
-            ranked = rank_files(index.documents(listing), " ".join(query))
-            assert [(rf.path, rf.bm25_score) for rf in ranked] == sorted(
-                expected.items(), key=lambda kv: (-kv[1], kv[0]))
+            expected = sorted(bm25_scores_brute(text, query).items(),
+                              key=lambda kv: (-kv[1], kv[0]))
+            if text:  # ranked as counted, then as saved and loaded
+                assert _ranking(index.documents(listing), query) == expected
+            save_term_index(index, index_path)
+            index = load_term_index(index_path)
+            assert set(index.docs) == set(listing.values())
+            if text:
+                assert _ranking(index.documents(listing), query) == expected
+
+
+def _saved(path: Path) -> tuple[list[str], dict[str, list[tuple[int, int]]]]:
+    """A saved index's blob lines, and each term's postings."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "bm25-term-index-v2"
+    blank = lines.index("")
+    postings = {}
+    for line in lines[blank + 1:]:
+        term, *pairs = line.split(" ")
+        postings[term] = [tuple(map(int, pair.split(":"))) for pair in pairs]
+    return lines[1:blank], postings
+
+
+def test_term_index_file_holds_at_most_twice_the_live_blobs(tmp_path):
+    # every revision rewrites two of four files, so gone blobs pile up
+    # until a purge drops them
+    path = tmp_path / "memory.jsonl.bm25"
+    index = TermIndex()
+    purged = 0
+    for revision in range(12):
+        files = {f"m{i}.py": f"alpha beta r{revision // 2 * 2 + i % 2} "
+                             f"m{i} " + "gamma " * (revision % 3)
+                 for i in range(4)}
+        files["m0.py"] = "alpha fixed"
+        index.update({p: blob_id(c) for p, c in files.items()},
+                     reader(files))
+        save_term_index(index, path)
+        blobs, postings = _saved(path)
+        live = [line for line in blobs if line != "-"]
+        assert len(live) == len(set(files.values()))
+        assert len(blobs) <= 2 * len(live)
+        if len(blobs) == len(live):  # no gone blob held: a purge ran
+            purged += revision > 0
+            numbers = {doc for pairs in postings.values() for doc, _ in pairs}
+            assert numbers == set(range(len(blobs)))
+        for pairs in postings.values():
+            docs = [doc for doc, _ in pairs]
+            assert docs == sorted(set(docs)) and docs[-1] < len(blobs)
+        expected = bm25_scores_brute(files, "alpha gamma r4")
+        assert dict(_ranking(load_term_index(path).documents(
+            {p: blob_id(c) for p, c in files.items()}), "alpha gamma r4")) \
+            == expected
+    assert purged >= 2
 
 
 def test_term_index_round_trips_and_records_skipped_blobs(tmp_path):
     index = TermIndex()
     index.update({"a.py": "1" * 40, "b.bin": "2" * 40},
                  lambda paths: {"a.py": "alpha beta alpha"})
-    assert index.blobs == {"1" * 40: {"alpha": 2, "beta": 1}, "2" * 40: None}
+    assert index.docs == {"1" * 40: 0, "2" * 40: 1}
+    assert index.lengths == [3, None]
     path = tmp_path / "memory.jsonl.bm25"
     save_term_index(index, path)
-    assert path.read_text(encoding="utf-8").splitlines()[0] \
-        == "bm25-term-index-v1"
-    assert load_term_index(path).blobs == index.blobs
+    assert path.read_text(encoding="utf-8") == (
+        "bm25-term-index-v2\n"
+        f"{'1' * 40} 3\n{'2' * 40} -\n\n"
+        "alpha 0:2\nbeta 0:1\n")
+    loaded = load_term_index(path)
+    assert (loaded.docs, loaded.lengths) == (index.docs, index.lengths)
     # a blob already known, skipped ones too, is not read again
     asked: list[str] = []
-    index.update({"a.py": "1" * 40, "b.bin": "2" * 40},
-                 lambda paths: asked.extend(paths) or {})
+    loaded.update({"a.py": "1" * 40, "b.bin": "2" * 40},
+                  lambda paths: asked.extend(paths) or {})
     assert asked == []
+    # a new blob's postings follow the loaded ones on their term lines
+    loaded.update({"a.py": "1" * 40, "c.py": "3" * 40},
+                  lambda paths: {"c.py": "beta delta"})
+    save_term_index(loaded, path)
+    assert path.read_text(encoding="utf-8") == (
+        "bm25-term-index-v2\n"
+        f"{'1' * 40} 3\n-\n{'3' * 40} 2\n\n"
+        "alpha 0:2\nbeta 0:1 2:1\ndelta 2:1\n")
 
 
-def test_load_term_index_rejects_wrong_version(tmp_path):
+@pytest.mark.parametrize("first_line", [
+    "bm25-term-index-v1", "evolution-memory-v1", "bm25-term-index-v3", ""])
+def test_load_term_index_refuses_another_version(tmp_path, first_line):
     path = tmp_path / "memory.jsonl.bm25"
-    path.write_text("evolution-memory-v1\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="not a bm25-term-index-v1 file"):
+    path.write_text(f'{first_line}\n{{"blob": "0", "terms": null}}\n',
+                    encoding="utf-8")
+    with pytest.raises(ValueError) as caught:
+        load_term_index(path)
+    message = str(caught.value)
+    assert message.startswith(f"{path}:1: not a bm25-term-index-v2 file")
+    assert "safe to delete" in message
+
+
+_GOOD_BLOBS = f"{'1' * 40} 3\n{'2' * 40} -\n-\n"
+
+
+@pytest.mark.parametrize("text,line", [
+    (f"{'1' * 40} 3\n{'1' * 40} 2\n\nalpha 0:1\n", 3),  # a blob twice
+    (f"{'1' * 40}\n\nalpha 0:1\n", 2),
+    (f"{'1' * 40} x\n\nalpha 0:1\n", 2),
+    (f"{'A' * 40} 3\n\nalpha 0:1\n", 2),
+    (f"{'1' * 40} 3 4\n\nalpha 0:1\n", 2),
+    ("alpha 0:1\n", 2),  # no blank line after the blob lines
+    (_GOOD_BLOBS + "\nalpha 0:1\nalpha 0:2\n", 7),  # a term twice
+    (_GOOD_BLOBS + "\nAlpha 0:1\n", 6),
+    (_GOOD_BLOBS + "\nalpha\n", 6),
+    (_GOOD_BLOBS + "\nalpha \n", 6),
+    (_GOOD_BLOBS + "\nal:pha 0:1\n", 6),
+    (_GOOD_BLOBS + "\nalpha 0:1\n\n", 7),
+    (_GOOD_BLOBS + "\nalpha 0:1", 6),  # cut short
+], ids=["blob twice", "no length", "bad length", "upper-case blob id",
+        "three fields", "no blank line", "term twice", "upper-case term",
+        "no postings", "empty postings", "colon in term", "blank term line",
+        "cut short"])
+def test_load_term_index_names_a_bad_line(tmp_path, text, line):
+    path = tmp_path / "memory.jsonl.bm25"
+    path.write_text("bm25-term-index-v2\n" + text, encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{line}: "):
         load_term_index(path)
 
 
-@pytest.mark.parametrize("record", [
-    "{", '{"blob": "1"}', '{"blob": "1", "terms": {"a": 1.5}}',
-    '{"blob": "1", "terms": ["a"]}', "null", "1, 2",
+@pytest.mark.parametrize("postings", [
+    "0:x", "0:1:2", "3:1", "0:0", "0:1 0:1", "1:1 0:1", "0:1  1:1",
+    "0:1 ", "-1:1", "0:١",
 ])
-def test_load_term_index_reports_bad_record_line(tmp_path, record):
+def test_ranking_parses_only_the_issue_terms(tmp_path, postings):
     path = tmp_path / "memory.jsonl.bm25"
-    path.write_text('bm25-term-index-v1\n{"blob": "0", "terms": null}\n'
-                    f"{record}\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=":3: bad term index record"):
-        load_term_index(path)
+    path.write_text(f"bm25-term-index-v2\n{_GOOD_BLOBS}\nalpha 0:2\n"
+                    f"zeta {postings}\n", encoding="utf-8")
+    index = load_term_index(path)
+    documents = index.documents({"a.py": "1" * 40, "b.bin": "2" * 40})
+    assert [rf.path for rf in rank_files(documents, "alpha")] == ["a.py"]
+    with pytest.raises(ValueError, match=(f"^{re.escape(str(path))}:7: "
+                                          f"bad postings of term 'zeta'")):
+        rank_files(documents, "alpha zeta")
 
 
 # --- memory entries ----------------------------------------------------------

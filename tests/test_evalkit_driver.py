@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import os
 import signal
+import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -116,6 +118,78 @@ def test_timeout_does_not_wait_for_a_child_that_left_the_session(
     assert time.monotonic() - started < 3.5
     assert record.timed_out
     assert record.stderr_tail == "partial\n"
+
+
+def _group_members(group: int) -> list[int]:
+    """The live processes (zombies aside) of a process group."""
+    members = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except (FileNotFoundError, ProcessLookupError):
+            continue
+        if fields[0] != "Z" and int(fields[2]) == group:
+            members.append(int(stat.parent.name))
+    return members
+
+
+def test_a_finished_command_leaves_nothing_in_its_group(tmp_path,
+                                                       child_pid_file):
+    group_file = tmp_path / "group"
+    ws = Workspace(path=tmp_path, revision="0" * 40)
+    spec = TestSpec(pass_to_pass=(f"echo $$ > {group_file}; "
+                                  "sleep 30 >/dev/null 2>&1 & "
+                                  f"echo $! > {child_pid_file}",),
+                    fail_to_pass=(), timeout_seconds=30)
+    assert run_tests(ws, spec).t_old_passed
+    group = int(group_file.read_text())
+    deadline = time.monotonic() + 2
+    while _group_members(group) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert _group_members(group) == []
+
+
+_NOISE = (
+    "import sys\n"
+    "def line(i):\n"
+    "    return f'{i} \\u00e9\\u20ac\\U0001f600 ' + 'x' * 40 + '\\n'\n"
+    "def main(n):\n"
+    "    for start in range(0, n, 1000):\n"
+    "        block = ''.join(map(line, range(start, start + 1000)))\n"
+    "        sys.stdout.write(block)\n"
+    "        sys.stderr.write(block)\n")
+
+
+def test_command_output_keeps_only_the_stderr_tail(tmp_path):
+    # about 20 MB to each stream, with characters of 2, 3 and 4 bytes
+    n = 350_000
+    (tmp_path / "noise.py").write_text(
+        _NOISE + f"main({n})\n", encoding="utf-8")
+    ws = Workspace(path=tmp_path, revision="0" * 40)
+    spec = TestSpec(pass_to_pass=(f"{sys.executable} -X utf8 noise.py",),
+                    fail_to_pass=(), timeout_seconds=60)
+    tracemalloc.start()
+    try:
+        record = run_tests(ws, spec).records[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert record.passed
+    scope: dict = {}
+    exec(_NOISE, scope)
+    assert len(scope["line"](n - 1).encode("utf-8")) * n > 20_000_000
+    expected = "".join(map(scope["line"], range(n - 100, n)))[-2000:]
+    assert record.stderr_tail == expected
+    assert peak < 1 << 20
+
+
+def test_stderr_that_is_not_utf8_is_kept_with_replacements(tmp_path):
+    ws = Workspace(path=tmp_path, revision="0" * 40)
+    spec = TestSpec(pass_to_pass=("printf 'a\\377b\\r\\n' >&2; exit 4",),
+                    fail_to_pass=(), timeout_seconds=30)
+    record = run_tests(ws, spec).records[0]
+    assert record.exit_code == 4
+    assert record.stderr_tail == "a\ufffdb\r\n"
 
 
 def test_commands_do_not_see_the_api_key(tmp_path, monkeypatch):

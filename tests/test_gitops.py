@@ -297,6 +297,43 @@ def test_apply_change_rejects_unsafe_paths(tmp_path):
         assert "unsafe path" in status.failure_detail()
 
 
+@pytest.fixture()
+def linked_checkout(tmp_path):
+    """A snapshot of a repository that commits a symlinked directory
+    (lib -> outside/) and a symlinked file (conf.py -> outside/conf.py),
+    both pointing out of the checkout."""
+    outside = tmp_path / "outside"
+    outside.mkdir()
+    (outside / "conf.py").write_text("secret = 1\n", encoding="utf-8")
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    (repo / "a.py").write_text("one\n", encoding="utf-8")
+    (repo / "lib").symlink_to(outside)
+    (repo / "conf.py").symlink_to(outside / "conf.py")
+    ws = snapshot(repo, e2e.commit_all(repo), root=tmp_path)
+    yield ws, outside
+    destroy(ws)
+
+
+@pytest.mark.parametrize("fd", [
+    dataclasses.replace(compute_diff("", "x = 1\n", "lib/new.py"),
+                        is_new_file=True),
+    compute_diff("secret = 1\n", "secret = 2\n", "conf.py"),
+    dataclasses.replace(compute_diff("secret = 1\n", "", "lib/conf.py"),
+                        is_deleted_file=True),
+], ids=["new file under a linked dir", "linked file", "delete via link"])
+def test_apply_change_refuses_paths_through_symlinks(linked_checkout, fd):
+    ws, outside = linked_checkout
+    assert (ws.path / "lib").is_symlink()  # committed and checked out
+    before = _tree(outside)
+    change = CodeChange((compute_diff("one\n", "ONE\n", "a.py"), fd))
+    status = apply_change(ws, change)
+    assert not status.applied
+    assert f"{fd.path}: unsafe path" in status.failure_detail()
+    assert _tree(outside) == before
+    assert (ws.path / "a.py").read_text(encoding="utf-8") == "one\n"
+
+
 def test_apply_change_creates_new_file_with_parents(tmp_path):
     ws = _workspace(tmp_path, {})
     fd = dataclasses.replace(compute_diff("", "x = 1\n", "pkg/sub/new.py"),

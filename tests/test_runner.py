@@ -260,9 +260,9 @@ def test_term_index_keeps_only_the_latest_listing(evolving_repo, tmp_path):
     _locate(repo, second, config)
     new = list_repo_files(repo, second)
     index = load_term_index(f"{memory_path}.bm25")
-    assert set(index.blobs) == set(new.values())
-    assert old["store.py"] not in index.blobs
-    assert index.blobs[new["blob.bin"]] is None
+    assert set(index.docs) == set(new.values())
+    assert old["store.py"] not in index.docs
+    assert index.lengths[index.docs[new["blob.bin"]]] is None
 
 
 def test_unchanged_listing_leaves_the_index_file_alone(evolving_repo,
