@@ -139,6 +139,11 @@ _TERM_LINE = re.compile(r"([a-z0-9]+) (\S.*)")
 _POSTINGS = re.compile(r"[0-9]+:[0-9]+(?: [0-9]+:[0-9]+)*")
 
 
+# TermIndex.update reads and counts unknown blobs this many paths at a
+# time, so a cold build holds at most one batch of contents
+_READ_BATCH = 256
+
+
 def _postings_text(pairs: array) -> str:
     """doc, count, doc, count, ... as a saved term line's postings."""
     return ("%d:%d " * (len(pairs) // 2) % tuple(pairs))[:-1]
@@ -174,27 +179,31 @@ class TermIndex:
         of each blob it does not know, reading one path per such blob, and
         append their postings; every blob the listing does not name leaves
         the blob table. ``read`` gives the UTF-8 contents of the paths it
-        is asked for. Returns whether a blob was added or dropped."""
-        unknown = {oid: path for path, oid in listing.items()
-                   if oid not in self.docs}
-        texts = read(list(unknown.values()))
+        is asked for, and is asked for at most _READ_BATCH paths at a time.
+        Returns whether a blob was added or dropped."""
+        unknown = list({oid: path for path, oid in listing.items()
+                        if oid not in self.docs}.items())
         added: dict[str, array] = {}  # term -> doc, count, ... of new blobs
-        for oid, path in unknown.items():
-            doc = len(self.blob_ids)
-            self.docs[oid] = doc
-            self.blob_ids.append(oid)
-            text = texts.get(path)
-            if text is None:
-                self.lengths.append(None)
-                continue
-            terms = tokenize(text)
-            self.lengths.append(len(terms))
-            for term, n in Counter(terms).items():
-                pairs = added.get(term)
-                if pairs is None:
-                    added[term] = pairs = array("I")
-                pairs.append(doc)
-                pairs.append(n)
+        for start in range(0, len(unknown), _READ_BATCH):
+            batch = unknown[start:start + _READ_BATCH]
+            texts = read([path for _, path in batch])
+            for oid, path in batch:
+                doc = len(self.blob_ids)
+                self.docs[oid] = doc
+                self.blob_ids.append(oid)
+                text = texts.get(path)
+                if text is None:
+                    self.lengths.append(None)
+                    continue
+                terms = tokenize(text)
+                self.lengths.append(len(terms))
+                for term, n in Counter(terms).items():
+                    pairs = added.get(term)
+                    if pairs is None:
+                        added[term] = pairs = array("I")
+                    pairs.append(doc)
+                    pairs.append(n)
+            del texts  # before the next batch is read
         for term, pairs in added.items():
             held = self.postings.get(term)
             if held is None:

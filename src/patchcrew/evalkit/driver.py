@@ -7,6 +7,15 @@ CSV plus a human-readable summary. A reference patch named
 ``<instance_id>.ref.patch`` beside an instance file enables the overlap
 ratio for that instance.
 
+Every instance file, generated patch and reference patch is loaded first,
+so a bad instance file fails before any workspace exists. The instances
+then run concurrently, each in a workspace of its own, on as many threads
+as the process has CPUs (``os.sched_getaffinity``): test suites are mostly
+CPU-bound, and more at once would only stretch each command toward its
+timeout. Rows keep instance-file order whatever order instances finish in.
+An exception in one instance lets every other run to its end; then the
+first one, in instance-file order, is raised.
+
 analyze_results fits one logistic regression per complexity index against
 resolution over the generated rows and prints coefficient, p-value, and a
 significance star, plus a text histogram of overlap ratios.
@@ -16,14 +25,16 @@ from __future__ import annotations
 
 import csv
 import logging
+import os
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 from ..diffs import CodeChange, parse_diff
 from ..errors import DegenerateDataError, DiffParseError, InstanceError
 from ..gitops import apply_change, destroy, snapshot
+from ..llm import map_concurrently
 from ..model import IssueInstance, load_instance
-from .execution import run_tests
+from .execution import CommandResult, run_tests
 from .logistic import LogisticFit, logistic_fit
 from .metrics import (ComplexityIndices, InstanceOutcome, SUMMARY_ROWS,
                       applied_ratio, change_overlap_ratio, complexity_of,
@@ -51,6 +62,8 @@ class InstanceEvaluation:
     outcome: InstanceOutcome
     change: CodeChange | None
     notes: str = ""
+    # the commands of an applied change that did not pass
+    failed_commands: tuple[CommandResult, ...] = ()
 
 
 @dataclass
@@ -96,6 +109,7 @@ def evaluate_instance(instance: IssueInstance, change: CodeChange | None, *,
     generated = change is not None
     applied = False
     t_old = t_new = False
+    failed: tuple[CommandResult, ...] = ()
     if generated:
         workspace = snapshot(instance.repo_path, instance.base_revision,
                              root=run_root)
@@ -107,6 +121,7 @@ def evaluate_instance(instance: IssueInstance, change: CodeChange | None, *,
             else:
                 tests = run_tests(workspace, instance.test_spec)
                 t_old, t_new = tests.t_old_passed, tests.t_new_passed
+                failed = tuple(r for r in tests.records if not r.passed)
         finally:
             if not keep_workspaces:
                 destroy(workspace)
@@ -122,7 +137,8 @@ def evaluate_instance(instance: IssueInstance, change: CodeChange | None, *,
         overlap_ratio=overlap,
         complexity=complexity_of(change) if generated else _ZERO_COMPLEXITY,
     )
-    return InstanceEvaluation(outcome=outcome, change=change, notes=note)
+    return InstanceEvaluation(outcome=outcome, change=change, notes=note,
+                              failed_commands=failed)
 
 
 def evaluate_directory(instances_dir: str | Path, changes_dir: str | Path, *,
@@ -133,21 +149,27 @@ def evaluate_directory(instances_dir: str | Path, changes_dir: str | Path, *,
     instance_files = sorted(instances_dir.glob("*.json"))
     if not instance_files:
         raise InstanceError(f"no instance files in {instances_dir}")
-    rows: list[InstanceEvaluation] = []
-    warnings: list[str] = []
-    known_ids: set[str] = set()
+    jobs = []
     for path in instance_files:
         instance = load_instance(path)
-        known_ids.add(instance.instance_id)
         change, note = _load_generated_change(
             changes_dir / f"{instance.instance_id}.patch")
         reference = None
         ref_path = instances_dir / f"{instance.instance_id}.ref.patch"
         if ref_path.exists():
             reference = parse_diff(ref_path.read_text(encoding="utf-8"))
-        rows.append(evaluate_instance(instance, change, reference=reference,
-                                      keep_workspaces=keep_workspaces,
-                                      run_root=run_root, note=note))
+        jobs.append((instance, change, reference, note))
+
+    def evaluate(job) -> InstanceEvaluation:
+        instance, change, reference, note = job
+        return evaluate_instance(instance, change, reference=reference,
+                                 keep_workspaces=keep_workspaces,
+                                 run_root=run_root, note=note)
+
+    rows = map_concurrently(evaluate, jobs,
+                            workers=len(os.sched_getaffinity(0)))
+    warnings: list[str] = []
+    known_ids = {instance.instance_id for instance, *_ in jobs}
     for patch in sorted(changes_dir.glob("*.patch")):
         if patch.stem not in known_ids:
             warnings.append(f"unmatched change file skipped: {patch.name}")
@@ -200,6 +222,12 @@ def render_summary(report: EvaluationReport) -> str:
     if applied_only:
         lines += ["", "Complexity of applied-but-not-resolved changes:",
                   format_summary_table(summarize_changes(applied_only))]
+    failing = [f"{r.outcome.instance_id}: {c.command!r} "
+               + ("timed out" if c.timed_out else f"exited {c.exit_code}")
+               for r in report.rows for c in r.failed_commands]
+    if failing:
+        lines += ["", "Failing commands of applied-but-not-resolved changes:",
+                  *failing]
 
     overlaps = [o.overlap_ratio for o in outcomes if o.overlap_ratio is not None]
     if overlaps:

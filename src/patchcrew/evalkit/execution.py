@@ -12,7 +12,8 @@ LLM API key. Memory stays bounded whatever a command prints: stdout is
 discarded, and stderr is read in chunks of which only the last
 _STDERR_TAIL characters are kept (bytes that are not UTF-8 become U+FFFD).
 Waiting for the shell without reaping it uses a pidfd, so commands run on
-Linux 5.3 or later.
+Linux 5.3 or later. Both waits use poll, not select, which cannot watch a
+descriptor numbered 1024 or above.
 """
 
 from __future__ import annotations
@@ -61,12 +62,20 @@ class TestRunResult:
     records: tuple[CommandResult, ...]
 
 
+def _ready_by(fd: int, deadline: float) -> bool:
+    """Whether the descriptor becomes readable (or hangs up) before the
+    deadline."""
+    poller = select.poll()
+    poller.register(fd, select.POLLIN)
+    return bool(poller.poll(max(0.0, deadline - time.monotonic()) * 1000))
+
+
 def _read_tail(pipe, tail: bytearray, deadline: float) -> bool:
     """Read the pipe in chunks until EOF (True) or the deadline (False),
     keeping only its last _TAIL_BYTES bytes in ``tail``."""
     fd = pipe.fileno()
-    while (remaining := deadline - time.monotonic()) > 0:
-        if select.select([fd], [], [], remaining)[0]:
+    while deadline > time.monotonic():
+        if _ready_by(fd, deadline):
             chunk = os.read(fd, _CHUNK)
             if not chunk:
                 return True
@@ -80,8 +89,7 @@ def _exits_by(proc: subprocess.Popen, deadline: float) -> bool:
     so its pid keeps naming its process group."""
     pidfd = os.pidfd_open(proc.pid)
     try:
-        return bool(select.select([pidfd], [], [],
-                                  max(0.0, deadline - time.monotonic()))[0])
+        return _ready_by(pidfd, deadline)
     finally:
         os.close(pidfd)
 

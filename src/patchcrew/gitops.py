@@ -12,7 +12,8 @@ into a fresh directory and checks out the requested revision, detached;
 the source repository is never written to, and ``destroy`` removes the
 snapshot again. Application is all-or-nothing per change: every file's new
 content is computed in memory first, and nothing touches disk unless every
-file applies cleanly, so a failed apply leaves the workspace
+file applies cleanly, and a write that fails part-way puts back every
+file already written, so a failed apply leaves the workspace's files
 byte-identical. No path of a change may lead out of the workspace, through
 ``..`` or through a symlink the repository commits.
 """
@@ -202,18 +203,26 @@ class ApplyStatus:
                          if not r.ok)
 
 
+# a target, its new content (None: delete it), and its original bytes and
+# mode (None: it did not exist)
+_Staged = tuple[Path, str | None, tuple[bytes, int] | None]
+
+
 def apply_change(workspace: Workspace, change: CodeChange) -> ApplyStatus:
     """Apply a change to the workspace atomically.
 
     A path that is absolute, holds ``..``, or resolves (through symlinks)
     to a place outside the workspace is refused as an unsafe path. A
     mismatch anywhere makes the whole change not-applied and leaves every
-    file untouched. The returned status carries per-file outcomes; a
-    mismatch is a result, not an exception, because unappliable changes are
-    an expected measurement outcome.
+    file untouched. A write that fails (a full disk, an unwritable
+    directory) puts back the files written so far, and the change is
+    not-applied with the error as that file's detail; a directory made for
+    a new file stays, empty, which git does not see. The returned status
+    carries per-file outcomes; a mismatch is a result, not an exception,
+    because unappliable changes are an expected measurement outcome.
     """
     root = workspace.path.resolve()
-    staged: list[tuple[Path, str | None]] = []
+    staged: list[_Staged] = []
     results: list[FileApplyResult] = []
     ok = True
     for fd in change.file_diffs:
@@ -226,10 +235,11 @@ def apply_change(workspace: Workspace, change: CodeChange) -> ApplyStatus:
             results.append(FileApplyResult(fd.path, False, "unsafe path"))
             ok = False
             continue
-        old_content: str | None = None
+        original = old_content = None
         if target.exists():
+            original = target.read_bytes(), target.stat().st_mode
             try:
-                old_content = target.read_bytes().decode("utf-8")
+                old_content = original[0].decode("utf-8")
             except UnicodeDecodeError:
                 results.append(FileApplyResult(fd.path, False,
                                                "target is not utf-8 text"))
@@ -241,16 +251,33 @@ def apply_change(workspace: Workspace, change: CodeChange) -> ApplyStatus:
             results.append(FileApplyResult(fd.path, False, str(exc)))
             ok = False
             continue
-        staged.append((target, new_content))
+        staged.append((target, new_content, original))
         results.append(FileApplyResult(fd.path, True))
 
     if not ok:
         return ApplyStatus(applied=False, file_results=tuple(results))
 
-    for target, new_content in staged:
-        if new_content is None:
-            target.unlink()
-        else:
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_bytes(new_content.encode("utf-8"))
+    for i, (target, new_content, _) in enumerate(staged):
+        try:
+            if new_content is None:
+                target.unlink()
+            else:
+                target.parent.mkdir(parents=True, exist_ok=True)
+                target.write_bytes(new_content.encode("utf-8"))
+        except OSError as exc:
+            _restore(staged[:i + 1])
+            results[i] = FileApplyResult(results[i].path, False,
+                                         f"write failed: {exc}")
+            return ApplyStatus(applied=False, file_results=tuple(results))
     return ApplyStatus(applied=True, file_results=tuple(results))
+
+
+def _restore(written: list[_Staged]) -> None:
+    """Put back the original bytes and mode of each written target, or
+    remove a target that did not exist."""
+    for target, _, original in written:
+        if original is None:
+            target.unlink(missing_ok=True)
+        else:
+            target.write_bytes(original[0])
+            target.chmod(original[1])

@@ -54,7 +54,7 @@ RATE_LIMIT_RETRIES = 8
 MAX_RETRY_AFTER_SECONDS = 60.0
 # The most tasks a plan holds (one per file; the team build drops the
 # lowest-ranked files beyond it), and so the most calls map_concurrently
-# makes at once.
+# makes at once unless told otherwise.
 MAX_TASKS = 16
 
 SCHEMA_KINDS = ("boolean_decision", "interval_list", "plain_text", "score_1_to_5")
@@ -81,8 +81,9 @@ def cassette_key(template_id: str, variables: dict[str, str]) -> str:
     return f"{template_id}:{digest[:16]}"
 
 
-def map_concurrently(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
-    """fn over items on up to MAX_TASKS threads, results in input order.
+def map_concurrently(fn: Callable[[T], R], items: Iterable[T],
+                     workers: int = MAX_TASKS) -> list[R]:
+    """fn over items on up to ``workers`` threads, results in input order.
     Every call runs to its end; then the first exception, in input order,
     is re-raised, so a CassetteMissError still stops the run."""
     # imported here, not at module level: the import costs about 0.25 MB
@@ -92,7 +93,7 @@ def map_concurrently(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
     items = list(items)
     if len(items) < 2:
         return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=min(len(items), MAX_TASKS)) as pool:
+    with ThreadPoolExecutor(max_workers=min(len(items), workers)) as pool:
         futures = [pool.submit(fn, item) for item in items]
     return [future.result() for future in futures]
 

@@ -104,12 +104,14 @@ def locate_files(instance: IssueInstance, config: RunConfig,
                  gateway: Gateway) -> Located:
     """List the base revision's files, and pick candidate files with the
     custodian (or take the oracle files). Contents come from the object
-    store, each blob read at most once, and only where needed: the blobs
-    the term index does not know yet, the top-k files the custodian
-    summarizes, and the candidates. Only keep_workspaces makes a checkout,
-    which is left for the user. The memory and the index are saved once
-    the custodian is done with them, since nothing later changes them; the
-    index only when this listing added or dropped a blob."""
+    store, and only where needed: the blobs the term index does not know
+    yet, a batch at a time, then the top-k files the custodian summarizes
+    and the candidates. Each blob is read once, except a top-k file or
+    candidate the index read in an earlier batch than its last. Only
+    keep_workspaces makes a checkout, which is left for the user. The
+    memory and the index are saved once the custodian is done with them,
+    since nothing later changes them; the index only when this listing
+    added or dropped a blob."""
     repo = instance.repo_path
     listing = list_repo_files(repo, instance.base_revision)
     workspace = (snapshot(repo, instance.base_revision)
@@ -142,7 +144,15 @@ def locate_files(instance: IssueInstance, config: RunConfig,
                       if config.memory_path else None)
         index = (load_term_index(index_path)
                  if index_path and index_path.exists() else TermIndex())
-        changed = index.update(listing, read)
+
+        def read_batch(paths: list[str]) -> dict[str, str]:
+            # the cache keeps only the batch the index reads last, so a
+            # cold build holds one batch of contents, and a listing of one
+            # batch is still read once
+            texts.clear()
+            return read(paths)
+
+        changed = index.update(listing, read_batch)
         result = custodian.locate(index.documents(listing), issue,
                                   config.top_k, read)
         candidates = list(result.candidates)

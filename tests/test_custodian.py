@@ -13,7 +13,7 @@ import _e2e_data as e2e
 from _oracles import bm25_scores_brute, tokenize_two_pass
 from conftest import blob_id, documents, reader, scripted_gateway
 
-from patchcrew.custodian import (MAX_LINEAGE_UPDATES, Custodian,
+from patchcrew.custodian import (_READ_BATCH, MAX_LINEAGE_UPDATES, Custodian,
                                  EvolutionMemory, MemoryEntry, TermIndex,
                                  content_hash, load_memory, load_term_index,
                                  rank_files, save_memory, save_term_index,
@@ -200,6 +200,32 @@ def test_term_index_across_revisions_ranks_like_the_oracle(steps, query):
             assert set(index.docs) == set(listing.values())
             if text:
                 assert _ranking(index.documents(listing), query) == expected
+
+
+def test_term_index_update_reads_one_batch_at_a_time():
+    # two and a half batches of unknown blobs, plus one blob under a second
+    # path, which is read once
+    rng = random.Random(17)
+    files = {f"m{i}.py": f"m{i} " + " ".join(rng.choices(
+                 ["alpha", "cache", "login", "flush"], k=rng.randint(1, 9)))
+             for i in range(2 * _READ_BATCH + _READ_BATCH // 2)}
+    files["copy.py"] = files["m0.py"]
+    listing = {path: blob_id(text) for path, text in files.items()}
+    asked: list[list[str]] = []
+
+    def read(paths):
+        asked.append(paths)
+        return {path: files[path] for path in paths}
+
+    index = TermIndex()
+    assert index.update(listing, read)
+    assert [len(paths) for paths in asked] \
+        == [_READ_BATCH, _READ_BATCH, _READ_BATCH // 2]
+    assert sorted(path for paths in asked for path in paths) \
+        == sorted(set(listing) - {"m0.py"})
+    query = "alpha cache login flush missing"
+    assert dict(_ranking(index.documents(listing), query)) \
+        == bm25_scores_brute(files, query)
 
 
 def _saved(path: Path) -> tuple[list[str], dict[str, list[tuple[int, int]]]]:

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import json
 import os
+import resource
 import signal
 import sys
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -13,7 +16,8 @@ import _e2e_data as e2e
 from conftest import scripted_gateway
 
 from patchcrew.diffs import compute_diff, render_file_diff
-from patchcrew.errors import DegenerateDataError, InstanceError
+from patchcrew.errors import DegenerateDataError, GitError, InstanceError
+from patchcrew.evalkit import driver
 from patchcrew.evalkit.alignment import (format_distribution, score_alignment,
                                          score_distribution)
 from patchcrew.evalkit.driver import (RESULTS_COLUMNS, EvaluationReport,
@@ -206,6 +210,38 @@ def test_commands_do_not_see_the_api_key(tmp_path, monkeypatch):
     assert [r.passed for r in result.records] == [True, True, True]
 
 
+@pytest.fixture()
+def many_descriptors():
+    """Hold open enough descriptors that the next ones are numbered past
+    1023, which select() cannot watch; a soft limit of open files below
+    that is raised for this process while they are held."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    if hard != resource.RLIM_INFINITY and hard < 1100:
+        pytest.skip(f"the hard limit of open files is {hard}")
+    if soft != resource.RLIM_INFINITY and soft < 1100:
+        resource.setrlimit(resource.RLIMIT_NOFILE, (1100, hard))
+    held = []
+    try:
+        while not held or held[-1] < 1030:
+            held.append(os.open(os.devnull, os.O_RDONLY))
+        yield
+    finally:
+        for fd in held:
+            os.close(fd)
+        resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+
+
+def test_run_tests_with_descriptors_past_1023_open(tmp_path,
+                                                   many_descriptors):
+    ws = Workspace(path=tmp_path, revision="0" * 40)
+    spec = TestSpec(pass_to_pass=("echo ok >&2",), fail_to_pass=("sleep 5",),
+                    timeout_seconds=1)
+    result = run_tests(ws, spec)
+    assert result.records[0].passed
+    assert result.records[0].stderr_tail == "ok\n"
+    assert result.records[1].timed_out
+
+
 def test_run_tests_runs_in_workspace_directory(tmp_path):
     (tmp_path / "flag.txt").write_text("here\n", encoding="utf-8")
     ws = Workspace(path=tmp_path, revision="0" * 40)
@@ -333,6 +369,128 @@ def test_evaluate_directory_missing_patch_counts_unresolved(fixture_repo,
     assert report.rows[0].notes == "no patch file"
 
 
+def _sleepy_instances(root: Path, repo, sha, sleeps, **fields):
+    """Instances i0, i1, ... with the good patch, whose only check sleeps
+    the given number of seconds; fields override the instance file's."""
+    instances, changes = root / "instances", root / "changes"
+    instances.mkdir()
+    changes.mkdir()
+    for i, seconds in enumerate(sleeps):
+        data = e2e.instance_dict(repo, sha, instance_id=f"i{i}",
+                                 fail_to_pass=[f"sleep {seconds}"])
+        data.update(pass_to_pass=[], **fields.get(f"i{i}", {}))
+        (instances / f"i{i}.json").write_text(json.dumps(data),
+                                              encoding="utf-8")
+        (changes / f"i{i}.patch").write_text(GOOD_PATCH, encoding="utf-8")
+    return instances, changes
+
+
+class _Tracked:
+    """Counts the instances driver.evaluate_instance is evaluating at once,
+    and records the order they finish in."""
+
+    def __init__(self, monkeypatch):
+        self.lock = threading.Lock()
+        self.running = self.peak = 0
+        self.finished: list[str] = []
+        real = driver.evaluate_instance
+
+        def evaluate_instance(instance, *args, **kwargs):
+            with self.lock:
+                self.running += 1
+                self.peak = max(self.peak, self.running)
+            try:
+                return real(instance, *args, **kwargs)
+            finally:
+                with self.lock:
+                    self.running -= 1
+                    self.finished.append(instance.instance_id)
+
+        monkeypatch.setattr(driver, "evaluate_instance", evaluate_instance)
+
+
+def _cpus(monkeypatch, n: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def test_rows_keep_instance_file_order_when_later_ones_finish_first(
+        fixture_repo, tmp_path, monkeypatch):
+    repo, sha = fixture_repo
+    instances, changes = _sleepy_instances(tmp_path, repo, sha,
+                                           [0.6, 0.4, 0.2])
+    _cpus(monkeypatch, 3)
+    tracked = _Tracked(monkeypatch)
+    report = evaluate_directory(instances, changes, run_root=tmp_path)
+    assert tracked.finished == ["i2", "i1", "i0"]
+    assert [r.outcome.instance_id for r in report.rows] == ["i0", "i1", "i2"]
+    assert all(r.outcome.resolved for r in report.rows)
+
+
+def test_no_more_instances_run_at_once_than_the_process_has_cpus(
+        fixture_repo, tmp_path, monkeypatch):
+    repo, sha = fixture_repo
+    instances, changes = _sleepy_instances(tmp_path, repo, sha, [0.2] * 5)
+    _cpus(monkeypatch, 2)
+    tracked = _Tracked(monkeypatch)
+    report = evaluate_directory(instances, changes, run_root=tmp_path)
+    assert tracked.peak == 2
+    assert headline(report) == "Applied 100.00 / Resolved 100.00"
+
+
+def test_an_instance_error_is_raised_after_the_others_finish(
+        fixture_repo, tmp_path, monkeypatch):
+    repo, sha = fixture_repo
+    run_root = tmp_path / "runs"
+    run_root.mkdir()
+    instances, changes = _sleepy_instances(
+        tmp_path, repo, sha, [0.3] * 4,
+        i1={"repo_path": str(tmp_path / "missing")})
+    tracked = _Tracked(monkeypatch)
+    with pytest.raises(GitError, match="missing is not a git repository"):
+        evaluate_directory(instances, changes, run_root=run_root)
+    assert sorted(tracked.finished) == ["i0", "i1", "i2", "i3"]
+    assert list(run_root.glob("ws-*")) == []
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="needs at least 2 CPUs")
+def test_two_instances_run_their_checks_side_by_side(fixture_repo, tmp_path):
+    repo, sha = fixture_repo
+    instances, changes = _sleepy_instances(tmp_path, repo, sha, [0.3, 0.3])
+    started = time.monotonic()
+    report = evaluate_directory(instances, changes, run_root=tmp_path)
+    assert time.monotonic() - started < 0.6
+    assert all(r.outcome.resolved for r in report.rows)
+
+
+def test_concurrent_and_one_at_a_time_runs_write_the_same_files(
+        batch_eval, tmp_path, monkeypatch):
+    report, root = batch_eval
+    _cpus(monkeypatch, 1)
+    tracked = _Tracked(monkeypatch)
+    one_at_a_time = evaluate_directory(root / "instances", root / "changes",
+                                       run_root=tmp_path)
+    assert tracked.peak == 1
+    write_results_csv(report, tmp_path / "concurrent.csv")
+    write_results_csv(one_at_a_time, tmp_path / "one_at_a_time.csv")
+    assert (tmp_path / "concurrent.csv").read_bytes() \
+        == (tmp_path / "one_at_a_time.csv").read_bytes()
+    assert render_summary(report) == render_summary(one_at_a_time)
+
+
+def test_summary_says_which_command_timed_out(fixture_repo, tmp_path):
+    repo, sha = fixture_repo
+    instances, changes = _sleepy_instances(
+        tmp_path, repo, sha, [5], i0={"timeout_seconds": 1})
+    report = evaluate_directory(instances, changes, run_root=tmp_path)
+    [failed] = report.rows[0].failed_commands
+    assert failed.timed_out
+    assert report.rows[0].outcome.applied
+    assert render_summary(report).endswith(
+        "\nFailing commands of applied-but-not-resolved changes:\n"
+        "i0: 'sleep 5' timed out\n")
+
+
 # --- results files ----------------------------------------------------------------------
 
 def test_results_csv_round_trip(batch_eval, tmp_path):
@@ -366,6 +524,8 @@ def test_render_summary_content(batch_eval):
     assert "Complexity of applied-but-not-resolved changes:" in text
     assert "mean 1.0000" in text
     assert "warning: unmatched change file skipped: stray.patch" in text
+    assert ("\nFailing commands of applied-but-not-resolved changes:\n"
+            f"wrong-c: '{sys.executable} t_new.py' exited 1\n") in text
 
 
 # --- analysis ------------------------------------------------------------------------------

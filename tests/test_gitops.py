@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import dataclasses
+import errno
 import re
 import subprocess
+from pathlib import Path
 
 import pytest
 
@@ -285,6 +287,41 @@ def test_apply_change_is_atomic_on_mismatch(tmp_path):
     assert _tree(tmp_path) == before
     assert [r.ok for r in status.file_results] == [True, False]
     assert "b.py" in status.failure_detail()
+
+
+def test_apply_change_puts_back_what_it_wrote_when_a_write_fails(
+        tmp_path, monkeypatch):
+    ws = _workspace(tmp_path, {"a.py": "one\n", "b.py": "two\n",
+                               "c.py": "three\n"})
+    (tmp_path / "c.py").chmod(0o755)
+    change = CodeChange((
+        compute_diff("one\n", "ONE\n", "a.py"),
+        dataclasses.replace(compute_diff("three\n", "", "c.py"),
+                            is_deleted_file=True),
+        dataclasses.replace(compute_diff("", "new\n", "pkg/new.py"),
+                            is_new_file=True),
+        compute_diff("two\n", "TWO\n", "b.py"),
+    ))
+    before = _tree(tmp_path)
+    real_write = Path.write_bytes
+    writes: list[str] = []
+
+    def full_disk(path, data):
+        writes.append(path.name)
+        if len(writes) == 2:  # part of the file is written, then no space
+            real_write(path, data[:1])
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real_write(path, data)
+
+    monkeypatch.setattr(Path, "write_bytes", full_disk)
+    status = apply_change(ws, change)
+    assert writes[:2] == ["a.py", "new.py"]
+    assert not status.applied
+    assert [r.ok for r in status.file_results] == [True, True, False, True]
+    assert status.failure_detail().startswith("pkg/new.py: write failed:")
+    assert "No space left on device" in status.failure_detail()
+    assert _tree(tmp_path) == before
+    assert (tmp_path / "c.py").stat().st_mode & 0o777 == 0o755
 
 
 def test_apply_change_rejects_unsafe_paths(tmp_path):

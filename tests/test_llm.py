@@ -198,6 +198,23 @@ def test_map_concurrently_caps_its_threads():
     assert 1 < peak[0] <= MAX_TASKS
 
 
+def test_map_concurrently_takes_a_worker_limit():
+    lock = threading.Lock()
+    running, peak = [0], [0]
+
+    def work(i: int) -> int:
+        with lock:
+            running[0] += 1
+            peak[0] = max(peak[0], running[0])
+        time.sleep(0.02)
+        with lock:
+            running[0] -= 1
+        return i
+
+    assert map_concurrently(work, range(9), workers=3) == list(range(9))
+    assert peak[0] == 3
+
+
 # --- live backend retries ---------------------------------------------------
 
 class FlakyTransport:

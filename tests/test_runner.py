@@ -14,7 +14,7 @@ from patchcrew.custodian import load_memory, load_term_index
 from patchcrew.errors import CassetteMissError
 from patchcrew.gitops import list_repo_files
 from patchcrew.llm import Gateway, ReplayBackend
-from patchcrew import runner
+from patchcrew import custodian, runner
 from patchcrew.model import instance_from_dict
 from patchcrew.runner import RunConfig, build_gateway, resolve_instance
 
@@ -247,6 +247,31 @@ def test_warm_locate_reads_only_unknown_blobs_and_candidates(
     assert set(asked) == {"store.py", "fresh.py", *top}
     assert "blob.bin" not in asked
     assert located.candidates == top
+    assert located.files == {path: (repo / path).read_text(encoding="utf-8")
+                             for path in top}
+
+
+def test_cold_locate_holds_one_batch_of_contents(evolving_repo, tmp_path,
+                                                 monkeypatch):
+    # five blobs in batches of two: a top-k file from the last batch is
+    # still in the cache, one from an earlier batch is read again
+    repo, first, _ = evolving_repo
+    monkeypatch.setattr(custodian, "_READ_BATCH", 2)
+    calls: list[list[str]] = []
+    real = runner.read_repo_files
+
+    def spy(repo, blobs):
+        if blobs:
+            calls.append(list(blobs))
+        return real(repo, blobs)
+
+    monkeypatch.setattr(runner, "read_repo_files", spy)
+    located = _locate(repo, first, _config(tmp_path, top_k=2))
+    assert [len(paths) for paths in calls[:3]] == [2, 2, 1]
+    assert sorted(p for paths in calls[:3] for p in paths) \
+        == sorted([*EVOLVING, "blob.bin"])
+    top = [rf.path for rf in located.result.ranked[:2]]
+    assert calls[3:] == [[p for p in top if p not in calls[2]]]
     assert located.files == {path: (repo / path).read_text(encoding="utf-8")
                              for path in top}
 
