@@ -47,14 +47,15 @@ TERM_INDEX_FORMAT_VERSION = "bm25-term-index-v2"
 
 # a run of capitals then a run of lowercase letters and digits: camelCase
 # splits before each capital that follows a lowercase letter or digit, and
-# any other character ends the term
-_TERM = re.compile(r"[A-Z]*[a-z0-9]*")
+# any other character ends the term. The three branches match only such
+# runs of two characters or more, so nothing is filtered afterwards.
+_TERM = re.compile(r"[A-Z]{2,}[a-z0-9]*|[A-Z][a-z0-9]+|[a-z0-9]{2,}")
 
 
 def tokenize(text: str) -> list[str]:
     """Lowercased terms: split on punctuation, underscores, and camelCase
     boundaries; keep terms of length >= 2; preserve duplicates."""
-    return [term.lower() for term in _TERM.findall(text) if len(term) >= 2]
+    return list(map(str.lower, _TERM.findall(text)))
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ instance id, applies each patch to a fresh snapshot, runs the instance's
 verification commands, and collects per-instance outcomes into a results
 CSV plus a human-readable summary. A reference patch named
 ``<instance_id>.ref.patch`` beside an instance file enables the overlap
-ratio for that instance.
+ratio for that instance; one that does not parse (a rename, say) is
+skipped with a warning, and that instance gets no overlap.
 
 Every instance file, generated patch and reference patch is loaded first,
 so a bad instance file fails before any workspace exists. The instances
@@ -119,7 +120,8 @@ def evaluate_instance(instance: IssueInstance, change: CodeChange | None, *,
             if not applied:
                 note = (note + "; " if note else "") + status.failure_detail()
             else:
-                tests = run_tests(workspace, instance.test_spec)
+                tests = run_tests(workspace, instance.test_spec,
+                                  instance_id=instance.instance_id)
                 t_old, t_new = tests.t_old_passed, tests.t_new_passed
                 failed = tuple(r for r in tests.records if not r.passed)
         finally:
@@ -150,6 +152,7 @@ def evaluate_directory(instances_dir: str | Path, changes_dir: str | Path, *,
     if not instance_files:
         raise InstanceError(f"no instance files in {instances_dir}")
     jobs = []
+    warnings: list[str] = []
     for path in instance_files:
         instance = load_instance(path)
         change, note = _load_generated_change(
@@ -157,7 +160,12 @@ def evaluate_directory(instances_dir: str | Path, changes_dir: str | Path, *,
         reference = None
         ref_path = instances_dir / f"{instance.instance_id}.ref.patch"
         if ref_path.exists():
-            reference = parse_diff(ref_path.read_text(encoding="utf-8"))
+            try:
+                reference = parse_diff(ref_path.read_text(encoding="utf-8"))
+            except DiffParseError as exc:
+                warnings.append(f"unparseable reference patch skipped: "
+                                f"{ref_path.name}: {exc}")
+                log.warning("%s", warnings[-1])
         jobs.append((instance, change, reference, note))
 
     def evaluate(job) -> InstanceEvaluation:
@@ -168,7 +176,6 @@ def evaluate_directory(instances_dir: str | Path, changes_dir: str | Path, *,
 
     rows = map_concurrently(evaluate, jobs,
                             workers=len(os.sched_getaffinity(0)))
-    warnings: list[str] = []
     known_ids = {instance.instance_id for instance, *_ in jobs}
     for patch in sorted(changes_dir.glob("*.patch")):
         if patch.stem not in known_ids:

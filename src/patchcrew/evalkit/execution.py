@@ -116,23 +116,26 @@ def _run_command(command: str, cwd, timeout_seconds: int) -> CommandResult:
                          not finished, stderr_tail)
 
 
-def run_tests(workspace: Workspace, test_spec: TestSpec) -> TestRunResult:
+def run_tests(workspace: Workspace, test_spec: TestSpec, *,
+              instance_id: str = "") -> TestRunResult:
     """Execute both command groups in the workspace root. Every command
-    runs even after a failure, so the records show the full picture."""
+    runs even after a failure, so the records show the full picture. Each
+    failure is logged under the instance id, or the workspace path when
+    none is given, so instances evaluated side by side can be told apart."""
+    who = instance_id or str(workspace.path)
     records: list[CommandResult] = []
-    old_ok = True
-    for cmd in test_spec.pass_to_pass:
-        result = _run_command(cmd, workspace.path, test_spec.timeout_seconds)
-        records.append(result)
-        old_ok = old_ok and result.passed
-        if not result.passed:
-            log.info("pass_to_pass failed (%s): %s", cmd, result.stderr_tail[-200:])
-    new_ok = True
-    for cmd in test_spec.fail_to_pass:
-        result = _run_command(cmd, workspace.path, test_spec.timeout_seconds)
-        records.append(result)
-        new_ok = new_ok and result.passed
-        if not result.passed:
-            log.info("fail_to_pass failed (%s): %s", cmd, result.stderr_tail[-200:])
-    return TestRunResult(t_old_passed=old_ok, t_new_passed=new_ok,
+    passed: list[bool] = []
+    for group, commands in (("pass_to_pass", test_spec.pass_to_pass),
+                            ("fail_to_pass", test_spec.fail_to_pass)):
+        ok = True
+        for cmd in commands:
+            result = _run_command(cmd, workspace.path,
+                                  test_spec.timeout_seconds)
+            records.append(result)
+            if not result.passed:
+                ok = False
+                log.info("%s: %s failed (%s): %s", who, group, cmd,
+                         result.stderr_tail[-200:])
+        passed.append(ok)
+    return TestRunResult(t_old_passed=passed[0], t_new_passed=passed[1],
                          records=tuple(records))

@@ -13,7 +13,7 @@ import math
 import re
 from pathlib import Path
 
-from patchcrew.custodian import BM25_B, BM25_K1, tokenize
+from patchcrew.custodian import BM25_B, BM25_K1
 from patchcrew.intervals import LineIntervalSet
 
 _CAMEL_BOUNDARY = re.compile(r"(?<=[a-z0-9])(?=[A-Z])")
@@ -72,12 +72,12 @@ def bm25_scores_brute(repo_files: dict[str, str],
     """Score every document against the query with explicit loops."""
     docs = {}
     for path, content in repo_files.items():
-        docs[path] = tokenize(content) + tokenize(path)
+        docs[path] = tokenize_two_pass(content) + tokenize_two_pass(path)
     n = len(docs)
     total_len = sum(len(terms) for terms in docs.values())
     avg_len = (total_len / n) if total_len else 1.0
 
-    query = tokenize(issue_text)
+    query = tokenize_two_pass(issue_text)
     scores = {}
     for path, terms in docs.items():
         score = 0.0

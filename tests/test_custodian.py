@@ -34,6 +34,15 @@ from patchcrew.llm import Gateway, ReplayBackend
     ("a b c x", []),
     ("src/pkg/mod.py", ["src", "pkg", "mod", "py"]),
     ("", []),
+    # one-letter runs at the edges of a term are dropped, never joined on
+    ("aB", []),
+    ("xYz", ["yz"]),
+    ("A1b", ["a1b"]),
+    ("Ab_c", ["ab"]),
+    ("ABc", ["abc"]),
+    ("1a", ["1a"]),
+    ("a1", ["a1"]),
+    ("\u00e91x", ["1x"]),
 ])
 def test_tokenize(text, expected):
     assert tokenize(text) == expected
@@ -299,6 +308,31 @@ def test_term_index_round_trips_and_records_skipped_blobs(tmp_path):
         "bm25-term-index-v2\n"
         f"{'1' * 40} 3\n-\n{'3' * 40} 2\n\n"
         "alpha 0:2\nbeta 0:1 2:1\ndelta 2:1\n")
+
+
+def test_cold_index_file_is_the_same_bytes_under_the_two_pass_split(
+        tmp_path, monkeypatch):
+    # the saved file holds every blob's length and every term's postings
+    # in first-seen order, so equal bytes mean both tokenizers gave each
+    # blob the same terms in the same order
+    files = {**e2e.REPO_FILES,
+             "pkg/httpClient.py": "class HTTPClient:\n"
+                                  "    def getURL2(self, aB, xYz):\n"
+                                  "        return A1b_c or \u00e91x + ABc\n"}
+    repo = tmp_path / "repo"
+    listing = list_repo_files(repo, e2e.build_fixture_repo(repo, files))
+
+    def cold_build(path: Path) -> bytes:
+        index = TermIndex()
+        index.update(listing, lambda paths: read_repo_files(
+            repo, {p: listing[p] for p in paths}))
+        save_term_index(index, path)
+        return path.read_bytes()
+
+    built = cold_build(tmp_path / "tokenize.bm25")
+    monkeypatch.setattr("patchcrew.custodian.tokenize", tokenize_two_pass)
+    assert cold_build(tmp_path / "two_pass.bm25") == built
+    assert built.count(b"\n") > len(listing) + 20
 
 
 @pytest.mark.parametrize("first_line", [

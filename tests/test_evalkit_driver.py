@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import json
+import logging
 import os
 import resource
+import shutil
 import signal
 import sys
 import threading
@@ -348,6 +350,22 @@ def test_evaluate_directory_warns_on_unmatched_patches(batch_eval):
     assert any("stray.patch" in w for w in report.warnings)
 
 
+def test_an_unparseable_reference_patch_is_skipped_with_a_warning(
+        batch_eval, tmp_path):
+    report, root = batch_eval
+    instances = tmp_path / "instances"
+    shutil.copytree(root / "instances", instances)
+    (instances / "good-b.ref.patch").write_text(
+        "diff --git a/calc.py b/calc2.py\nsimilarity index 100%\n"
+        "rename from calc.py\nrename to calc2.py\n", encoding="utf-8")
+    renamed = evaluate_directory(instances, root / "changes",
+                                 run_root=tmp_path)
+    assert renamed.rows == report.rows
+    assert renamed.warnings == [
+        "unparseable reference patch skipped: good-b.ref.patch: "
+        "line 2: renames are not supported", *report.warnings]
+
+
 def test_evaluate_directory_requires_instances(tmp_path):
     (tmp_path / "changes").mkdir()
     with pytest.raises(InstanceError, match="no instance files"):
@@ -476,6 +494,21 @@ def test_concurrent_and_one_at_a_time_runs_write_the_same_files(
     assert (tmp_path / "concurrent.csv").read_bytes() \
         == (tmp_path / "one_at_a_time.csv").read_bytes()
     assert render_summary(report) == render_summary(one_at_a_time)
+
+
+def test_each_failure_log_line_names_its_instance(fixture_repo, tmp_path,
+                                                 monkeypatch, caplog):
+    repo, sha = fixture_repo
+    failing = {"fail_to_pass": ["sleep 0.3; exit 3"]}
+    instances, changes = _sleepy_instances(tmp_path, repo, sha, [0, 0],
+                                           i0=failing, i1=failing)
+    _cpus(monkeypatch, 2)
+    tracked = _Tracked(monkeypatch)
+    caplog.set_level(logging.INFO, logger="patchcrew.evalkit.execution")
+    evaluate_directory(instances, changes, run_root=tmp_path)
+    assert tracked.peak == 2
+    assert sorted(r.getMessage() for r in caplog.records) == [
+        f"i{i}: fail_to_pass failed (sleep 0.3; exit 3): " for i in (0, 1)]
 
 
 def test_summary_says_which_command_timed_out(fixture_repo, tmp_path):
