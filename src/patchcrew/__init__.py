@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from .coder import Coder, TaskResult
 from .custodian import Custodian, EvolutionMemory, rank_files, tokenize
-from .diffs import (CodeChange, FileDiff, Hunk, apply_file_diff,
-                    compute_diff, parse_diff, render_change,
-                    render_file_diff)
+from .diffs import (CodeChange, FileDiff, Hunk, compute_diff, parse_diff,
+                    render_change, render_file_diff)
 from .errors import (CassetteMissError, DegenerateDataError, DiffParseError,
                      ExtractionError, GitError, InstanceError, PatchcrewError,
                      TemplateError, TransportError)
@@ -60,7 +59,6 @@ __all__ = [
     "WorkPlan",
     "Workspace",
     "apply_change",
-    "apply_file_diff",
     "cassette_key",
     "compute_diff",
     "instance_from_dict",

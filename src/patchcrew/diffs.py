@@ -1,4 +1,4 @@
-"""Structured unified diffs: model, compute, parse, render, apply.
+"""Structured unified diffs: model, compute, parse, render.
 
 The model is line-based with git semantics. A "line" is text without its
 ``\\n`` delimiter (a ``\\r`` from a CRLF file stays part of the text, so
@@ -6,8 +6,9 @@ mixed-EOL files survive byte-exactly). A final line lacking the trailing
 newline carries ``no_newline=True`` and renders as the
 ``\\ No newline at end of file`` marker.
 
-Application is strict: zero fuzz, exact context matching. A mismatch is
-reported, not repaired.
+Nothing here applies a diff: evaluation hands a patch's bytes to
+``git apply`` (``gitops.apply_change``), so git alone decides whether it
+applies.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import difflib
 import re
 from dataclasses import dataclass, replace
 
-from .errors import DiffParseError, PatchcrewError
+from .errors import DiffParseError
 
 CONTEXT_LINES = 3
 
@@ -24,10 +25,6 @@ _TAG_PREFIX = {"context": " ", "added": "+", "deleted": "-"}
 _PREFIX_TAG = {" ": "context", "+": "added", "-": "deleted"}
 _HUNK_RE = re.compile(r"^@@ -(\d+)(?:,(\d+))? \+(\d+)(?:,(\d+))? @@(?: (.*))?$")
 _NO_NEWLINE = "\\ No newline at end of file"
-
-
-class PatchApplyError(PatchcrewError):
-    """A diff does not apply to the given content (context mismatch)."""
 
 
 def keyed_lines(text: str) -> list[str]:
@@ -56,9 +53,6 @@ class DiffLine:
     def __post_init__(self):
         if self.tag not in _TAG_PREFIX:
             raise ValueError(f"bad diff line tag: {self.tag!r}")
-
-    def keyed(self) -> str:
-        return self.text if self.no_newline else self.text + "\n"
 
 
 @dataclass(frozen=True)
@@ -349,40 +343,3 @@ def _parse_hunk(lines: list[str], pos: int) -> tuple[Hunk, int]:
         return Hunk(old_start, old_len, new_start, new_len, tuple(body), section), pos
     except ValueError as exc:
         raise DiffParseError(str(exc), pos) from exc
-
-
-def apply_file_diff(old_content: str | None, fd: FileDiff) -> str | None:
-    """Apply one file diff to content. Returns the new content, or None when
-    the diff deletes the file. Raises PatchApplyError on any mismatch."""
-    if fd.is_new_file:
-        if old_content is not None:
-            raise PatchApplyError(f"{fd.path}: target exists but diff creates it")
-        old_content = ""
-    elif old_content is None:
-        raise PatchApplyError(f"{fd.path}: target file is missing")
-
-    old = keyed_lines(old_content)
-    out: list[str] = []
-    cursor = 0  # 0-based index into old
-    for n, hunk in enumerate(fd.hunks):
-        anchor = hunk.old_start - 1 if hunk.old_len else hunk.old_start
-        if anchor < cursor or anchor > len(old):
-            raise PatchApplyError(f"{fd.path}: hunk {n + 1} out of range")
-        out.extend(old[cursor:anchor])
-        cursor = anchor
-        for line in hunk.lines:
-            if line.tag in ("context", "deleted"):
-                if cursor >= len(old) or old[cursor] != line.keyed():
-                    raise PatchApplyError(
-                        f"{fd.path}: context mismatch at old line {cursor + 1} "
-                        f"(hunk {n + 1})")
-                cursor += 1
-            if line.tag in ("context", "added"):
-                out.append(line.keyed())
-    out.extend(old[cursor:])
-    new_content = "".join(out)
-    if fd.is_deleted_file:
-        if new_content != "":
-            raise PatchApplyError(f"{fd.path}: delete leaves content behind")
-        return None
-    return new_content

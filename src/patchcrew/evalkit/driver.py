@@ -1,12 +1,13 @@
 """Batch evaluation and correlation analysis.
 
 evaluate_directory pairs instance files with generated patch files by
-instance id, applies each patch to a fresh snapshot, runs the instance's
-verification commands, and collects per-instance outcomes into a results
-CSV plus a human-readable summary. A reference patch named
-``<instance_id>.ref.patch`` beside an instance file enables the overlap
-ratio for that instance; one that does not parse (a rename, say) is
-skipped with a warning, and that instance gets no overlap.
+instance id, applies each patch's bytes to a fresh snapshot with ``git
+apply``, runs the instance's verification commands, and collects
+per-instance outcomes into a results CSV plus a human-readable summary,
+which names the reason each change was not generated or not applied. A
+reference patch named ``<instance_id>.ref.patch`` beside an instance file
+enables the overlap ratio for that instance; one that does not parse (a
+rename, say) is skipped with a warning, and that instance gets no overlap.
 
 Every instance file, generated patch and reference patch is loaded first,
 so a bad instance file fails before any workspace exists. The instances
@@ -90,23 +91,34 @@ def headline(report: EvaluationReport) -> str:
             f"Resolved {report.resolved() * 100:.2f}")
 
 
-def _load_generated_change(path: Path) -> tuple[CodeChange | None, str]:
+def _patch_text(patch: bytes) -> str:
+    """The text parse_diff reads. Bytes that are not UTF-8 (the lines of a
+    Latin-1 file) pass through as surrogates; git applies the bytes."""
+    return patch.decode("utf-8", "surrogateescape")
+
+
+def _load_generated_change(path: Path) -> tuple[CodeChange | None, bytes, str]:
     if not path.exists():
-        return None, "no patch file"
+        return None, b"", "no patch file"
+    patch = path.read_bytes()
     try:
-        change = parse_diff(path.read_text(encoding="utf-8"))
+        change = parse_diff(_patch_text(patch))
     except DiffParseError as exc:
-        return None, f"patch unparseable: {exc}"
+        return None, patch, f"patch unparseable: {exc}"
     if change.is_empty():
-        return None, "patch is empty"
-    return change, ""
+        return None, patch, "patch is empty"
+    return change, patch, ""
 
 
-def evaluate_instance(instance: IssueInstance, change: CodeChange | None, *,
+def evaluate_instance(instance: IssueInstance, change: CodeChange | None,
+                      patch: bytes, *,
                       reference: CodeChange | None = None,
                       keep_workspaces: bool = False,
                       run_root: Path | None = None,
                       note: str = "") -> InstanceEvaluation:
+    """Evaluate one generated change: ``patch`` holds the bytes git
+    applies, ``change`` the same patch parsed for complexity and overlap
+    (None when no change was generated)."""
     generated = change is not None
     applied = False
     t_old = t_new = False
@@ -115,10 +127,11 @@ def evaluate_instance(instance: IssueInstance, change: CodeChange | None, *,
         workspace = snapshot(instance.repo_path, instance.base_revision,
                              root=run_root)
         try:
-            status = apply_change(workspace, change)
-            applied = status.applied
+            error = apply_change(workspace, patch)
+            applied = error is None
             if not applied:
-                note = (note + "; " if note else "") + status.failure_detail()
+                note = ((note + "; " if note else "")
+                        + "; ".join(error.splitlines()))
             else:
                 tests = run_tests(workspace, instance.test_spec,
                                   instance_id=instance.instance_id)
@@ -155,22 +168,22 @@ def evaluate_directory(instances_dir: str | Path, changes_dir: str | Path, *,
     warnings: list[str] = []
     for path in instance_files:
         instance = load_instance(path)
-        change, note = _load_generated_change(
+        change, patch, note = _load_generated_change(
             changes_dir / f"{instance.instance_id}.patch")
         reference = None
         ref_path = instances_dir / f"{instance.instance_id}.ref.patch"
         if ref_path.exists():
             try:
-                reference = parse_diff(ref_path.read_text(encoding="utf-8"))
+                reference = parse_diff(_patch_text(ref_path.read_bytes()))
             except DiffParseError as exc:
                 warnings.append(f"unparseable reference patch skipped: "
                                 f"{ref_path.name}: {exc}")
                 log.warning("%s", warnings[-1])
-        jobs.append((instance, change, reference, note))
+        jobs.append((instance, change, patch, reference, note))
 
     def evaluate(job) -> InstanceEvaluation:
-        instance, change, reference, note = job
-        return evaluate_instance(instance, change, reference=reference,
+        instance, change, patch, reference, note = job
+        return evaluate_instance(instance, change, patch, reference=reference,
                                  keep_workspaces=keep_workspaces,
                                  run_root=run_root, note=note)
 
@@ -235,6 +248,10 @@ def render_summary(report: EvaluationReport) -> str:
     if failing:
         lines += ["", "Failing commands of applied-but-not-resolved changes:",
                   *failing]
+    notes = [f"{r.outcome.instance_id}: {r.notes}" for r in report.rows
+             if r.notes]
+    if notes:
+        lines += ["", "Why changes were not generated or not applied:", *notes]
 
     overlaps = [o.overlap_ratio for o in outcomes if o.overlap_ratio is not None]
     if overlaps:

@@ -1,6 +1,6 @@
 """The repository at a pinned revision: its files read straight from git's
-object store, isolated checkouts of it, and atomic patch application
-against those checkouts.
+object store, isolated checkouts of it, and patch application in those
+checkouts by ``git apply``.
 
 ``list_repo_files`` lists the revision's tree as path -> blob id, and
 ``read_repo_files`` streams the contents of just the blobs a caller asks
@@ -10,12 +10,11 @@ id and never read that blob again. Nothing is written to disk, so locating
 files needs no checkout. A snapshot clones the source repository
 into a fresh directory and checks out the requested revision, detached;
 the source repository is never written to, and ``destroy`` removes the
-snapshot again. Application is all-or-nothing per change: every file's new
-content is computed in memory first, and nothing touches disk unless every
-file applies cleanly, and a write that fails part-way puts back every
-file already written, so a failed apply leaves the workspace's files
-byte-identical. No path of a change may lead out of the workspace, through
-``..`` or through a symlink the repository commits.
+snapshot again. ``apply_change`` hands a patch's bytes to ``git apply``,
+so a patch applies exactly when git accepts it, as in SWE-bench: hunks
+may land at an offset, and paths with ``..`` or ``.git`` components,
+absolute paths and paths through a committed symlink are refused. A
+refused patch leaves the workspace's files as the revision has them.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
-from .diffs import CodeChange, PatchApplyError, apply_file_diff
 from .errors import GitError
 
 log = logging.getLogger(__name__)
@@ -186,98 +184,24 @@ def destroy(workspace: Workspace) -> None:
     shutil.rmtree(workspace.path.parent, ignore_errors=True)
 
 
-@dataclass(frozen=True)
-class FileApplyResult:
-    path: str
-    ok: bool
-    detail: str = ""
+def apply_change(workspace: Workspace, patch: bytes) -> str | None:
+    """Apply a patch to the workspace with ``git apply``, all or nothing.
 
-
-@dataclass(frozen=True)
-class ApplyStatus:
-    applied: bool
-    file_results: tuple[FileApplyResult, ...]
-
-    def failure_detail(self) -> str:
-        return "; ".join(f"{r.path}: {r.detail}" for r in self.file_results
-                         if not r.ok)
-
-
-# a target, its new content (None: delete it), and its original bytes and
-# mode (None: it did not exist)
-_Staged = tuple[Path, str | None, tuple[bytes, int] | None]
-
-
-def apply_change(workspace: Workspace, change: CodeChange) -> ApplyStatus:
-    """Apply a change to the workspace atomically.
-
-    A path that is absolute, holds ``..``, or resolves (through symlinks)
-    to a place outside the workspace is refused as an unsafe path. A
-    mismatch anywhere makes the whole change not-applied and leaves every
-    file untouched. A write that fails (a full disk, an unwritable
-    directory) puts back the files written so far, and the change is
-    not-applied with the error as that file's detail; a directory made for
-    a new file stays, empty, which git does not see. The returned status
-    carries per-file outcomes; a mismatch is a result, not an exception,
-    because unappliable changes are an expected measurement outcome.
+    Returns None when git applies the patch, and otherwise why not: git's
+    stderr, or how git ended when it printed none. Git checks every file
+    before it writes any, but does not undo a write that fails part-way (a
+    full disk, a file size limit), so a refused patch resets the workspace
+    to its revision with ``git checkout`` and ``git clean``.
     """
-    root = workspace.path.resolve()
-    staged: list[_Staged] = []
-    results: list[FileApplyResult] = []
-    ok = True
-    for fd in change.file_diffs:
-        rel = Path(fd.path)
-        target = workspace.path / rel
-        # a symlink the repository commits (lib -> /elsewhere) would
-        # otherwise carry a write out of the workspace
-        if rel.is_absolute() or ".." in rel.parts \
-                or not target.resolve().is_relative_to(root):
-            results.append(FileApplyResult(fd.path, False, "unsafe path"))
-            ok = False
-            continue
-        original = old_content = None
-        if target.exists():
-            original = target.read_bytes(), target.stat().st_mode
-            try:
-                old_content = original[0].decode("utf-8")
-            except UnicodeDecodeError:
-                results.append(FileApplyResult(fd.path, False,
-                                               "target is not utf-8 text"))
-                ok = False
-                continue
-        try:
-            new_content = apply_file_diff(old_content, fd)
-        except PatchApplyError as exc:
-            results.append(FileApplyResult(fd.path, False, str(exc)))
-            ok = False
-            continue
-        staged.append((target, new_content, original))
-        results.append(FileApplyResult(fd.path, True))
-
-    if not ok:
-        return ApplyStatus(applied=False, file_results=tuple(results))
-
-    for i, (target, new_content, _) in enumerate(staged):
-        try:
-            if new_content is None:
-                target.unlink()
-            else:
-                target.parent.mkdir(parents=True, exist_ok=True)
-                target.write_bytes(new_content.encode("utf-8"))
-        except OSError as exc:
-            _restore(staged[:i + 1])
-            results[i] = FileApplyResult(results[i].path, False,
-                                         f"write failed: {exc}")
-            return ApplyStatus(applied=False, file_results=tuple(results))
-    return ApplyStatus(applied=True, file_results=tuple(results))
-
-
-def _restore(written: list[_Staged]) -> None:
-    """Put back the original bytes and mode of each written target, or
-    remove a target that did not exist."""
-    for target, _, original in written:
-        if original is None:
-            target.unlink(missing_ok=True)
-        else:
-            target.write_bytes(original[0])
-            target.chmod(original[1])
+    proc = subprocess.run(["git", "apply", "-"], cwd=str(workspace.path),
+                          input=patch, capture_output=True, check=False)
+    if proc.returncode == 0:
+        return None
+    _git(["checkout", "--quiet", "--", "."], workspace.path)
+    _git(["clean", "-fdqx"], workspace.path)
+    error = proc.stderr.decode(errors="replace").strip()
+    if error:
+        return error
+    if proc.returncode < 0:
+        return f"killed by signal {-proc.returncode}"
+    return f"exited {proc.returncode}"

@@ -4,13 +4,17 @@ Each oracle is written the slow, obvious way so a disagreement points at
 the implementation under test, not at shared code: overlap via explicit
 line sets, BM25 via a per-document textbook scorer, logistic regression
 via a hand-rolled two-parameter Newton solver, tokenizing by splitting
-twice, and a repository's files by walking a checkout.
+twice, a repository's files by walking a checkout, and applying a patch by
+the local ``git apply``.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import re
+import subprocess
+import tempfile
 from pathlib import Path
 
 from patchcrew.custodian import BM25_B, BM25_K1
@@ -49,6 +53,27 @@ def read_checkout(root: Path) -> dict[str, str]:
         except UnicodeDecodeError:
             pass
     return files
+
+
+def git_apply(files: dict[str, str], patch: str) -> dict[str, str]:
+    """The files after ``git apply`` of the patch: every file of a temporary
+    directory, written from ``files`` and read back by path in sorted
+    order. Raises AssertionError with git's message when git refuses."""
+    with tempfile.TemporaryDirectory(prefix="git-apply-") as tmp:
+        root = Path(tmp)
+        for rel, content in files.items():
+            target = root / rel
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_bytes(content.encode("utf-8"))
+        # the ceiling keeps git from treating an enclosing checkout as the
+        # repository, so the patch applies to these files alone
+        env = {**os.environ, "GIT_CEILING_DIRECTORIES": str(root.parent)}
+        proc = subprocess.run(["git", "apply", "-"], cwd=root, env=env,
+                              input=patch.encode("utf-8"),
+                              capture_output=True, check=False)
+        assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+        return {p.relative_to(root).as_posix(): p.read_bytes().decode("utf-8")
+                for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 def covered_lines(intervals: LineIntervalSet) -> set[int]:

@@ -9,6 +9,7 @@ the checks that must hold for the package to be considered working.
 from __future__ import annotations
 
 import random
+import subprocess
 import time
 
 from hypothesis import given, settings
@@ -28,7 +29,7 @@ from patchcrew.evalkit.logistic import logistic_fit
 from patchcrew.evalkit.metrics import (InstanceOutcome, applied_ratio,
                                        complexity_of, overlap_ratio, recall,
                                        resolved_ratio)
-from patchcrew.gitops import Workspace, apply_change
+from patchcrew.gitops import apply_change, snapshot
 from patchcrew.intervals import LineIntervalSet
 from patchcrew.llm import Gateway, ReplayBackend
 from patchcrew.model import TaskAssignment
@@ -99,19 +100,24 @@ def _mutate(rng: random.Random, lines: list[str]) -> list[str]:
 
 def _tree_bytes(root) -> dict[str, bytes]:
     return {p.relative_to(root).as_posix(): p.read_bytes()
-            for p in sorted(root.rglob("*")) if p.is_file()}
+            for p in sorted(root.rglob("*"))
+            if p.is_file() and ".git" not in p.relative_to(root).parts}
 
 
 def test_c03_diff_apply_round_trip_and_failure_atomicity(tmp_path):
-    """Across 100 seeded (file, mutation) pairs, applying the computed diff
-    reproduces the target byte for byte; a forced mismatch leaves the
-    workspace untouched."""
+    """Across 100 seeded (file, mutation) pairs, git applies the computed
+    diff in a snapshot and reproduces the target byte for byte; a forced
+    mismatch is refused and leaves the snapshot at its revision."""
     rng = random.Random(1729)
-    ws = Workspace(path=tmp_path, revision="0" * 40)
-    target = tmp_path / "pkg" / "mod.txt"
-    target.parent.mkdir(exist_ok=True)
+    repo = tmp_path / "origin"
+    sha = e2e.build_fixture_repo(repo, {"pkg/mod.txt": "committed\n"})
+    ws = snapshot(repo, sha, root=tmp_path)
+    target = ws.path / "pkg" / "mod.txt"
+    committed = _tree_bytes(ws.path)
     started = time.monotonic()
     for case in range(100):
+        subprocess.run(["git", "checkout", "--quiet", "--", "."],
+                       cwd=ws.path, check=True)
         force_failure = case % 10 == 9
         if force_failure:
             old_lines = _random_lines(rng, rng.randint(3, 30))
@@ -123,20 +129,18 @@ def test_c03_diff_apply_round_trip_and_failure_atomicity(tmp_path):
             new_lines = _mutate(rng, old_lines)
         old = "".join(old_lines)
         new = "".join(new_lines)
-        change = CodeChange((compute_diff(old, new, "pkg/mod.txt"),))
+        patch = render_change(CodeChange((
+            compute_diff(old, new, "pkg/mod.txt"),))).encode("utf-8")
 
         if force_failure:
             corrupted = list(old_lines)
             corrupted[victim] = "sentinel mismatch\n"
             target.write_text("".join(corrupted), encoding="utf-8")
-            before = _tree_bytes(tmp_path)
-            status = apply_change(ws, change)
-            assert not status.applied
-            assert _tree_bytes(tmp_path) == before
+            assert apply_change(ws, patch) is not None
+            assert _tree_bytes(ws.path) == committed
 
         target.write_text(old, encoding="utf-8")
-        status = apply_change(ws, change)
-        assert status.applied
+        assert apply_change(ws, patch) is None
         assert target.read_bytes() == new.encode("utf-8")
     assert time.monotonic() - started < 30.0
 

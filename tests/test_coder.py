@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from _oracles import git_apply
 from conftest import scripted_gateway
 
 from patchcrew.coder import (Coder, append_block, number_lines, split_file,
                              strip_code_fences, substitute)
-from patchcrew.diffs import apply_file_diff, keyed_lines
+from patchcrew.diffs import keyed_lines, render_change, render_file_diff
 from patchcrew.errors import TransportError
 from patchcrew.intervals import LineIntervalSet
 from patchcrew.model import TaskAssignment, WorkPlan
@@ -179,7 +180,8 @@ def test_execute_task_first_pass_approval():
     assert not result.failed
     assert result.iterations == 1
     assert result.new_content == FILE.replace("return 1\n", "return 10\n")
-    assert apply_file_diff(FILE, result.file_diff) == result.new_content
+    patched = git_apply({"mod.py": FILE}, render_file_diff(result.file_diff))
+    assert patched == {"mod.py": result.new_content}
     assert len(result.attempts) == 1
     assert result.attempts[0].review.approved
     assert gw.call_counts["P11"] == 2
@@ -357,8 +359,8 @@ def test_resolve_issue_merges_one_diff_per_task_sorted_by_path():
     change, results = coder.resolve_issue(tasks, plan, files)
     assert [r.task.file_path for r in results] == ["z.py", "a.py"]
     assert [fd.path for fd in change.file_diffs] == ["a.py", "z.py"]
-    assert [apply_file_diff(files[fd.path], fd) for fd
-            in change.file_diffs] == ["A\nb\n", "Z\nb\n"]
+    assert git_apply(files, render_change(change)) == {"a.py": "A\nb\n",
+                                                       "z.py": "Z\nb\n"}
 
 
 def test_resolve_issue_marks_new_files():
@@ -368,7 +370,7 @@ def test_resolve_issue_marks_new_files():
     change, results = coder.resolve_issue([_task(path="fresh.py")], plan, {})
     assert results[0].file_diff.is_new_file
     assert change.file_diffs[0].is_new_file
-    assert apply_file_diff(None, change.file_diffs[0]) == "x = 1\n"
+    assert git_apply({}, render_change(change)) == {"fresh.py": "x = 1\n"}
 
 
 def test_resolve_issue_skips_failed_tasks():

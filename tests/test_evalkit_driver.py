@@ -6,6 +6,7 @@ import os
 import resource
 import shutil
 import signal
+import subprocess
 import sys
 import threading
 import time
@@ -260,7 +261,7 @@ def _instance(fixture_instance_file):
 
 def test_evaluate_instance_without_change(fixture_instance_file):
     evaluation = evaluate_instance(_instance(fixture_instance_file), None,
-                                   note="no patch file")
+                                   b"", note="no patch file")
     o = evaluation.outcome
     assert not o.generated
     assert not o.applied
@@ -275,6 +276,7 @@ def test_evaluate_instance_resolves_good_change(fixture_instance_file,
     from patchcrew.diffs import parse_diff
     change = parse_diff(GOOD_PATCH)
     evaluation = evaluate_instance(_instance(fixture_instance_file), change,
+                                   GOOD_PATCH.encode(),
                                    reference=parse_diff(GOOD_PATCH),
                                    run_root=tmp_path)
     o = evaluation.outcome
@@ -290,12 +292,59 @@ def test_evaluate_instance_apply_failure_is_an_outcome(fixture_instance_file,
     from patchcrew.diffs import parse_diff
     change = parse_diff(STALE_PATCH)
     evaluation = evaluate_instance(_instance(fixture_instance_file), change,
-                                   run_root=tmp_path)
+                                   STALE_PATCH.encode(), run_root=tmp_path)
     o = evaluation.outcome
     assert o.generated
     assert not o.applied
     assert not o.resolved
-    assert "calc.py" in evaluation.notes
+    # git's message, its lines joined
+    assert evaluation.notes == ("error: patch failed: calc.py:1; "
+                                "error: calc.py: patch does not apply")
+
+
+def _evaluate_git_diff(tmp_path, old: bytes, new: bytes):
+    """Evaluate, as one instance's generated change and as its reference,
+    the ``git diff`` that turns the fixture's calc.py from old into new
+    bytes. Returns the instance's row and calc.py as its kept workspace
+    has it."""
+    repo = tmp_path / "repo"
+    e2e.build_fixture_repo(repo)
+    (repo / "calc.py").write_bytes(old)
+    sha = e2e.commit_all(repo, "calc.py as bytes")
+    (repo / "calc.py").write_bytes(new)
+    patch = subprocess.run(["git", "diff", "--no-color"], cwd=repo,
+                           check=True, capture_output=True).stdout
+    (repo / "calc.py").write_bytes(old)
+    instances, changes = tmp_path / "instances", tmp_path / "changes"
+    instances.mkdir()
+    changes.mkdir()
+    e2e.write_instance(instances / "bytes.json", repo, sha,
+                       instance_id="bytes")
+    (changes / "bytes.patch").write_bytes(patch)
+    (instances / "bytes.ref.patch").write_bytes(patch)
+    report = evaluate_directory(instances, changes, keep_workspaces=True,
+                                run_root=tmp_path)
+    [kept] = tmp_path.glob("ws-*/repo/calc.py")
+    return report.rows[0], kept.read_bytes()
+
+
+def test_a_git_diff_of_a_crlf_file_applies_byte_exactly(tmp_path):
+    old = e2e.CALC_OLD.replace("\n", "\r\n").encode()
+    new = e2e.CALC_NEW.replace("\n", "\r\n").encode()
+    row, kept = _evaluate_git_diff(tmp_path, old, new)
+    assert row.notes == ""
+    assert row.outcome.applied and row.outcome.resolved
+    assert kept == new
+
+
+def test_a_latin1_patch_is_applied_and_its_reference_overlaps(tmp_path):
+    head = b"# -*- coding: latin-1 -*-\n# caf\xe9\n"
+    new = head + e2e.CALC_NEW.encode()
+    row, kept = _evaluate_git_diff(tmp_path, head + e2e.CALC_OLD.encode(),
+                                   new)
+    assert row.outcome.applied and row.outcome.resolved
+    assert row.outcome.overlap_ratio == 1.0
+    assert kept == new
 
 
 # --- directory evaluation ------------------------------------------------------------
@@ -385,6 +434,8 @@ def test_evaluate_directory_missing_patch_counts_unresolved(fixture_repo,
     assert report.generated_count() == 0
     assert headline(report) == "Applied 0.00 / Resolved 0.00"
     assert report.rows[0].notes == "no patch file"
+    assert ("\nWhy changes were not generated or not applied:\n"
+            "alone: no patch file\n") in render_summary(report)
 
 
 def _sleepy_instances(root: Path, repo, sha, sleeps, **fields):
@@ -558,7 +609,10 @@ def test_render_summary_content(batch_eval):
     assert "mean 1.0000" in text
     assert "warning: unmatched change file skipped: stray.patch" in text
     assert ("\nFailing commands of applied-but-not-resolved changes:\n"
-            f"wrong-c: '{sys.executable} t_new.py' exited 1\n") in text
+            f"wrong-c: '{sys.executable} t_new.py' exited 1\n\n"
+            "Why changes were not generated or not applied:\n"
+            "stale-d: error: patch failed: calc.py:1; "
+            "error: calc.py: patch does not apply\n") in text
 
 
 # --- analysis ------------------------------------------------------------------------------

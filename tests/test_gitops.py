@@ -1,17 +1,19 @@
 from __future__ import annotations
 
 import dataclasses
-import errno
+import os
 import re
+import shutil
+import signal
 import subprocess
-from pathlib import Path
 
 import pytest
 
 import _e2e_data as e2e
 from _oracles import read_checkout
 
-from patchcrew.diffs import CodeChange, compute_diff
+from patchcrew.diffs import (CodeChange, DiffLine, FileDiff, Hunk,
+                             compute_diff, render_change)
 from patchcrew.errors import GitError
 from patchcrew import gitops
 from patchcrew.gitops import (Workspace, apply_change, destroy,
@@ -19,17 +21,36 @@ from patchcrew.gitops import (Workspace, apply_change, destroy,
                               verify_revision)
 
 
-def _workspace(tmp_path, files: dict[str, str]) -> Workspace:
+def _snapshot(tmp_path, files: dict[str, str | bytes]) -> Workspace:
+    """A snapshot of a repository that commits the given files."""
+    repo = tmp_path / "origin"
     for rel, content in files.items():
-        target = tmp_path / rel
+        target = repo / rel
         target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(content, encoding="utf-8")
-    return Workspace(path=tmp_path, revision="0" * 40)
+        target.write_bytes(content if isinstance(content, bytes)
+                           else content.encode("utf-8"))
+    return snapshot(repo, e2e.commit_all(repo), root=tmp_path)
+
+
+def _patch(*fds) -> bytes:
+    return render_change(CodeChange(fds)).encode("utf-8")
+
+
+def _new(path: str, content: str):
+    return dataclasses.replace(compute_diff("", content, path),
+                               is_new_file=True)
+
+
+def _deleted(path: str, content: str):
+    return dataclasses.replace(compute_diff(content, "", path),
+                               is_deleted_file=True)
 
 
 def _tree(root) -> dict[str, bytes]:
+    """Every file under root outside .git, by posix path."""
     return {p.relative_to(root).as_posix(): p.read_bytes()
-            for p in sorted(root.rglob("*")) if p.is_file()}
+            for p in sorted(root.rglob("*"))
+            if p.is_file() and ".git" not in p.relative_to(root).parts}
 
 
 # --- revisions and snapshots ---------------------------------------------------
@@ -260,78 +281,136 @@ def test_read_repo_files_reaps_cat_file_when_reading_raises(
     assert cat_file_procs[0].returncode is not None  # reaped
 
 
-# --- atomic application -----------------------------------------------------------
+# --- application by git apply ------------------------------------------------------
 
 def test_apply_change_writes_every_file(tmp_path):
-    ws = _workspace(tmp_path, {"a.py": "one\n", "b.py": "two\n"})
-    change = CodeChange((
-        compute_diff("one\n", "ONE\n", "a.py"),
-        compute_diff("two\n", "TWO\n", "b.py"),
-    ))
-    status = apply_change(ws, change)
-    assert status.applied
-    assert all(r.ok for r in status.file_results)
-    assert (tmp_path / "a.py").read_text(encoding="utf-8") == "ONE\n"
-    assert (tmp_path / "b.py").read_text(encoding="utf-8") == "TWO\n"
+    ws = _snapshot(tmp_path, {"a.py": "one\n", "b.py": "two\n"})
+    patch = _patch(compute_diff("one\n", "ONE\n", "a.py"),
+                   compute_diff("two\n", "TWO\n", "b.py"))
+    assert apply_change(ws, patch) is None
+    assert (ws.path / "a.py").read_text(encoding="utf-8") == "ONE\n"
+    assert (ws.path / "b.py").read_text(encoding="utf-8") == "TWO\n"
 
 
 def test_apply_change_is_atomic_on_mismatch(tmp_path):
-    ws = _workspace(tmp_path, {"a.py": "one\n", "b.py": "unexpected\n"})
-    change = CodeChange((
-        compute_diff("one\n", "ONE\n", "a.py"),
-        compute_diff("two\n", "TWO\n", "b.py"),
-    ))
-    before = _tree(tmp_path)
-    status = apply_change(ws, change)
-    assert not status.applied
-    assert _tree(tmp_path) == before
-    assert [r.ok for r in status.file_results] == [True, False]
-    assert "b.py" in status.failure_detail()
+    ws = _snapshot(tmp_path, {"a.py": "one\n", "b.py": "unexpected\n"})
+    patch = _patch(compute_diff("one\n", "ONE\n", "a.py"),
+                   compute_diff("two\n", "TWO\n", "b.py"))
+    before = _tree(ws.path)
+    assert apply_change(ws, patch) == ("error: patch failed: b.py:1\n"
+                                       "error: b.py: patch does not apply")
+    assert _tree(ws.path) == before
+
+
+@pytest.mark.parametrize("files,fd,message", [
+    ({"a.py": "one\n"}, compute_diff("one\n", "ONE\n", "gone.py"),
+     "error: gone.py: No such file or directory"),
+    ({"a.py": "a\nX\nc\n"}, compute_diff("a\nb\nc\n", "a\nB\nc\n", "a.py"),
+     "error: patch failed: a.py:1"),
+    ({"a.py": "a\nb\n"}, compute_diff("a\nb\nc\nd\ne\nf\ng\nh\ni\nj\n",
+                                     "a\nb\nc\nd\ne\nf\ng\nh\nI\nj\n", "a.py"),
+     "error: patch failed: a.py:6"),
+    ({"a.py": "a\nb\nc\n"}, FileDiff("a.py", "a.py", (Hunk(
+        2, 1, 2, 1, (DiffLine("deleted", "b"), DiffLine("added", "B"))),)),
+     "error: patch failed: a.py:2"),
+], ids=["missing target", "context mismatch", "hunk out of range",
+        "zero-context hunk"])
+def test_apply_change_reports_why_git_refused(tmp_path, files, fd, message):
+    ws = _snapshot(tmp_path, files)
+    before = _tree(ws.path)
+    error = apply_change(ws, _patch(fd))
+    assert error.startswith(message)
+    assert _tree(ws.path) == before
+
+
+def test_apply_change_applies_a_hunk_at_an_offset(tmp_path):
+    old = "".join(f"line {i}\n" for i in range(1, 31))
+    new = old.replace("line 20\n", "line twenty\n")
+    ws = _snapshot(tmp_path, {"a.py": old})
+    patch = _patch(compute_diff(old, new, "a.py"))
+    assert b"@@ -17,7 +17,7 @@" in patch
+    # the hunk says line 12, and git finds its context five lines on
+    assert apply_change(ws, patch.replace(b"@@ -17,7 +17,7 @@",
+                                          b"@@ -12,7 +12,7 @@")) is None
+    assert (ws.path / "a.py").read_text(encoding="utf-8") == new
+
+
+def _limit_apply_file_size(tmp_path, monkeypatch) -> None:
+    """Put a git first on PATH that runs ``git apply`` with a file size
+    limit of 4 blocks, so a larger write fails part-way."""
+    real_git = shutil.which("git")
+    bindir = tmp_path / "bin"
+    bindir.mkdir()
+    wrapper = bindir / "git"
+    wrapper.write_text('#!/bin/sh\n'
+                       'if [ "$1" = apply ]; then ulimit -f 4; fi\n'
+                       f'exec {real_git} "$@"\n', encoding="utf-8")
+    wrapper.chmod(0o755)
+    monkeypatch.setenv("PATH", f"{bindir}:{os.environ['PATH']}")
 
 
 def test_apply_change_puts_back_what_it_wrote_when_a_write_fails(
         tmp_path, monkeypatch):
-    ws = _workspace(tmp_path, {"a.py": "one\n", "b.py": "two\n",
-                               "c.py": "three\n"})
-    (tmp_path / "c.py").chmod(0o755)
-    change = CodeChange((
-        compute_diff("one\n", "ONE\n", "a.py"),
-        dataclasses.replace(compute_diff("three\n", "", "c.py"),
-                            is_deleted_file=True),
-        dataclasses.replace(compute_diff("", "new\n", "pkg/new.py"),
-                            is_new_file=True),
-        compute_diff("two\n", "TWO\n", "b.py"),
-    ))
-    before = _tree(tmp_path)
-    real_write = Path.write_bytes
-    writes: list[str] = []
+    big = "".join(f"row {i}\n" for i in range(3000))
+    repo = tmp_path / "origin"
+    e2e.build_fixture_repo(repo, {"a.py": "one\n", "b.py": big,
+                                  "c.sh": "three\n"})
+    (repo / "c.sh").chmod(0o755)
+    ws = snapshot(repo, e2e.commit_all(repo, "executable"), root=tmp_path)
+    mode = (ws.path / "c.sh").stat().st_mode
+    assert mode & 0o111
+    patch = _patch(compute_diff("one\n", "ONE\n", "a.py"),
+                   _deleted("c.sh", "three\n"),
+                   _new("pkg/new.py", "new\n"),
+                   compute_diff(big, big.replace("row 2999", "ROW"), "b.py"))
+    patch = patch.replace(b"deleted file mode 100644",
+                          b"deleted file mode 100755")
+    before = _tree(ws.path)
+    left: dict[str, bytes] = {}  # what git left before the reset
+    real_git = gitops._git
 
-    def full_disk(path, data):
-        writes.append(path.name)
-        if len(writes) == 2:  # part of the file is written, then no space
-            real_write(path, data[:1])
-            raise OSError(errno.ENOSPC, "No space left on device")
-        return real_write(path, data)
+    def see_reset(args, cwd):
+        if args[0] == "checkout":
+            left.update(_tree(ws.path))
+        return real_git(args, cwd)
 
-    monkeypatch.setattr(Path, "write_bytes", full_disk)
-    status = apply_change(ws, change)
-    assert writes[:2] == ["a.py", "new.py"]
-    assert not status.applied
-    assert [r.ok for r in status.file_results] == [True, True, False, True]
-    assert status.failure_detail().startswith("pkg/new.py: write failed:")
-    assert "No space left on device" in status.failure_detail()
-    assert _tree(tmp_path) == before
-    assert (tmp_path / "c.py").stat().st_mode & 0o777 == 0o755
+    monkeypatch.setattr(gitops, "_git", see_reset)
+    _limit_apply_file_size(tmp_path, monkeypatch)
+    error = apply_change(ws, patch)
+    assert error == f"killed by signal {signal.SIGXFSZ.value}"
+    # git was killed writing b.py, after it had written the others
+    assert left["a.py"] == b"ONE\n" and "c.sh" not in left
+    assert left["pkg/new.py"] == b"new\n"
+    assert len(left["b.py"]) < len(before["b.py"])
+    assert _tree(ws.path) == before
+    assert (ws.path / "c.sh").stat().st_mode == mode
+    assert not (ws.path / "pkg").exists()
 
 
 def test_apply_change_rejects_unsafe_paths(tmp_path):
-    ws = _workspace(tmp_path, {"a.py": "one\n"})
-    for bad in ("../escape.py", "/etc/passwd"):
-        fd = dataclasses.replace(compute_diff("", "x\n", "p"),
-                                 old_path=bad, new_path=bad)
-        status = apply_change(ws, CodeChange((fd,)))
-        assert not status.applied
-        assert "unsafe path" in status.failure_detail()
+    ws = _snapshot(tmp_path, {"a.py": "one\n"})
+    (ws.path.parent / "escape.py").write_text("x\n", encoding="utf-8")
+    before = _tree(tmp_path)
+    for bad, fd in (("../escape.py", compute_diff("x\n", "y\n", "p")),
+                    ("../made.py", _new("p", "x\n")),
+                    ("/etc/passwd", compute_diff("x\n", "y\n", "p"))):
+        fd = dataclasses.replace(fd, old_path=bad, new_path=bad)
+        error = apply_change(ws, _patch(compute_diff("one\n", "ONE\n", "a.py"),
+                                        fd))
+        assert error == f"error: invalid path '{bad}'"
+        assert _tree(tmp_path) == before
+        assert (ws.path / "a.py").read_text(encoding="utf-8") == "one\n"
+
+
+@pytest.mark.parametrize("path", [".git/hooks/post-checkout", ".GIT/x",
+                                  "sub/.git/x"])
+def test_apply_change_refuses_paths_into_git_dirs(tmp_path, path):
+    ws = _snapshot(tmp_path, {"a.py": "one\n"})
+    before = _tree(ws.path)
+    error = apply_change(ws, _patch(_new(path, "#!/bin/sh\necho owned\n")))
+    assert error == f"error: invalid path '{path}'"
+    assert not (ws.path / path).exists()
+    assert _tree(ws.path) == before
 
 
 @pytest.fixture()
@@ -353,65 +432,55 @@ def linked_checkout(tmp_path):
 
 
 @pytest.mark.parametrize("fd", [
-    dataclasses.replace(compute_diff("", "x = 1\n", "lib/new.py"),
-                        is_new_file=True),
+    _new("lib/new.py", "x = 1\n"),
     compute_diff("secret = 1\n", "secret = 2\n", "conf.py"),
-    dataclasses.replace(compute_diff("secret = 1\n", "", "lib/conf.py"),
-                        is_deleted_file=True),
+    _deleted("lib/conf.py", "secret = 1\n"),
 ], ids=["new file under a linked dir", "linked file", "delete via link"])
 def test_apply_change_refuses_paths_through_symlinks(linked_checkout, fd):
     ws, outside = linked_checkout
     assert (ws.path / "lib").is_symlink()  # committed and checked out
     before = _tree(outside)
-    change = CodeChange((compute_diff("one\n", "ONE\n", "a.py"), fd))
-    status = apply_change(ws, change)
-    assert not status.applied
-    assert f"{fd.path}: unsafe path" in status.failure_detail()
+    error = apply_change(ws, _patch(compute_diff("one\n", "ONE\n", "a.py"),
+                                    fd))
+    assert fd.path in error
     assert _tree(outside) == before
     assert (ws.path / "a.py").read_text(encoding="utf-8") == "one\n"
 
 
 def test_apply_change_creates_new_file_with_parents(tmp_path):
-    ws = _workspace(tmp_path, {})
-    fd = dataclasses.replace(compute_diff("", "x = 1\n", "pkg/sub/new.py"),
-                             is_new_file=True)
-    status = apply_change(ws, CodeChange((fd,)))
-    assert status.applied
-    assert (tmp_path / "pkg" / "sub" / "new.py").read_text(
+    ws = _snapshot(tmp_path, {"a.py": "one\n"})
+    assert apply_change(ws, _patch(_new("pkg/sub/new.py", "x = 1\n"))) is None
+    assert (ws.path / "pkg" / "sub" / "new.py").read_text(
         encoding="utf-8") == "x = 1\n"
 
 
 def test_apply_change_rejects_existing_target_for_new_file(tmp_path):
-    ws = _workspace(tmp_path, {"new.py": "already here\n"})
-    fd = dataclasses.replace(compute_diff("", "x = 1\n", "new.py"),
-                             is_new_file=True)
-    status = apply_change(ws, CodeChange((fd,)))
-    assert not status.applied
-    assert (tmp_path / "new.py").read_text(encoding="utf-8") == "already here\n"
+    ws = _snapshot(tmp_path, {"new.py": "already here\n"})
+    error = apply_change(ws, _patch(_new("new.py", "x = 1\n")))
+    assert error == "error: new.py: already exists in working directory"
+    assert (ws.path / "new.py").read_text(
+        encoding="utf-8") == "already here\n"
 
 
 def test_apply_change_deletes_files(tmp_path):
-    ws = _workspace(tmp_path, {"gone.py": "old\n", "stays.py": "keep\n"})
-    fd = dataclasses.replace(compute_diff("old\n", "", "gone.py"),
-                             is_deleted_file=True)
-    status = apply_change(ws, CodeChange((fd,)))
-    assert status.applied
-    assert not (tmp_path / "gone.py").exists()
-    assert (tmp_path / "stays.py").exists()
+    ws = _snapshot(tmp_path, {"gone.py": "old\n", "stays.py": "keep\n"})
+    assert apply_change(ws, _patch(_deleted("gone.py", "old\n"))) is None
+    assert not (ws.path / "gone.py").exists()
+    assert (ws.path / "stays.py").exists()
 
 
-def test_apply_change_refuses_non_text_target(tmp_path):
-    ws = _workspace(tmp_path, {})
-    (tmp_path / "blob.py").write_bytes(b"\xff\xfe junk")
-    change = CodeChange((compute_diff("one\n", "ONE\n", "blob.py"),))
-    status = apply_change(ws, change)
-    assert not status.applied
-    assert "not utf-8" in status.failure_detail()
-    assert (tmp_path / "blob.py").read_bytes() == b"\xff\xfe junk"
+def test_apply_change_applies_a_latin1_target_byte_exactly(tmp_path):
+    old, new = b"# caf\xe9\none\n", b"# caf\xe9\nONE\n"
+    ws = _snapshot(tmp_path, {"blob.py": old})
+    fd = compute_diff(old.decode("utf-8", "surrogateescape"),
+                      new.decode("utf-8", "surrogateescape"), "blob.py")
+    patch = render_change(CodeChange((fd,))).encode("utf-8", "surrogateescape")
+    assert apply_change(ws, patch) is None
+    assert (ws.path / "blob.py").read_bytes() == new
 
 
-def test_apply_change_empty_change_is_trivially_applied(tmp_path):
-    ws = _workspace(tmp_path, {"a.py": "one\n"})
-    status = apply_change(ws, CodeChange(()))
-    assert status.applied
-    assert status.file_results == ()
+def test_apply_change_refuses_an_empty_patch(tmp_path):
+    ws = _snapshot(tmp_path, {"a.py": "one\n"})
+    assert apply_change(ws, b"").startswith(
+        "error: No valid patches in input")
+    assert (ws.path / "a.py").read_text(encoding="utf-8") == "one\n"

@@ -4,13 +4,14 @@
         --workloads bigrepo-evolve wide-plan-live eval-batch \
         --claim bigrepo-evolve:instances_per_s --out BENCH_11.json
 
-The change is this checkout as its files stand. The parent revision is
-checked out into a temporary git worktree, removed at the end. Pair k runs
-every workload once per side on seed first-seed + k - 1, each side with its
-own checkout's benchmark command from BENCHMARK.json, ``--trace 0`` and
-BENCHMARK.json's run seconds. Odd pairs run the parent first, even pairs
-the change. The output file is rewritten after every pair, so an
-interrupted session keeps the pairs it finished.
+The change is this checkout as its files stand. The parent revision's
+files are exported with ``git archive`` into a temporary directory,
+removed at the end. Pair k runs every workload once per side on seed
+first-seed + k - 1, each side with its own checkout's benchmark command
+from BENCHMARK.json, ``--trace 0`` and BENCHMARK.json's run seconds. Odd
+pairs run the parent first, even pairs the change. The output file is
+rewritten after every pair, so an interrupted session keeps the pairs it
+finished.
 
 Per workload and end-to-end metric (plus ``cold_s``, which has no bound),
 the file gives each side's median and inclusive quartiles over the pairs,
@@ -135,14 +136,13 @@ def _git(*args: str) -> str:
 
 @contextlib.contextmanager
 def parent_checkout(revision: str):
-    """The revision checked out in a temporary worktree."""
+    """The revision's files, exported by ``git archive`` into a temporary
+    directory; the repository itself is not written to."""
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        path = Path(tmp) / "parent"
-        _git("worktree", "add", "--detach", str(path), revision)
-        try:
-            yield path
-        finally:
-            _git("worktree", "remove", "--force", str(path))
+        archive = subprocess.run(["git", "archive", revision], cwd=ROOT,
+                                 check=True, capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        yield Path(tmp)
 
 
 def run_once(checkout: Path, command: list[str], workload: str, seed: int,
