@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 import re
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -15,9 +16,9 @@ from conftest import blob_id, documents, reader, scripted_gateway
 
 from patchcrew.custodian import (_READ_BATCH, MAX_LINEAGE_UPDATES, Custodian,
                                  EvolutionMemory, MemoryEntry, TermIndex,
-                                 content_hash, load_memory, load_term_index,
-                                 rank_files, save_memory, save_term_index,
-                                 tokenize)
+                                 _RunTerms, content_hash, count_terms,
+                                 load_memory, load_term_index, rank_files,
+                                 save_memory, save_term_index, tokenize)
 from patchcrew.errors import CassetteMissError, TransportError
 from patchcrew.gitops import list_repo_files, read_repo_files
 from patchcrew.llm import Gateway, ReplayBackend
@@ -62,6 +63,31 @@ _TOKEN_TEXT = st.text(
      "naïveBayes", "ABc", "1A", "snake_case2Name"])))
 def test_tokenize_matches_two_pass_split(text):
     assert tokenize(text) == tokenize_two_pass(text)
+
+
+def _assert_counts_like_two_pass(text):
+    expected = Counter(tokenize_two_pass(text))
+    memo = _RunTerms()
+    for _ in range(2):  # the second count finds every run in the memo
+        counts = count_terms(text, memo)
+        assert counts == expected
+        assert list(counts) == list(expected)  # first-seen order
+
+
+# st.characters() leaves surrogates out, so a few lone ones are mixed in
+@settings(max_examples=300, deadline=None)
+@given(_TOKEN_TEXT | st.lists(st.sampled_from(
+    ["ab", "Cd", "9", " ", "\ud800", "\udfff", "\u00e9"]), max_size=20)
+    .map("".join))
+def test_count_terms_matches_two_pass_split(text):
+    _assert_counts_like_two_pass(text)
+
+
+@pytest.mark.parametrize("text", [
+    "\ud800", "\u00b2", "\u0663", "\u0130", "\u212a", "ab\ud800cdEf",
+    "x\u00b2y ab\u00b2cd \u0663\u0663 ab\u0663cd \u0130ab \u212aelvin"])
+def test_count_terms_splits_on_every_non_ascii_character(text):
+    _assert_counts_like_two_pass(text)
 
 
 # --- ranking -----------------------------------------------------------------
@@ -310,29 +336,49 @@ def test_term_index_round_trips_and_records_skipped_blobs(tmp_path):
         "alpha 0:2\nbeta 0:1 2:1\ndelta 2:1\n")
 
 
+def _cold_build(repo: Path, index_path: Path) -> bytes:
+    """The saved bytes of a new index over a fixture repository of this
+    package's sources and this test file, with corner cases of tokenize
+    appended."""
+    if not repo.exists():
+        here = Path(__file__).resolve().parent
+        files = {**e2e.REPO_FILES,
+                 **{f"patchcrew/{path.name}": path.read_text("utf-8")
+                    for path in (here.parent / "src/patchcrew").glob("*.py")},
+                 "tests/test_custodian.py":
+                     (here / "test_custodian.py").read_text("utf-8"),
+                 "pkg/httpClient.py":
+                     "class HTTPClient:\n"
+                     "    def getURL2(self, aB, xYz):\n"
+                     "        return A1b_c or \u00e91x + ABc\u00b2d\n"}
+        e2e.build_fixture_repo(repo, files)
+    listing = list_repo_files(repo, "HEAD")
+    index = TermIndex()
+    index.update(listing, lambda paths: read_repo_files(
+        repo, {p: listing[p] for p in paths}))
+    save_term_index(index, index_path)
+    assert index_path.read_bytes().count(b"\n") > len(listing) + 1000
+    return index_path.read_bytes()
+
+
 def test_cold_index_file_is_the_same_bytes_under_the_two_pass_split(
         tmp_path, monkeypatch):
     # the saved file holds every blob's length and every term's postings
-    # in first-seen order, so equal bytes mean both tokenizers gave each
+    # in first-seen order, so equal bytes mean both counters gave each
     # blob the same terms in the same order
-    files = {**e2e.REPO_FILES,
-             "pkg/httpClient.py": "class HTTPClient:\n"
-                                  "    def getURL2(self, aB, xYz):\n"
-                                  "        return A1b_c or \u00e91x + ABc\n"}
-    repo = tmp_path / "repo"
-    listing = list_repo_files(repo, e2e.build_fixture_repo(repo, files))
+    built = _cold_build(tmp_path / "repo", tmp_path / "runs.bm25")
+    monkeypatch.setattr("patchcrew.custodian.count_terms",
+                        lambda text, memo: Counter(tokenize_two_pass(text)))
+    assert _cold_build(tmp_path / "repo", tmp_path / "two_pass.bm25") \
+        == built
 
-    def cold_build(path: Path) -> bytes:
-        index = TermIndex()
-        index.update(listing, lambda paths: read_repo_files(
-            repo, {p: listing[p] for p in paths}))
-        save_term_index(index, path)
-        return path.read_bytes()
 
-    built = cold_build(tmp_path / "tokenize.bm25")
-    monkeypatch.setattr("patchcrew.custodian.tokenize", tokenize_two_pass)
-    assert cold_build(tmp_path / "two_pass.bm25") == built
-    assert built.count(b"\n") > len(listing) + 20
+def test_cold_index_file_is_the_same_bytes_with_a_memo_of_two_runs(
+        tmp_path, monkeypatch):
+    built = _cold_build(tmp_path / "repo", tmp_path / "runs.bm25")
+    monkeypatch.setattr("patchcrew.custodian._RUN_MEMO_SIZE", 2)
+    assert _cold_build(tmp_path / "repo", tmp_path / "two_runs.bm25") \
+        == built
 
 
 @pytest.mark.parametrize("first_line", [
