@@ -81,7 +81,13 @@ class _RunTerms(dict):
     def __missing__(self, run: bytes) -> tuple[str, ...]:
         if len(self) >= _RUN_MEMO_SIZE:
             self.clear()
-        terms = self[run] = tuple(tokenize(run.decode("ascii")))
+        if run.islower() or run.isdigit():
+            # no capital letter, so no camelCase split: the whole run is
+            # one term, or none when it is one character
+            terms = (run.decode("ascii"),) if len(run) > 1 else ()
+        else:
+            terms = tuple(tokenize(run.decode("ascii")))
+        self[run] = terms
         return terms
 
 

@@ -112,6 +112,8 @@ class FileDiff:
     hunks: tuple[Hunk, ...]
     is_new_file: bool = False
     is_deleted_file: bool = False
+    # the file's git mode, as "new file mode" / "deleted file mode" give it
+    mode: str = "100644"
 
     def __post_init__(self):
         prev_end = 0
@@ -189,9 +191,9 @@ def _format_range(start: int, length: int) -> str:
 def render_file_diff(fd: FileDiff) -> str:
     out = [f"diff --git a/{fd.old_path} b/{fd.new_path}\n"]
     if fd.is_new_file:
-        out.append("new file mode 100644\n")
+        out.append(f"new file mode {fd.mode}\n")
     if fd.is_deleted_file:
-        out.append("deleted file mode 100644\n")
+        out.append(f"deleted file mode {fd.mode}\n")
     if fd.hunks:
         out.append(("--- /dev/null\n" if fd.is_new_file else f"--- a/{fd.old_path}\n"))
         out.append(("+++ /dev/null\n" if fd.is_deleted_file else f"+++ b/{fd.new_path}\n"))
@@ -233,6 +235,7 @@ def parse_diff(text: str) -> CodeChange:
 
 def _parse_one_file(lines: list[str], pos: int) -> tuple[FileDiff, int]:
     is_new = is_deleted = False
+    mode = "100644"
     old_path = new_path = None
 
     line = lines[pos]
@@ -244,8 +247,10 @@ def _parse_one_file(lines: list[str], pos: int) -> tuple[FileDiff, int]:
             line = lines[pos]
             if line.startswith("new file mode"):
                 is_new = True
+                mode = line.rsplit(" ", 1)[-1]
             elif line.startswith("deleted file mode"):
                 is_deleted = True
+                mode = line.rsplit(" ", 1)[-1]
             elif line.startswith(("rename from", "rename to", "similarity index")):
                 raise DiffParseError("renames are not supported", pos + 1)
             elif line.startswith("GIT binary patch") or line.startswith("Binary files"):
@@ -263,7 +268,8 @@ def _parse_one_file(lines: list[str], pos: int) -> tuple[FileDiff, int]:
                 raise DiffParseError("cannot recover paths from diff header",
                                      header_pos + 1)
             old_path, new_path = m.group(1), m.group(2)
-            return FileDiff(old_path, new_path, (), is_new, is_deleted), pos
+            return FileDiff(old_path, new_path, (), is_new, is_deleted,
+                            mode), pos
     elif not line.startswith("--- "):
         raise DiffParseError(f"unrecognized diff header: {line!r}", pos + 1)
 
@@ -290,7 +296,8 @@ def _parse_one_file(lines: list[str], pos: int) -> tuple[FileDiff, int]:
         hunk, pos = _parse_hunk(lines, pos)
         hunks.append(hunk)
     try:
-        return FileDiff(old_path, new_path, tuple(hunks), is_new, is_deleted), pos
+        return FileDiff(old_path, new_path, tuple(hunks), is_new, is_deleted,
+                        mode), pos
     except ValueError as exc:
         raise DiffParseError(str(exc), pos) from exc
 

@@ -59,21 +59,35 @@ def git_apply(files: dict[str, str], patch: str) -> dict[str, str]:
     """The files after ``git apply`` of the patch: every file of a temporary
     directory, written from ``files`` and read back by path in sorted
     order. Raises AssertionError with git's message when git refuses."""
+    return git_apply_with_modes(files, set(), patch)[0]
+
+
+def git_apply_with_modes(files: dict[str, str], executable: set[str],
+                         patch: str) -> tuple[dict[str, str], set[str], str]:
+    """git_apply, with the files named in ``executable`` written with mode
+    0755: (the files after, the paths of those that are executable, what
+    git printed on stderr)."""
     with tempfile.TemporaryDirectory(prefix="git-apply-") as tmp:
         root = Path(tmp)
         for rel, content in files.items():
             target = root / rel
             target.parent.mkdir(parents=True, exist_ok=True)
             target.write_bytes(content.encode("utf-8"))
+            target.chmod(0o755 if rel in executable else 0o644)
         # the ceiling keeps git from treating an enclosing checkout as the
         # repository, so the patch applies to these files alone
         env = {**os.environ, "GIT_CEILING_DIRECTORIES": str(root.parent)}
         proc = subprocess.run(["git", "apply", "-"], cwd=root, env=env,
                               input=patch.encode("utf-8"),
                               capture_output=True, check=False)
-        assert proc.returncode == 0, proc.stderr.decode(errors="replace")
-        return {p.relative_to(root).as_posix(): p.read_bytes().decode("utf-8")
-                for p in sorted(root.rglob("*")) if p.is_file()}
+        stderr = proc.stderr.decode(errors="replace")
+        assert proc.returncode == 0, stderr
+        after = sorted(p for p in root.rglob("*") if p.is_file())
+        return ({p.relative_to(root).as_posix(): p.read_bytes().decode("utf-8")
+                 for p in after},
+                {p.relative_to(root).as_posix() for p in after
+                 if p.stat().st_mode & 0o111},
+                stderr)
 
 
 def covered_lines(intervals: LineIntervalSet) -> set[int]:
@@ -119,12 +133,15 @@ def bm25_scores_brute(repo_files: dict[str, str],
 
 
 def newton_logistic_univariate(xs: list[float], ys: list[float],
-                               tol: float = 1e-12,
-                               max_iter: int = 200) -> tuple[float, float]:
-    """Two-parameter logistic MLE (intercept, slope) by plain Newton steps
-    with an explicit 2x2 solve. No numpy, no shared code with the package."""
-    b0 = b1 = 0.0
-    for _ in range(max_iter):
+                               tol: float = 1e-12, max_iter: int = 200
+                               ) -> tuple[tuple[float, float],
+                                          tuple[float, float]]:
+    """Two-parameter logistic MLE ((intercept, slope), their Wald standard
+    errors) by plain Newton steps with an explicit 2x2 solve; the standard
+    errors come from the inverse of the 2x2 Hessian at the MLE. No numpy,
+    no shared code with the package."""
+
+    def gradient_and_hessian(b0, b1):
         g0 = g1 = 0.0
         h00 = h01 = h11 = 0.0
         for x, y in zip(xs, ys):
@@ -139,10 +156,16 @@ def newton_logistic_univariate(xs: list[float], ys: list[float],
         det = h00 * h11 - h01 * h01
         if det == 0:
             raise ValueError("singular Hessian in oracle")
+        return g0, g1, h00, h01, h11, det
+
+    b0 = b1 = 0.0
+    for _ in range(max_iter):
+        g0, g1, h00, h01, h11, det = gradient_and_hessian(b0, b1)
         step0 = (h11 * g0 - h01 * g1) / det
         step1 = (h00 * g1 - h01 * g0) / det
         b0 += step0
         b1 += step1
         if max(abs(step0), abs(step1)) < tol:
             break
-    return b0, b1
+    _, _, h00, _, h11, det = gradient_and_hessian(b0, b1)
+    return (b0, b1), (math.sqrt(h11 / det), math.sqrt(h00 / det))

@@ -276,7 +276,7 @@ def test_c08_logistic_recovery_oracle_agreement_and_separation():
     for est, se, true_value in zip(fit.coefficients, fit.std_errors, truth):
         assert abs(est - true_value) < 3 * se
 
-    b0, b1 = newton_logistic_univariate(xs, [float(v) for v in ys])
+    (b0, b1), _ = newton_logistic_univariate(xs, [float(v) for v in ys])
     assert abs(fit.coefficients[0] - b0) < 1e-6
     assert abs(fit.coefficients[1] - b1) < 1e-6
 

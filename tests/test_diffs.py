@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import git_apply
+from _oracles import git_apply, git_apply_with_modes
 
 from patchcrew.diffs import (CodeChange, DiffLine, FileDiff, Hunk,
                              compute_diff, keyed_lines, line_count,
@@ -192,6 +192,35 @@ def test_parse_empty_text_is_empty_change():
 def _run_git(args, cwd):
     return subprocess.run(["git", *args], cwd=cwd, check=True,
                           capture_output=True, text=True)
+
+
+def test_file_modes_survive_a_parse_render_round_trip(tmp_path):
+    """A git diff that adds one executable file and deletes another renders
+    back with their modes: git applies the rendered patch with no warning
+    and leaves the same files with the same modes as git's own patch."""
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    _run_git(["init", "-q"], repo)
+    (repo / "run.sh").write_text("echo run\n", encoding="utf-8")
+    (repo / "run.sh").chmod(0o755)
+    _run_git(["add", "-A"], repo)
+    _run_git(["-c", "user.name=t", "-c", "user.email=t@example.com",
+              "commit", "-q", "-m", "base"], repo)
+    (repo / "run.sh").unlink()
+    (repo / "new.sh").write_text("echo new\n", encoding="utf-8")
+    (repo / "new.sh").chmod(0o755)
+    (repo / "notes.txt").write_text("plain\n", encoding="utf-8")
+    _run_git(["add", "-A"], repo)
+    patch = _run_git(["diff", "--cached"], repo).stdout
+    assert "new file mode 100755" in patch
+    assert "deleted file mode 100755" in patch
+
+    rendered = render_change(parse_diff(patch))
+    before = ({"run.sh": "echo run\n"}, {"run.sh"})
+    by_git = git_apply_with_modes(*before, patch)
+    assert by_git == ({"new.sh": "echo new\n", "notes.txt": "plain\n"},
+                      {"new.sh"}, "")
+    assert git_apply_with_modes(*before, rendered) == by_git
 
 
 def test_git_applies_our_patches(tmp_path):

@@ -360,11 +360,10 @@ def test_apply_change_puts_back_what_it_wrote_when_a_write_fails(
     mode = (ws.path / "c.sh").stat().st_mode
     assert mode & 0o111
     patch = _patch(compute_diff("one\n", "ONE\n", "a.py"),
-                   _deleted("c.sh", "three\n"),
+                   dataclasses.replace(_deleted("c.sh", "three\n"),
+                                       mode="100755"),
                    _new("pkg/new.py", "new\n"),
                    compute_diff(big, big.replace("row 2999", "ROW"), "b.py"))
-    patch = patch.replace(b"deleted file mode 100644",
-                          b"deleted file mode 100755")
     before = _tree(ws.path)
     left: dict[str, bytes] = {}  # what git left before the reset
     real_git = gitops._git

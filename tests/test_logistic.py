@@ -35,9 +35,13 @@ def test_recovers_known_coefficients_within_wald_bounds():
 def test_matches_independent_newton_solver():
     xs, ys = _synthetic(300, 0.7, -0.9, seed=77)
     fit = logistic_fit(xs, ys)
-    b0, b1 = newton_logistic_univariate(xs, [float(v) for v in ys])
-    assert fit.coefficients[0] == pytest.approx(b0, abs=1e-6)
-    assert fit.coefficients[1] == pytest.approx(b1, abs=1e-6)
+    coefficients, std_errors = newton_logistic_univariate(
+        xs, [float(v) for v in ys])
+    p_values = [math.erfc(abs(b / se) / math.sqrt(2.0))
+                for b, se in zip(coefficients, std_errors)]
+    assert fit.coefficients == pytest.approx(coefficients, abs=1e-6)
+    assert fit.std_errors == pytest.approx(std_errors, rel=1e-6)
+    assert fit.p_values == pytest.approx(p_values, rel=1e-6)
 
 
 def test_log_likelihood_never_decreases():
@@ -50,7 +54,7 @@ def test_log_likelihood_never_decreases():
     assert fit.log_likelihood < 0
 
 
-def test_multivariate_fit():
+def _two_features():
     rng = random.Random(99)
     rows, ys = [], []
     for _ in range(400):
@@ -58,7 +62,35 @@ def test_multivariate_fit():
         p = 1.0 / (1.0 + math.exp(-(0.5 + 1.0 * x1 - 1.5 * x2)))
         rows.append([x1, x2])
         ys.append(1 if rng.random() < p else 0)
-    fit = logistic_fit(rows, ys)
+    return rows, ys
+
+
+def _separated():
+    xs = [float(i) for i in range(-10, 10)]
+    return xs, [0 if x < 0 else 1 for x in xs]
+
+
+def _null_signal():
+    rng = random.Random(3)
+    xs = [rng.gauss(0, 1) for _ in range(400)]
+    ys = [rng.randint(0, 1) for _ in range(400)]
+    return xs, ys
+
+
+def _file_counts():
+    """2,294 rows, SWE-bench's size, of a count feature like # Code Files."""
+    rng = random.Random(2295)
+    xs, ys = [], []
+    for _ in range(2294):
+        files = 1 + int(rng.expovariate(1.2))
+        p = 1.0 / (1.0 + math.exp(-(0.8 - 0.35 * files)))
+        xs.append(float(files))
+        ys.append(1 if rng.random() < p else 0)
+    return xs, ys
+
+
+def test_multivariate_fit():
+    fit = logistic_fit(*_two_features())
     assert fit.converged
     assert len(fit.coefficients) == 3
     assert fit.coefficients[1] > 0
@@ -66,9 +98,7 @@ def test_multivariate_fit():
 
 
 def test_perfect_separation_is_flagged():
-    xs = [float(i) for i in range(-10, 10)]
-    ys = [0 if x < 0 else 1 for x in xs]
-    fit = logistic_fit(xs, ys)
+    fit = logistic_fit(*_separated())
     assert not fit.converged
     assert "separation" in fit.diagnostic
 
@@ -82,12 +112,58 @@ def test_strong_signal_p_value_is_small():
 
 
 def test_null_signal_p_value_is_large():
-    rng = random.Random(3)
-    xs = [rng.gauss(0, 1) for _ in range(400)]
-    ys = [rng.randint(0, 1) for _ in range(400)]
-    fit = logistic_fit(xs, ys)
+    fit = logistic_fit(*_null_signal())
     assert fit.converged
     assert fit.p_values[1] > 0.01
+
+
+# (coefficients, std_errors, p_values, iterations, converged, diagnostic)
+# as numpy's LAPACK solve and inverse gave them in an earlier version of
+# logistic_fit
+_GOLDENS = {
+    "two_features": (
+        (0.5768276987070182, 1.195861058442134, -1.4484923610229026),
+        (0.13399900115379595, 0.164667757585137, 0.1672277569369987),
+        (1.6719978122733403e-05, 3.806586547001911e-13,
+         4.643975151038403e-18),
+        6, True, ""),
+    "separated": (
+        (15.338675520504596, 30.67735104958008),
+        (2141.661009045518, 3028.763091779498),
+        (0.9942855626070766, 0.9919186263442171),
+        20, False,
+        "perfect separation suspected: fitted probabilities saturated"),
+    "null_signal": (
+        (-0.038064560290837726, 0.026003655564878648),
+        (0.10030635222610816, 0.10035215093675184),
+        (0.7043291902026267, 0.7955395307827038),
+        3, True, ""),
+    "file_counts": (
+        (0.889942690298894, -0.42837177575597984),
+        (0.09329469751131349, 0.059360972498021226),
+        (1.4414807792972737e-21, 5.338681769461716e-13),
+        4, True, ""),
+}
+
+
+@pytest.mark.parametrize("name,data", [
+    ("two_features", _two_features),
+    ("separated", _separated),
+    ("null_signal", _null_signal),
+    ("file_counts", _file_counts),
+])
+def test_matches_numpy_goldens(name, data):
+    coefficients, std_errors, p_values, iterations, converged, diagnostic = \
+        _GOLDENS[name]
+    fit = logistic_fit(*data())
+    # 1e-11: summing file_counts' log-likelihood plainly instead of exactly
+    # rounded moves its coefficients by about 1e-9
+    assert fit.coefficients == pytest.approx(coefficients, rel=1e-11)
+    assert fit.std_errors == pytest.approx(std_errors, rel=1e-11)
+    assert fit.p_values == pytest.approx(p_values, rel=1e-11)
+    assert fit.iterations == iterations
+    assert fit.converged is converged
+    assert fit.diagnostic == diagnostic
 
 
 @pytest.mark.parametrize("features,labels,message", [
@@ -97,6 +173,12 @@ def test_null_signal_p_value_is_large():
     ([1.0, 2.0, 3.0], [0, 2, 1], "binary"),
     ([1.0], [1], "both classes"),
     ([[1.0, 2.0], [3.0, 4.0]], [0, 1], "rows"),
+    ([[1.0, 2.0], [3.0], [4.0, 5.0]], [0, 1, 0], "same length"),
+    ([[1.0], 2.0, [3.0]], [0, 1, 0], "same length"),
+    (["a", "b", "c"], [0, 1, 0], "numbers"),
+    ([[1.0, "x"], [2.0, 3.0], [4.0, 5.0]], [0, 1, 0], "numbers"),
+    ([[[1.0]], [[2.0]], [[3.0]]], [0, 1, 0], "2-d"),
+    (3.0, [0, 1, 0], "2-d"),
 ])
 def test_input_validation(features, labels, message):
     with pytest.raises(ValueError, match=message):
