@@ -21,8 +21,7 @@ import sys
 from pathlib import Path
 
 from . import evalkit
-from .errors import (CassetteMissError, DegenerateDataError, DiffParseError,
-                     GitError, InstanceError, PatchcrewError, TemplateError,
+from .errors import (CassetteMissError, DegenerateDataError, PatchcrewError,
                      TransportError)
 from .llm import cassette_key, read_cassette
 from .model import load_instance
@@ -230,13 +229,7 @@ def main(argv: list[str] | None = None) -> int:
     except DegenerateDataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (InstanceError, DiffParseError, GitError, TemplateError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except PatchcrewError as exc:
+    except (PatchcrewError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

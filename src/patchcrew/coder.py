@@ -9,8 +9,8 @@ iterations and the final iteration's diff ships even without approval.
 
 Every iteration rewrites the original file, not the previous attempt;
 only the task text accumulates review feedback. resolve_issue gives each
-file one task, and runs all the plan's tasks concurrently: the stages
-order the report, not the execution.
+file one task, and runs all the tasks concurrently; no work plan orders
+them.
 """
 
 from __future__ import annotations
@@ -283,20 +283,19 @@ class Coder:
                           new_content=new_content, iterations=iterations,
                           approved=approved, attempts=tuple(attempts))
 
-    def resolve_issue(self, tasks: list[TaskAssignment], plan,
+    def resolve_issue(self, tasks: list[TaskAssignment],
                       original_files: dict[str, str],
                       summaries: dict[str, str] | None = None,
                       ) -> tuple[CodeChange, list[TaskResult]]:
-        """Execute every task of the plan and merge the results.
+        """Execute every task and merge the results.
 
         Each task edits a file of its own: two tasks naming one path raise
         ValueError. So every task starts from its file's original content,
-        nothing passes from one stage to the next, and all the tasks run
+        nothing passes from one task to another, and all the tasks run
         concurrently, each with a coder of its own, so its notes stay apart
-        from other workers'. The stages order the report, not the
-        execution: results and notes are merged in stage order, as if the
-        tasks had run one by one. The change holds the diff of each task
-        that changed its file (a failed task has none), sorted by path.
+        from other workers'. Results and notes are merged in task order, as
+        if the tasks had run one by one. The change holds the diff of each
+        task that changed its file (a failed task has none), sorted by path.
         """
         shared = sorted(path for path, n in Counter(
             task.file_path for task in tasks).items() if n > 1)
@@ -304,20 +303,19 @@ class Coder:
             raise ValueError(f"tasks share a file: {', '.join(shared)}")
         summaries = summaries or {}
 
-        def run(idx: int) -> tuple[TaskResult, list[str]]:
-            path = tasks[idx].file_path
+        def run(task: TaskAssignment) -> tuple[TaskResult, list[str]]:
+            path = task.file_path
             content = original_files.get(path, "")
             worker = Coder(self.gateway, n_max=self.n_max,
                            qa_enabled=self.qa_enabled)
-            task = worker.spawn_qa(tasks[idx], content)
+            task = worker.spawn_qa(task, content)
             result = worker.execute_task(
                 task, content, is_new_file=path not in original_files,
                 summary=summaries.get(path, ""))
             return result, worker.notes
 
         results: list[TaskResult] = []
-        order = [idx for group in plan.groups for idx in group]
-        for result, notes in map_concurrently(run, order):
+        for result, notes in map_concurrently(run, tasks):
             results.append(result)
             self.notes += notes
         diffs = sorted((r.file_diff for r in results if r.file_diff.hunks),

@@ -413,25 +413,15 @@ class MemoryEntry:
             raise ValueError("summary must correspond to the newest lineage hash")
 
 
-class EvolutionMemory:
-    """path -> MemoryEntry."""
-
-    def __init__(self):
-        self.entries: dict[str, MemoryEntry] = {}
-
-    def get(self, path: str) -> MemoryEntry | None:
-        return self.entries.get(path)
-
-    def put(self, path: str, entry: MemoryEntry) -> None:
-        self.entries[path] = entry
+EvolutionMemory = dict[str, MemoryEntry]  # path -> entry
 
 
 def save_memory(memory: EvolutionMemory, path: str | Path) -> None:
     """Persist as a version line followed by one JSON record per file."""
     path = Path(path)
     lines = [MEMORY_FORMAT_VERSION]
-    for file_path in sorted(memory.entries):
-        e = memory.entries[file_path]
+    for file_path in sorted(memory):
+        e = memory[file_path]
         lines.append(json.dumps({
             "path": file_path,
             "content_hash": e.content_hash,
@@ -450,7 +440,7 @@ def load_memory(path: str | Path) -> EvolutionMemory:
     lines = text.split("\n")
     if not lines or lines[0] != MEMORY_FORMAT_VERSION:
         raise ValueError(f"{path}: not a {MEMORY_FORMAT_VERSION} file")
-    memory = EvolutionMemory()
+    memory: EvolutionMemory = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -462,7 +452,7 @@ def load_memory(path: str | Path) -> EvolutionMemory:
                 lineage=tuple((h, m) for h, m in obj["lineage"]),
                 content=obj["content"],
             )
-            memory.entries[obj["path"]] = entry
+            memory[obj["path"]] = entry
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}:{lineno}: bad memory record: {exc}") from exc
     return memory
@@ -477,9 +467,8 @@ class LocateResult:
 class Custodian:
     def __init__(self, gateway: Gateway, memory: EvolutionMemory | None = None):
         self.gateway = gateway
-        self.memory = memory if memory is not None else EvolutionMemory()
+        self.memory = memory if memory is not None else {}
         self.notes: list[str] = []
-        self.bm25_calls = 0
 
     def summarize_file(self, path: str, content: str) -> str:
         """Summary of the file, reusing memory when possible.
@@ -500,22 +489,22 @@ class Custodian:
                 message = self.gateway.complete_structured(
                     prompts.COMMIT_MESSAGE, {"diff": diff_text}, "plain_text")
                 summary = f"{entry.summary}\nUPDATE: {message}"
-                self.memory.put(path, MemoryEntry(
+                self.memory[path] = MemoryEntry(
                     content_hash=digest,
                     summary=summary,
                     lineage=entry.lineage + ((digest, message),),
                     content=content,
-                ))
+                )
                 return summary
 
         summary = self.gateway.complete_structured(
             prompts.FILE_SUMMARY, {"path": path, "content": content}, "plain_text")
-        self.memory.put(path, MemoryEntry(
+        self.memory[path] = MemoryEntry(
             content_hash=digest,
             summary=summary,
             lineage=((digest, ""),),
             content=content,
-        ))
+        )
         return summary
 
     def locate(self, documents: Documents, issue_text: str, k: int,
@@ -533,7 +522,6 @@ class Custodian:
         if k < 1:
             raise ValueError("k must be >= 1")
         ranked = rank_files(documents, issue_text)
-        self.bm25_calls += 1
         top = ranked[:k]
         contents = read([rf.path for rf in top])
 

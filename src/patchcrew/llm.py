@@ -57,8 +57,8 @@ MAX_RETRY_AFTER_SECONDS = 60.0
 # makes at once unless told otherwise.
 MAX_TASKS = 16
 
-SCHEMA_KINDS = ("boolean_decision", "interval_list", "plain_text", "score_1_to_5")
-
+# The schema kinds extract_structured parses, each with the reminder a
+# format retry appends to its prompt.
 _FORMAT_REMINDERS = {
     "boolean_decision": 'Format reminder: end your answer with a final line '
                         'reading exactly "DECISION: YES" or "DECISION: NO".',
@@ -287,7 +287,7 @@ def last_nonempty_line(text: str) -> str:
 def extract_structured(response_text: str, schema_kind: str) -> Any:
     """Parse a response into a typed value. Raises ExtractionError with the
     raw text attached when the response does not carry the expected marker."""
-    if schema_kind not in SCHEMA_KINDS:
+    if schema_kind not in _FORMAT_REMINDERS:
         raise ValueError(f"unknown schema kind: {schema_kind}")
 
     if schema_kind == "plain_text":

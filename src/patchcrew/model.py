@@ -105,11 +105,11 @@ class MeetingTranscript:
 
 @dataclass(frozen=True)
 class WorkPlan:
-    """Execution schedule: groups run in order, tasks inside one group are
-    declared independent. Groups partition the task indices 0..n-1."""
+    """The manager's staged schedule, as plan.txt reports it: tasks inside
+    one group are declared independent. Groups partition the task indices
+    0..n-1."""
 
     groups: tuple[tuple[int, ...], ...]
-    transcript_ref: str = ""
 
     def __post_init__(self):
         flat = [i for g in self.groups for i in g]

@@ -12,9 +12,9 @@ a time, since each reads the transcript so far. The plan asked of the
 model is a JSON list of lists of task indices, stages as the paper's
 manager writes them; whatever comes back is repaired into a real partition
 (unknown or repeated indices dropped, missing indices appended as final
-singleton stages), because a plan that skips or duplicates tasks is not
-executable. The stages order the report; since every task edits a file of
-its own, the coder runs all of them at once.
+singleton stages), so that plan.txt names every task exactly once. The
+plan orders nothing else: since every task edits a file of its own, the
+coder runs all of them at once and reports them in task order.
 """
 
 from __future__ import annotations
@@ -239,5 +239,4 @@ class Planner:
             self.notes.append("plan: unusable work-plan response, "
                               "falling back to sequential singletons")
             groups = [[i] for i in range(n)]
-        return WorkPlan(groups=repair_groups(groups, n),
-                        transcript_ref="meeting.txt")
+        return WorkPlan(groups=repair_groups(groups, n))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import TemplateError
 
@@ -44,25 +45,18 @@ ALIGNMENT_SCORE = "ALIGNMENT_SCORE"
 class PromptTemplate:
     template_id: str
     body: str
-    required_vars: tuple[str, ...]
 
-    def __post_init__(self):
-        found = set(_PLACEHOLDER.findall(self.body))
-        declared = set(self.required_vars)
-        if found != declared:
-            missing = declared - found
-            extra = found - declared
-            raise ValueError(
-                f"template {self.template_id}: placeholder mismatch"
-                f" (undeclared: {sorted(extra)}, unused: {sorted(missing)})")
+    @cached_property
+    def required_vars(self) -> tuple[str, ...]:
+        """The body's placeholder names, in order of first use."""
+        return tuple(dict.fromkeys(_PLACEHOLDER.findall(self.body)))
 
 
 _TEMPLATES: dict[str, PromptTemplate] = {}
 
 
-def _define(template_id: str, body: str, required_vars: tuple[str, ...]) -> None:
-    _TEMPLATES[template_id] = PromptTemplate(template_id, body.strip() + "\n",
-                                             required_vars)
+def _define(template_id: str, body: str) -> None:
+    _TEMPLATES[template_id] = PromptTemplate(template_id, body.strip() + "\n")
 
 
 def get_template(template_id: str) -> PromptTemplate:
@@ -78,7 +72,7 @@ def all_template_ids() -> tuple[str, ...]:
 
 def render(template_id: str, variables: dict[str, str]) -> str:
     """Substitute all placeholders. The variable set must match the
-    template's required set exactly; values must be strings."""
+    body's placeholder names exactly; values must be strings."""
     tpl = get_template(template_id)
     required = set(tpl.required_vars)
     supplied = set(variables)
@@ -107,7 +101,7 @@ Here is a unified diff of a recent change to one file:
 
 Write a one-paragraph commit message describing what changed and why it
 matters. Respond with the message text only.
-""", ("diff",))
+""")
 
 _define(FILE_SUMMARY, """
 You are a repository custodian who memorizes a codebase.
@@ -122,7 +116,7 @@ File: <<path>>
 <<content>>
 
 Respond with the summary text only.
-""", ("path", "content"))
+""")
 
 _define(RELEVANCE_DECISION, """
 You are a repository custodian deciding which files the development team
@@ -139,7 +133,7 @@ on the final line with exactly one of:
 
 DECISION: YES
 DECISION: NO
-""", ("issue", "summary"))
+""")
 
 _define(TASK_DEFINITION, """
 You are an engineering manager decomposing an issue into per-file tasks.
@@ -153,7 +147,7 @@ Target file <<path>>:
 
 State the single task a developer must perform on this file to help
 resolve the issue. Respond with the task description only.
-""", ("issue", "path", "file_content"))
+""")
 
 _define(DEVELOPER_ROLE, """
 You are an engineering manager describing the ideal developer for a task.
@@ -167,7 +161,7 @@ Task:
 Write a short role card for the developer who should take this task:
 expertise, responsibilities, working style. Respond with the role card
 only.
-""", ("issue", "task"))
+""")
 
 _define(ROLE_REFINEMENT, """
 You are an engineering manager updating a role card after the kick-off
@@ -181,7 +175,7 @@ Meeting transcript:
 
 Rewrite the role card so it reflects what the meeting agreed. Keep it a
 role description. Respond with the revised role card only.
-""", ("role", "transcript"))
+""")
 
 _define(WORK_PLAN, """
 You are an engineering manager ordering tasks after the kick-off meeting.
@@ -196,7 +190,7 @@ Group the task indices into execution stages: tasks within one stage are
 independent of each other; stages run strictly in order. Respond on the
 final line with the stages as a JSON list of lists of task indices, for
 example [[0,2],[1]].
-""", ("task_list", "transcript"))
+""")
 
 _define(QA_ROLE, """
 You are an engineering manager assigning a reviewer.
@@ -211,7 +205,7 @@ Content of the target file:
 Describe the quality-assurance engineer best suited to review this work:
 their expertise and what they should scrutinize. Respond with the QA role
 description only.
-""", ("task", "file_content"))
+""")
 
 _define(LINE_INTERVALS, """
 <<role>>
@@ -227,7 +221,7 @@ Which line ranges must change to complete the task? Respond on the final
 line with a JSON list of [start, end] pairs, 1-based and inclusive, for
 example [[12,20],[44,44]]. Respond with [] if code should only be appended
 at the end of the file.
-""", ("role", "path", "task", "numbered_content"))
+""")
 
 _define(REPLACEMENT_CODE, """
 <<role>>
@@ -245,7 +239,7 @@ You are rewriting one region of the file. The region currently reads:
 
 Write the text that replaces exactly this region. Respond with raw code
 only: no fences, no commentary. An empty response deletes the region.
-""", ("role", "path", "task", "context", "segment"))
+""")
 
 _define(REVIEW, """
 You are the quality-assurance engineer described by this role card:
@@ -272,7 +266,7 @@ the final line with exactly one of:
 
 DECISION: YES
 DECISION: NO
-""", ("qa_role", "task", "diff", "comment", "phase"))
+""")
 
 _define(MEETING_OPEN, """
 You are the engineering manager opening a kick-off meeting.
@@ -285,7 +279,7 @@ Planned tasks (index: file: description):
 
 Open the meeting: state the goal and what each developer should confirm or
 object to. Respond with your statement only.
-""", ("issue", "task_list"))
+""")
 
 _define(MEETING_TURN, """
 You are a developer in a kick-off meeting, described by this role card:
@@ -300,7 +294,7 @@ Meeting so far:
 
 Give your statement: confirm the task is reasonable, raise dependencies on
 other tasks, or object with reasons. Respond with your statement only.
-""", ("role", "task", "transcript"))
+""")
 
 _define(MEETING_SUMMARY, """
 You are the engineering manager closing a kick-off meeting.
@@ -310,7 +304,7 @@ Meeting so far:
 
 Summarize the results: agreed tasks, dependencies raised, and open
 concerns. Respond with the summary only.
-""", ("transcript",))
+""")
 
 _define(ALIGNMENT_SCORE, """
 You are judging how well a code change aligns with a task description.
@@ -339,4 +333,4 @@ Explain briefly, then answer on the final line with exactly:
 SCORE: N
 
 where N is an integer from 1 to 5.
-""", ("task", "diff"))
+""")

@@ -16,18 +16,19 @@ dropped a blob; without one it lives for the run.
 Independent LLM calls run concurrently (llm.map_concurrently): the
 per-file summaries and relevance checks of locate, the per-file task and
 role definitions, the role refinements after the meeting beside the
-work-plan call, and then every task of the plan at once. Each task edits
-a file of its own, starting from the base revision, so the plan.txt
-stages order the report, not the execution. The kick-off meeting runs
-turn by turn, since each turn reads the transcript so far. Every stage
-merges its results and notes in rank, task or plan order, so the report
-is the same as if every call had run in turn.
+work-plan call, and then every task at once. Each task edits a file of
+its own, starting from the base revision, so the plan.txt stages order
+no work; they are the manager's plan, reported as written. The kick-off
+meeting runs turn by turn, since each turn reads the transcript so far.
+Every stage merges its results and notes in rank or task order, so the
+report is the same as if every call had run in turn.
 
 Artifacts per run, under ``<out_dir>/<instance_id>/``:
   meeting.txt   the kick-off transcript and summary
-  plan.txt      tasks, roles, and the staged schedule
+  plan.txt      the manager's staged schedule, then task i, its file and
+                roles, for each i
   task_<i>/attempt_<j>/{intervals.txt, old.txt, new.txt, diff.patch,
-                        review.txt}
+                        review.txt}   the attempts of plan.txt's task i
   notes.txt     degradations and warnings collected along the way
   run.txt       flags, mode, call counts, wall time (the one file that is
                 not byte-stable between runs)
@@ -43,7 +44,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .coder import DEFAULT_MAX_REVIEW_ITERS, Coder, TaskResult
-from .custodian import (Custodian, EvolutionMemory, LocateResult, TermIndex,
+from .custodian import (Custodian, LocateResult, TermIndex, content_hash,
                         load_memory, load_term_index, save_memory,
                         save_term_index)
 from .diffs import CodeChange, render_change
@@ -126,9 +127,8 @@ def locate_files(instance: IssueInstance, config: RunConfig,
         return {path: texts[listing[path]] for path in paths
                 if listing[path] in texts}
 
-    memory = EvolutionMemory()
-    if config.memory_path and Path(config.memory_path).exists():
-        memory = load_memory(config.memory_path)
+    memory = (load_memory(config.memory_path) if config.memory_path
+              and Path(config.memory_path).exists() else {})
     custodian = Custodian(gateway, memory)
 
     issue = instance.issue_text
@@ -196,10 +196,12 @@ def resolve_instance(instance: IssueInstance, config: RunConfig,
     if tasks:
         transcript = planner.kickoff_meeting(tasks, issue)
         tasks, plan = planner.refine_and_plan(tasks, transcript)
-        summaries = {path: entry.summary
-                     for path, entry in custodian.memory.entries.items()}
-        change, task_results = coder.resolve_issue(tasks, plan, files,
-                                                   summaries)
+        # only a summary of the version at hand: an oracle run summarizes
+        # nothing, and a failed summary call leaves the old entry
+        summaries = {path: entry.summary for path, text in files.items()
+                     if (entry := custodian.memory.get(path))
+                     and entry.content_hash == content_hash(text)}
+        change, task_results = coder.resolve_issue(tasks, files, summaries)
     else:
         transcript = None
         plan = None
@@ -211,8 +213,8 @@ def resolve_instance(instance: IssueInstance, config: RunConfig,
     elapsed = time.monotonic() - started
     workspace_note = str(located.workspace.path) if located.workspace else ""
     _write_report(report_dir, patch_path, instance, config, gateway,
-                  custodian, transcript, plan, tasks, task_results,
-                  change, notes, elapsed, workspace_note)
+                  located.result is not None, transcript, plan, tasks,
+                  task_results, change, notes, elapsed, workspace_note)
     return RunOutcome(instance_id=instance.instance_id, change=change,
                       patch_path=patch_path, report_dir=report_dir,
                       task_results=task_results, notes=notes,
@@ -220,7 +222,7 @@ def resolve_instance(instance: IssueInstance, config: RunConfig,
 
 
 def _write_report(report_dir: Path, patch_path: Path, instance: IssueInstance,
-                  config: RunConfig, gateway: Gateway, custodian: Custodian,
+                  config: RunConfig, gateway: Gateway, ranked: bool,
                   transcript, plan, tasks, task_results: list[TaskResult],
                   change: CodeChange, notes: list[str], elapsed: float,
                   workspace_note: str) -> None:
@@ -235,7 +237,7 @@ def _write_report(report_dir: Path, patch_path: Path, instance: IssueInstance,
 
     lines = ["# work plan"]
     if plan is not None:
-        lines.append(f"transcript: {plan.transcript_ref}")
+        lines.append("transcript: meeting.txt")
         for n, group in enumerate(plan.groups, start=1):
             lines.append(f"stage {n}: tasks {', '.join(str(i) for i in group)}")
     else:
@@ -290,7 +292,7 @@ def _write_report(report_dir: Path, patch_path: Path, instance: IssueInstance,
         f" qa={str(config.qa_enabled).lower()}"
         f" hints={str(config.hints_enabled).lower()}",
         f"llm_calls: total={gateway.total_calls()} {counts}".rstrip(),
-        f"bm25_calls: {custodian.bm25_calls}",
+        f"bm25_calls: {int(ranked)}",
         f"network_calls: {gateway.network_calls}",
         f"wall_seconds: {elapsed:.2f}",
         f"workspace_kept: {workspace_note or '-'}",

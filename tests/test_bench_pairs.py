@@ -104,3 +104,22 @@ def test_parse_output_reads_the_json_line_and_table_rows(bench_pairs):
         "correct": True, "failed": 0, "attempted": 75, "setup_s": 0.488261,
         "cold_s": 0.483361, "llm_calls_per_instance": 0.0,
         "prompt_words_per_instance": 0.0}
+
+
+def test_parse_output_keeps_the_text_of_failed_operations(bench_pairs):
+    stdout = (
+        "workload bigrepo-evolve  seed 1  size full  trace 0  nproc 2\n"
+        "cold_s                             0.483361 s      n=1\n"
+        "failed_ratio                       0.500000 ratio  failed=2 "
+        "attempted=4\n"
+        "FAILED rev2: Traceback (most recent call last):\n"
+        '  File "run.py", line 1, in cycle\n'
+        "cold_s is no table row here\n"
+        "FAILED rev3: wrong patch\n"
+        '{"correct": false, "attempted": 4, "failed": 2, "metrics": {}}\n')
+    record = bench_pairs.parse_output(stdout)
+    assert record["failures"] == [
+        'rev2: Traceback (most recent call last):\n  File "run.py", line 1, '
+        "in cycle\ncold_s is no table row here",
+        "rev3: wrong patch"]
+    assert record["cold_s"] == 0.483361

@@ -84,7 +84,7 @@ def test_locate_reads_and_writes_memory(fixture_instance_file, tmp_path,
     code = main(["locate", str(fixture_instance_file), *_run_flags(tmp_path),
                  "--memory-path", str(memory_path)])
     assert code == 0
-    assert set(load_memory(memory_path).entries) == set(e2e.REPO_FILES)
+    assert set(load_memory(memory_path)) == set(e2e.REPO_FILES)
 
     # every summary is remembered, so a cassette without P2 records suffices
     no_summaries = e2e.cassette_without("P2", tmp_path / "no-p2.jsonl")

@@ -12,7 +12,7 @@ from patchcrew.coder import (Coder, append_block, number_lines, split_file,
 from patchcrew.diffs import keyed_lines, render_change, render_file_diff
 from patchcrew.errors import TransportError
 from patchcrew.intervals import LineIntervalSet
-from patchcrew.model import TaskAssignment, WorkPlan
+from patchcrew.model import TaskAssignment
 
 
 FILE = "def f():\n    return 1\n\ndef g():\n    return 2\n"
@@ -340,23 +340,21 @@ def test_context_windows_large_files():
 def test_resolve_issue_rejects_tasks_sharing_a_file():
     gw = scripted_gateway({})
     coder = Coder(gw, qa_enabled=False)
-    plan = WorkPlan(groups=((0,), (1, 2)), transcript_ref="meeting.txt")
     tasks = [_task(), _task(path="other.py"), _task()]
     with pytest.raises(ValueError, match="share a file: mod.py"):
-        coder.resolve_issue(tasks, plan, {"mod.py": FILE, "other.py": FILE})
+        coder.resolve_issue(tasks, {"mod.py": FILE, "other.py": FILE})
     assert gw.total_calls() == 0
 
 
 def test_resolve_issue_merges_one_diff_per_task_sorted_by_path():
-    # z.py's stage runs first; each task starts from its own file's
-    # original content, and the change lists the files by path
+    # each task starts from its own file's original content; the results
+    # keep task order, and the change lists the files by path
     gw = scripted_gateway({"P9": "[[1,1]]",
                            "P10": lambda p: "Z\n" if "z.py" in p else "A\n"})
     coder = Coder(gw, qa_enabled=False)
-    tasks = [_task(path="a.py"), _task(path="z.py")]
-    plan = WorkPlan(groups=((1,), (0,)), transcript_ref="meeting.txt")
+    tasks = [_task(path="z.py"), _task(path="a.py")]
     files = {"a.py": "a\nb\n", "z.py": "z\nb\n"}
-    change, results = coder.resolve_issue(tasks, plan, files)
+    change, results = coder.resolve_issue(tasks, files)
     assert [r.task.file_path for r in results] == ["z.py", "a.py"]
     assert [fd.path for fd in change.file_diffs] == ["a.py", "z.py"]
     assert git_apply(files, render_change(change)) == {"a.py": "A\nb\n",
@@ -366,8 +364,7 @@ def test_resolve_issue_merges_one_diff_per_task_sorted_by_path():
 def test_resolve_issue_marks_new_files():
     gw = scripted_gateway({"P10": "x = 1\n"})
     coder = Coder(gw, qa_enabled=False)
-    plan = WorkPlan(groups=((0,),), transcript_ref="meeting.txt")
-    change, results = coder.resolve_issue([_task(path="fresh.py")], plan, {})
+    change, results = coder.resolve_issue([_task(path="fresh.py")], {})
     assert results[0].file_diff.is_new_file
     assert change.file_diffs[0].is_new_file
     assert git_apply({}, render_change(change)) == {"fresh.py": "x = 1\n"}
@@ -379,7 +376,6 @@ def test_resolve_issue_skips_failed_tasks():
 
     gw = scripted_gateway({"P9": boom})
     coder = Coder(gw, qa_enabled=False)
-    plan = WorkPlan(groups=((0,),), transcript_ref="meeting.txt")
-    change, results = coder.resolve_issue([_task()], plan, {"mod.py": FILE})
+    change, results = coder.resolve_issue([_task()], {"mod.py": FILE})
     assert results[0].failed
     assert change.file_diffs == ()

@@ -133,6 +133,20 @@ def test_tasks_of_different_plan_stages_are_in_flight_together(
     assert _patched_files(report) == N_FILES
 
 
+def test_task_directories_follow_the_task_numbers_of_plan_txt(
+        four_file_repo, tmp_path):
+    report = _resolve(four_file_repo, tmp_path,
+                      StageBackend(plan="[[3],[2],[1],[0]]"))
+    plan = (report / "plan.txt").read_text(encoding="utf-8")
+    assert "stage 1: tasks 3\n" in plan
+    planned = dict(re.findall(r"^task (\d+)\nfile: (\S+)$", plan, re.M))
+    assert len(planned) == N_FILES
+    for i, path in planned.items():
+        diff = (report / f"task_{i}" / "attempt_0" / "diff.patch").read_text(
+            encoding="utf-8")
+        assert diff.startswith(f"diff --git a/{path} b/{path}\n")
+
+
 def test_work_plan_call_is_in_flight_with_role_refinement(four_file_repo,
                                                           tmp_path):
     report = _resolve(four_file_repo, tmp_path,

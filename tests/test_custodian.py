@@ -510,8 +510,7 @@ def test_summarize_rebuilds_after_update_cap():
     entry = MemoryEntry(content_hash=content_hash(versions[-1]),
                         summary="long lived", lineage=lineage,
                         content=versions[-1])
-    memory = EvolutionMemory()
-    memory.put("m.py", entry)
+    memory: EvolutionMemory = {"m.py": entry}
     gw = scripted_gateway({"P2": "rebuilt", "P1": "unused"})
     custodian = Custodian(gw, memory)
     newest = versions[-1].replace("version", "revision")
@@ -541,17 +540,17 @@ def test_summarize_leaves_memory_alone_on_llm_failure():
 # --- persistence ---------------------------------------------------------------
 
 def test_memory_round_trip(tmp_path):
-    memory = EvolutionMemory()
     h1, h2 = content_hash("one"), content_hash("two")
-    memory.put("a.py", MemoryEntry(h1, "summary a", ((h1, ""),), "one"))
-    memory.put("b.py", MemoryEntry(
-        h2, "summary b\nUPDATE: tweak", ((h1, ""), (h2, "tweak")), "two"))
+    memory: EvolutionMemory = {
+        "a.py": MemoryEntry(h1, "summary a", ((h1, ""),), "one"),
+        "b.py": MemoryEntry(h2, "summary b\nUPDATE: tweak",
+                            ((h1, ""), (h2, "tweak")), "two")}
     path = tmp_path / "memory.jsonl"
     save_memory(memory, path)
     first_line = path.read_text(encoding="utf-8").splitlines()[0]
     assert first_line == "evolution-memory-v1"
     loaded = load_memory(path)
-    assert loaded.entries == memory.entries
+    assert loaded == memory
 
 
 def test_load_memory_rejects_wrong_version(tmp_path):
@@ -619,7 +618,6 @@ def test_locate_filters_on_relevance():
     gw = scripted_gateway({"P2": _summary_by_path, "P3": _yes_for_auth})
     custodian = Custodian(gw)
     result = _locate(custodian, "login rejects valid passwords", 2)
-    assert custodian.bm25_calls == 1
     assert len(result.ranked) == len(LOCATE_FILES)
     assert "auth.py" in [rf.path for rf in result.ranked[:2]]
     assert result.candidates == ("auth.py",)

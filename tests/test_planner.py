@@ -213,7 +213,6 @@ def test_make_plan_repairs_model_output():
     planner = Planner(gw)
     plan = planner.make_plan(_transcript(), [_task(0), _task(1), _task(2)])
     assert plan.groups == ((1, 0), (2,))
-    assert plan.transcript_ref == "meeting.txt"
 
 
 def test_make_plan_falls_back_to_singletons():

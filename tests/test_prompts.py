@@ -63,11 +63,9 @@ def test_render_rejects_non_string_values():
         render(prompts.COMMIT_MESSAGE, {"diff": 42})
 
 
-def test_template_body_placeholder_mismatch_rejected():
-    with pytest.raises(ValueError, match="placeholder mismatch"):
-        PromptTemplate("X1", "uses <<a>> and <<b>>", ("a",))
-    with pytest.raises(ValueError, match="placeholder mismatch"):
-        PromptTemplate("X2", "uses <<a>>", ("a", "b"))
+def test_template_variables_are_the_body_placeholders():
+    tpl = PromptTemplate("X1", "uses <<b>>, <<a>> and <<b>> again")
+    assert tpl.required_vars == ("b", "a")
 
 
 def test_decision_templates_state_the_marker():

@@ -118,8 +118,8 @@ def test_resolve_instance_persists_memory(fixture_repo, tmp_path):
     resolve_instance(_instance(fixture_repo),
                      _config(tmp_path, memory_path=str(memory_path)))
     memory = load_memory(memory_path)
-    assert set(memory.entries) == set(e2e.REPO_FILES)
-    assert memory.entries["calc.py"].summary == e2e.SUMMARIES["calc.py"]
+    assert set(memory) == set(e2e.REPO_FILES)
+    assert memory["calc.py"].summary == e2e.SUMMARIES["calc.py"]
 
     # a second run loads the same file back in and reuses it
     outcome = resolve_instance(_instance(fixture_repo),
@@ -136,7 +136,43 @@ def test_resolve_instance_keeps_memory_when_a_later_stage_fails(
         resolve_instance(_instance(fixture_repo),
                          _config(tmp_path, cassette_path=str(cassette),
                                  memory_path=str(memory_path)))
-    assert set(load_memory(memory_path).entries) == set(e2e.REPO_FILES)
+    assert set(load_memory(memory_path)) == set(e2e.REPO_FILES)
+
+
+BIG_OLD = "".join(f"value_{i} = {i}\n" for i in range(500))
+BIG_NEW = BIG_OLD.replace("value_250 = 250\n", "value_250 = -250\n")
+
+
+@pytest.mark.parametrize("remembered,reaches_coder",
+                         [(BIG_OLD, False), (BIG_NEW, True)],
+                         ids=["stale", "current"])
+def test_oracle_run_passes_only_a_current_summary_to_the_coder(
+        tmp_path, remembered, reaches_coder):
+    # with --oracle nothing is summarized, so the memory's entry may
+    # describe an older version of the file than the one being edited
+    repo = tmp_path / "repo"
+    sha = e2e.build_fixture_repo(repo, {"big.py": BIG_NEW})
+    memory_path = tmp_path / "memory.jsonl"
+    digest = custodian.content_hash(remembered)
+    custodian.save_memory({"big.py": custodian.MemoryEntry(
+        digest, "REMEMBERED SUMMARY", ((digest, ""),), remembered)},
+        memory_path)
+    prompts: list[str] = []
+    gateway = scripted_gateway({
+        "P4": "Restore value_250.", "P5": "A developer.", "P6": "A developer.",
+        "MEETING_OPEN": "Go.", "MEETING_TURN": "Agreed.",
+        "MEETING_SUMMARY": "Agreed.", "P7": "[[0]]", "P9": "[[251,251]]",
+        "P10": lambda prompt: prompts.append(prompt) or "value_250 = 250\n"})
+    instance = instance_from_dict({
+        "instance_id": "big", "repo_path": str(repo), "base_revision": sha,
+        "issue_text": "value_250 is negative", "oracle_files": ["big.py"]})
+    config = RunConfig(llm_mode="live", use_oracle=True, qa_enabled=False,
+                       meeting_rounds=1, memory_path=str(memory_path),
+                       out_dir=tmp_path / "runs")
+    assert resolve_instance(instance, config, gateway).produced_change
+    (prompt,) = prompts
+    assert "(lines 211-291)" in prompt
+    assert ("REMEMBERED SUMMARY" in prompt) is reaches_coder
 
 
 def _tree(root) -> dict[str, bytes]:

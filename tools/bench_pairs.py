@@ -32,7 +32,6 @@ import statistics
 import subprocess
 import sys
 import tempfile
-from importlib.metadata import version
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -43,16 +42,26 @@ COLD = {"name": "cold_s", "unit": "s", "better": "lower", "bound": None}
 
 def parse_output(stdout: str) -> dict:
     """One benchmark run's record: its JSON line's correctness, counts and
-    metric values, and the table rows of TABLE_ROWS."""
-    lines = stdout.rstrip("\n").split("\n")
-    result = json.loads(lines[-1])
+    metric values, the table rows of TABLE_ROWS, and, if any operation
+    failed, ``failures``: the text of each ``FAILED <op>: <why>`` block
+    (``<why>`` may run over several lines), without the ``FAILED ``."""
+    *lines, last = stdout.rstrip("\n").split("\n")
+    result = json.loads(last)
     record = {"correct": result["correct"], "failed": result["failed"],
               "attempted": result["attempted"]}
     record.update((name, m["value"]) for name, m in result["metrics"].items())
-    for line in lines[:-1]:
-        name, _, rest = line.partition(" ")
-        if name in TABLE_ROWS:
-            record[name] = float(rest.split()[0])
+    failures: list[str] = []
+    for line in lines:
+        if line.startswith("FAILED "):
+            failures.append(line.removeprefix("FAILED "))
+        elif failures:
+            failures[-1] += "\n" + line
+        else:
+            name, _, rest = line.partition(" ")
+            if name in TABLE_ROWS:
+                record[name] = float(rest.split()[0])
+    if failures:
+        record["failures"] = failures
     return record
 
 
@@ -160,8 +169,7 @@ def run_once(checkout: Path, command: list[str], workload: str, seed: int,
 def machine() -> dict[str, str]:
     git = _git("--version").removeprefix("git version ")
     return {"nproc": str(len(os.sched_getaffinity(0))),
-            "python": platform.python_version(), "git": git,
-            "numpy": version("numpy")}
+            "python": platform.python_version(), "git": git}
 
 
 def main(argv: list[str] | None = None) -> int:
