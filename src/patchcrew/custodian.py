@@ -24,7 +24,6 @@ the summary is rebuilt fresh.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import math
@@ -395,6 +394,10 @@ def load_term_index(path: str | Path) -> TermIndex:
 
 
 def content_hash(content: str) -> str:
+    # imported here: it maps OpenSSL's libcrypto, about 3.5 MB of resident
+    # memory that runs which never summarize a file (evaluate) need not pay
+    import hashlib
+
     return hashlib.sha256(content.encode("utf-8")).hexdigest()
 
 

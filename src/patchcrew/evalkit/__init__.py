@@ -1,6 +1,5 @@
 """Evaluation machinery: metrics, test execution, regression analysis."""
 
-from .alignment import format_distribution, score_alignment, score_distribution
 from .driver import (AnalysisResult, EvaluationReport, InstanceEvaluation,
                      analyze_results, evaluate_directory, evaluate_instance,
                      format_analysis, headline, read_results_csv,
@@ -18,9 +17,7 @@ __all__ = [
     "LogisticFit", "TestRunResult", "analyze_results", "applied_ratio",
     "change_intervals", "change_overlap_ratio", "complexity_of",
     "evaluate_directory", "evaluate_instance", "format_analysis",
-    "format_distribution", "format_summary_table", "headline",
-    "logistic_fit", "overlap_ratio", "read_results_csv", "recall",
-    "recall_curve", "render_summary", "resolved_ratio", "run_tests",
-    "score_alignment", "score_distribution", "summarize_changes",
-    "write_results_csv",
+    "format_summary_table", "headline", "logistic_fit", "overlap_ratio",
+    "read_results_csv", "recall", "recall_curve", "render_summary",
+    "resolved_ratio", "run_tests", "summarize_changes", "write_results_csv",
 ]

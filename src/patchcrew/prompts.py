@@ -10,7 +10,6 @@ cassettes stay hand-writable:
   - decisions end with a final line ``DECISION: YES`` or ``DECISION: NO``
   - line ranges end with a JSON list of pairs, e.g. ``[[12,20],[44,44]]``
     (``[]`` means append at end of file)
-  - scores end with ``SCORE: N`` where N is 1..5
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ REVIEW = "P11"
 MEETING_OPEN = "MEETING_OPEN"
 MEETING_TURN = "MEETING_TURN"
 MEETING_SUMMARY = "MEETING_SUMMARY"
-ALIGNMENT_SCORE = "ALIGNMENT_SCORE"
 
 
 @dataclass(frozen=True)
@@ -304,33 +302,4 @@ Meeting so far:
 
 Summarize the results: agreed tasks, dependencies raised, and open
 concerns. Respond with the summary only.
-""")
-
-_define(ALIGNMENT_SCORE, """
-You are judging how well a code change aligns with a task description.
-
-Task description:
-<<task>>
-
-Code change (unified diff):
-<<diff>>
-
-Score the alignment on this scale:
-
-1: The code changes are unrelated to the task description.
-2: The code changes address a minor part of the task but are largely
-   irrelevant.
-3: The code changes partially meet the task requirements but lack
-   completeness or accuracy.
-4: The code changes are relevant and mostly complete, with minor
-   discrepancies from the task description.
-5: The code changes perfectly align with the task description, fully
-   addressing all specified requirements with high accuracy and
-   completeness.
-
-Explain briefly, then answer on the final line with exactly:
-
-SCORE: N
-
-where N is an integer from 1 to 5.
 """)

@@ -51,7 +51,7 @@ def test_summary_gives_spreads_wins_and_the_claim(bench_pairs):
     assert rate["change"] == {"median": 3.2, "q1": 3.0, "q3": 3.6}
     assert rate["change_wins"] == "4/5"
     assert rate["median_change_ratio"] == round(3.2 / 2.4 - 1, 4)
-    assert rate["within_bound"]
+    assert rate["within_bound"] and not rate["unresolved"]
     # setup_s is worse by 20%: within its 25% bound, and never a win
     setup = w["metrics"]["setup_s"]
     assert (setup["change_wins"], setup["median_change_ratio"],
@@ -78,6 +78,50 @@ def test_claim_needs_nine_tenths_and_more_than_the_parent_spread(
     summary = bench_pairs.summarize(_runs(parent, change), SPECS,
                                     ("w", "instances_per_s"))
     assert summary["claim"]["met"] is met
+
+
+@pytest.mark.parametrize("parent_failed,change_failed,met", [
+    (0, 0, True), (1, 1, True),
+    # the change wins every pair but fails a larger share of operations
+    (0, 1, False),
+])
+def test_claim_needs_no_larger_failed_share(bench_pairs, parent_failed,
+                                            change_failed, met):
+    runs = _runs([2.0, 2.5] * 5, [3.0] * 10)
+    runs[0]["failed"] = parent_failed
+    runs[1]["failed"] = change_failed
+    summary = bench_pairs.summarize(runs, SPECS, ("w", "instances_per_s"))
+    assert summary["claim"]["met"] is met
+
+
+def test_first_wins_counts_pairs_the_side_that_ran_first_read_better(
+        bench_pairs):
+    # the side that runs first is faster whichever commit it is: odd
+    # pairs run the parent first, even pairs the change
+    parent = [3.0, 2.0, 3.0, 2.0]
+    change = [2.0, 3.0, 2.0, 3.0]
+    metrics = bench_pairs.summarize(_runs(parent, change),
+                                    SPECS)["workloads"]["w"]["metrics"]
+    assert metrics["instances_per_s"]["first_wins"] == "4/4"
+    assert metrics["instances_per_s"]["change_wins"] == "2/4"
+    assert metrics["setup_s"]["first_wins"] == "0/4"  # ties
+
+
+@pytest.mark.parametrize("parent,change,unresolved", [
+    # the parent's interquartile range, 1.5, is 60% of its median 2.5,
+    # wider than the 25% bound
+    ([1.0, 2.0, 3.0, 4.0], [2.5] * 4, True),
+    # as wide, but every change run beats every parent run
+    ([1.0, 2.0, 3.0, 4.0], [4.5] * 4, False),
+    # 0.025 of 2.5 is within the bound, however the change reads
+    ([2.45, 2.5, 2.5, 2.55], [1.0, 4.0, 1.0, 4.0], False),
+])
+def test_a_spread_wider_than_the_bound_leaves_a_metric_unresolved(
+        bench_pairs, parent, change, unresolved):
+    metrics = bench_pairs.summarize(_runs(parent, change),
+                                    SPECS)["workloads"]["w"]["metrics"]
+    assert metrics["instances_per_s"]["unresolved"] is unresolved
+    assert "unresolved" not in metrics["cold_s"]
 
 
 def test_a_pair_missing_a_side_is_left_out(bench_pairs):

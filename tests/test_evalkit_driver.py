@@ -16,13 +16,10 @@ from pathlib import Path
 import pytest
 
 import _e2e_data as e2e
-from conftest import scripted_gateway
 
 from patchcrew.diffs import compute_diff, render_file_diff
 from patchcrew.errors import DegenerateDataError, GitError, InstanceError
 from patchcrew.evalkit import driver
-from patchcrew.evalkit.alignment import (format_distribution, score_alignment,
-                                         score_distribution)
 from patchcrew.evalkit.driver import (RESULTS_COLUMNS, EvaluationReport,
                                       InstanceEvaluation, analyze_results,
                                       evaluate_directory, evaluate_instance,
@@ -31,7 +28,6 @@ from patchcrew.evalkit.driver import (RESULTS_COLUMNS, EvaluationReport,
                                       write_results_csv)
 from patchcrew.evalkit.execution import run_tests
 from patchcrew.evalkit.metrics import ComplexityIndices, InstanceOutcome
-from patchcrew.errors import TransportError
 from patchcrew.gitops import Workspace
 from patchcrew.llm import API_KEY_ENV
 from patchcrew.model import TestSpec, load_instance
@@ -688,31 +684,3 @@ def test_analyze_results_rejects_single_class(tmp_path):
     write_results_csv(report, path)
     with pytest.raises(DegenerateDataError, match="both resolved and"):
         analyze_results(path)
-
-
-# --- alignment scoring -------------------------------------------------------------------
-
-def test_score_alignment_parses_rubric_score():
-    gw = scripted_gateway({"ALIGNMENT_SCORE": "justification\nSCORE: 4"})
-    assert score_alignment(gw, "task", "diff text") == 4
-
-
-def test_score_alignment_returns_none_when_unusable():
-    gw = scripted_gateway({"ALIGNMENT_SCORE": "never says the magic word"})
-    assert score_alignment(gw, "task", "diff text") is None
-
-    def boom(_prompt):
-        raise TransportError("down", attempts=3)
-
-    assert score_alignment(scripted_gateway({"ALIGNMENT_SCORE": boom}),
-                           "task", "diff") is None
-
-
-def test_score_distribution_and_format():
-    dist = score_distribution([5, 5, 4, None, 1, 5])
-    assert dist == {1: 1, 2: 0, 3: 0, 4: 1, 5: 3}
-    text = format_distribution(dist)
-    lines = text.splitlines()
-    assert lines[0] == "Score  Count"
-    assert lines[1].split() == ["1", "1"]
-    assert lines[5].split() == ["5", "3"]

@@ -364,15 +364,25 @@ def test_http_transport_turns_429_into_a_rate_limit(monkeypatch):
     assert clock.sleeps == [3.0]
 
 
-def test_retry_after_seconds():
+def test_retry_after_seconds(monkeypatch):
     assert retry_after_seconds("120") == 120.0
     assert retry_after_seconds(" 1.5 ") == 1.5
     assert retry_after_seconds(None) is None
     assert retry_after_seconds("soon") is None
     assert retry_after_seconds("Wed, 21 Oct 2015 07:28:00 GMT") == 0.0
-    later = time.strftime("%a, %d %b %Y %H:%M:%S GMT",
-                          time.gmtime(time.time() + 90))
-    assert 80 < retry_after_seconds(later) <= 90
+    later = time.time() + 90
+    assert 80 < retry_after_seconds(time.strftime(
+        "%a, %d %b %Y %H:%M:%S GMT", time.gmtime(later))) <= 90
+    # "-0000" gives a datetime with no time zone: it is UTC, not the
+    # local time, which here is five hours behind
+    monkeypatch.setenv("TZ", "EST+05")
+    time.tzset()
+    try:
+        assert 80 < retry_after_seconds(time.strftime(
+            "%a, %d %b %Y %H:%M:%S -0000", time.gmtime(later))) <= 90
+    finally:
+        monkeypatch.undo()
+        time.tzset()
 
 
 def test_live_backend_requires_api_key(monkeypatch):
@@ -404,14 +414,6 @@ def test_extract_decision_rejects_noise():
         extract_structured("I think DECISION: YES maybe", "boolean_decision")
     with pytest.raises(ExtractionError):
         extract_structured("DECISION: PROBABLY", "boolean_decision")
-
-
-def test_extract_score():
-    assert extract_structured("blah\nSCORE: 4", "score_1_to_5") == 4
-    with pytest.raises(ExtractionError):
-        extract_structured("SCORE: 6", "score_1_to_5")
-    with pytest.raises(ExtractionError):
-        extract_structured("SCORE: 0", "score_1_to_5")
 
 
 def test_extract_interval_list():

@@ -9,7 +9,7 @@ from patchcrew.prompts import (PromptTemplate, all_template_ids, get_template,
 
 EXPECTED_IDS = {
     "P1", "P2", "P3", "P4", "P5", "P6", "P7", "P8", "P9", "P10", "P11",
-    "MEETING_OPEN", "MEETING_TURN", "MEETING_SUMMARY", "ALIGNMENT_SCORE",
+    "MEETING_OPEN", "MEETING_TURN", "MEETING_SUMMARY",
 }
 
 
@@ -79,13 +79,6 @@ def test_interval_template_states_json_and_append_form():
     body = get_template(prompts.LINE_INTERVALS).body
     assert "[start, end]" in body
     assert "[]" in body
-
-
-def test_score_template_states_the_scale():
-    body = get_template(prompts.ALIGNMENT_SCORE).body
-    assert "SCORE: N" in body
-    for anchor in ("1:", "2:", "3:", "4:", "5:"):
-        assert anchor in body
 
 
 def test_review_template_is_two_phase():

@@ -15,10 +15,15 @@ finished.
 
 Per workload and end-to-end metric (plus ``cold_s``, which has no bound),
 the file gives each side's median and inclusive quartiles over the pairs,
-the pairs the change wins (ties count for neither), the median's change
-ratio and whether it stays within the metric's bound. A claimed metric is
-met when the change wins at least nine tenths of the pairs and its median
-is better than the parent's by more than the parent's interquartile range.
+the pairs the change wins and the pairs the side that ran first wins (ties
+count for neither), the median's change ratio and whether it stays within
+the metric's bound. A bounded metric is unresolved when the parent's
+interquartile range exceeds the bound times its median, unless every
+change run is better than every parent run: its spread cannot tell a
+change within the bound from one beyond it. A claimed metric is met when
+the change wins at least nine tenths of the pairs, its median is better
+than the parent's by more than the parent's interquartile range, and the
+change fails no larger share of the operations it attempts.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import operator
 import os
 import platform
 import statistics
@@ -79,9 +85,10 @@ def summarize(runs: list[dict], specs: list[dict],
               claim: tuple[str, str] | None = None) -> dict:
     """Per workload, its pairs that have both sides, and per metric of
     ``specs`` (name, unit, better, bound) each side's spread, the change's
-    wins, its median change ratio and whether that is within the bound; a
-    workload with no such pair is left out. With ``claim`` (workload,
-    metric), also the verdict on that metric."""
+    wins, the first-run side's wins, its median change ratio, whether that
+    is within the bound and whether the parent's spread leaves it
+    unresolved; a workload with no such pair is left out. With ``claim``
+    (workload, metric), also the verdict on that metric."""
     workloads: dict[str, dict] = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         by = {(r["pair"], r["side"]): r for r in runs
@@ -94,21 +101,29 @@ def summarize(runs: list[dict], specs: list[dict],
                  for side in ("parent", "change")}
         metrics = {}
         for spec in specs:
-            name, lower = spec["name"], spec["better"] == "lower"
+            name, bound = spec["name"], spec["bound"]
+            lower = spec["better"] == "lower"
+            better = operator.lt if lower else operator.gt
             old = [r[name] for r in sides["parent"]]
             new = [r[name] for r in sides["change"]]
             parent, change = _spread(old), _spread(new)
-            wins = sum((n < o) if lower else (n > o)
-                       for o, n in zip(old, new))
+            wins = sum(map(better, new, old))
+            first_wins = sum(better(n, o) if r["ran_first"] else better(o, n)
+                             for o, n, r in zip(old, new, sides["change"]))
             ratio = change["median"] / parent["median"] - 1
             metrics[name] = {
                 "unit": spec["unit"], "better": spec["better"],
-                "bound": spec["bound"], "parent": parent, "change": change,
+                "bound": bound, "parent": parent, "change": change,
                 "change_wins": f"{wins}/{len(pairs)}",
+                "first_wins": f"{first_wins}/{len(pairs)}",
                 "median_change_ratio": round(ratio, 4)}
-            if spec["bound"] is not None:
+            if bound is not None:
                 worse = ratio if lower else -ratio
-                metrics[name]["within_bound"] = worse <= spec["bound"]
+                iqr = parent["q3"] - parent["q1"]
+                metrics[name]["within_bound"] = worse <= bound
+                metrics[name]["unresolved"] = (
+                    iqr > bound * parent["median"]
+                    and not all(better(n, o) for n in new for o in old))
         workloads[workload] = {
             "pairs": len(pairs),
             "seeds": [by[p, "parent"]["seed"] for p in pairs],
@@ -128,13 +143,19 @@ def summarize(runs: list[dict], specs: list[dict],
         if m["better"] == "lower":
             gain = -gain
         iqr = m["parent"]["q3"] - m["parent"]["q1"]
+        failed, attempted = (workloads[workload][k]
+                             for k in ("failed", "attempted"))
+        # failed/attempted of the change no higher than the parent's
+        no_more_failures = (failed["change"] * attempted["parent"]
+                            <= failed["parent"] * attempted["change"])
         summary["claim"] = {
             "workload": workload, "metric": name,
             "median_change_ratio": m["median_change_ratio"],
             "change_wins": m["change_wins"],
             "median_difference": round(gain, 6),
             "parent_iqr": round(iqr, 6),
-            "met": n > 0 and wins >= 0.9 * n and gain > iqr}
+            "met": (n > 0 and wins >= 0.9 * n and gain > iqr
+                    and no_more_failures)}
     return summary
 
 
