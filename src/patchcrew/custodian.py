@@ -30,9 +30,9 @@ import math
 import re
 from array import array
 from collections import Counter
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, count
 from pathlib import Path
 
 from . import prompts
@@ -180,11 +180,6 @@ _TERM_LINE = re.compile(r"([a-z0-9]+) (\S.*)")
 _POSTINGS = re.compile(r"[0-9]+:[0-9]+(?: [0-9]+:[0-9]+)*")
 
 
-# TermIndex.update reads and counts unknown blobs this many paths at a
-# time, so a cold build holds at most one batch of contents
-_READ_BATCH = 256
-
-
 def _postings_text(pairs: array) -> str:
     """doc, count, doc, count, ... as a saved term line's postings."""
     return ("%d:%d " * (len(pairs) // 2) % tuple(pairs))[:-1]
@@ -215,39 +210,35 @@ class TermIndex:
         self.lines: dict[str, int] = {}  # term -> its line in that file
 
     def update(self, listing: Mapping[str, str],
-               read: Callable[[list[str]], Mapping[str, str]]) -> bool:
+               read: Callable[[Mapping[str, str]],
+                              Iterable[tuple[str, str]]]) -> bool:
         """Bring the index to a listing of path -> blob id: count the terms
         of each blob it does not know, reading one path per such blob, and
         append their postings; every blob the listing does not name leaves
-        the blob table. ``read`` gives the UTF-8 contents of the paths it
-        is asked for, and is asked for at most _READ_BATCH paths at a time.
-        Terms are counted with count_terms, so a run of letters and digits
-        that recurs across the new blobs is tokenized once. Returns whether
-        a blob was added or dropped."""
-        unknown = list({oid: path for path, oid in listing.items()
-                        if oid not in self.docs}.items())
+        the blob table. ``read`` is given those paths with their blob ids
+        and yields (path, text), in that order, for each that is UTF-8
+        text; each text is counted as it arrives and not kept, so a build
+        holds one blob's text at a time. Terms are counted with
+        count_terms, so a run of letters and digits that recurs across the
+        new blobs is tokenized once. Returns whether a blob was added or
+        dropped."""
+        unknown = {oid: path for path, oid in listing.items()
+                   if oid not in self.docs}
+        self.docs.update(zip(unknown, count(len(self.blob_ids))))
+        self.blob_ids.extend(unknown)
+        self.lengths.extend([None] * len(unknown))
         added: dict[str, array] = {}  # term -> doc, count, ... of new blobs
         memo = _RunTerms()
-        for start in range(0, len(unknown), _READ_BATCH):
-            batch = unknown[start:start + _READ_BATCH]
-            texts = read([path for _, path in batch])
-            for oid, path in batch:
-                doc = len(self.blob_ids)
-                self.docs[oid] = doc
-                self.blob_ids.append(oid)
-                text = texts.get(path)
-                if text is None:
-                    self.lengths.append(None)
-                    continue
-                counts = count_terms(text, memo)
-                self.lengths.append(sum(counts.values()))
-                for term, n in counts.items():
-                    pairs = added.get(term)
-                    if pairs is None:
-                        added[term] = pairs = array("I")
-                    pairs.append(doc)
-                    pairs.append(n)
-            del texts  # before the next batch is read
+        for path, text in read({path: oid for oid, path in unknown.items()}):
+            doc = self.docs[listing[path]]
+            counts = count_terms(text, memo)
+            self.lengths[doc] = sum(counts.values())
+            for term, n in counts.items():
+                pairs = added.get(term)
+                if pairs is None:
+                    added[term] = pairs = array("I")
+                pairs.append(doc)
+                pairs.append(n)
         for term, pairs in added.items():
             held = self.postings.get(term)
             if held is None:

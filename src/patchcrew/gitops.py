@@ -3,18 +3,20 @@ object store, isolated checkouts of it, and patch application in those
 checkouts by ``git apply``.
 
 ``list_repo_files`` lists the revision's tree as path -> blob id, and
-``read_repo_files`` streams the contents of just the blobs a caller asks
-for through one ``git cat-file --batch`` process. A blob id names the
+``iter_repo_files`` streams the contents of just the blobs a caller asks
+for through one ``git cat-file --batch`` process, one blob at a time;
+``read_repo_files`` collects that stream into a dict. A blob id names the
 exact content, so a caller can keep what it derived from a blob under its
 id and never read that blob again. Nothing is written to disk, so locating
 files needs no checkout. A snapshot clones the source repository
-into a fresh directory and checks out the requested revision, detached;
-the source repository is never written to, and ``destroy`` removes the
-snapshot again. ``apply_change`` hands a patch's bytes to ``git apply``,
-so a patch applies exactly when git accepts it, as in SWE-bench: hunks
-may land at an offset, and paths with ``..`` or ``.git`` components,
-absolute paths and paths through a committed symlink are refused. A
-refused patch leaves the workspace's files as the revision has them.
+into a fresh directory and checks out the requested revision, detached,
+without the hooks of the user's git template; the source repository is
+never written to, and ``destroy`` removes the snapshot again.
+``apply_change`` hands a patch's bytes to ``git apply``, so a patch
+applies exactly when git accepts it, as in SWE-bench: hunks may land at
+an offset, and paths with ``..`` or ``.git`` components, absolute paths
+and paths through a committed symlink are refused. A refused patch
+leaves the workspace's files as the revision has them.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import shutil
 import subprocess
 import tempfile
 import threading
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -83,21 +85,22 @@ def list_repo_files(repo_path: str | Path, revision: str) -> dict[str, str]:
     return dict(blobs)
 
 
-def read_repo_files(repo_path: str | Path,
-                    blobs: Mapping[str, str]) -> dict[str, str]:
+def iter_repo_files(repo_path: str | Path,
+                    blobs: Mapping[str, str]) -> Iterator[tuple[str, str]]:
     """The content of each given blob, path -> blob id as list_repo_files
-    gives them, keyed by path in the order given. A blob that does not
+    gives them, as (path, text) in the order given, each yielded as it
+    arrives, so one blob's text is held at a time. A blob that does not
     decode as UTF-8 is left out.
 
     Contents are the committed blobs, what ``git show <rev>:<path>``
     prints. They differ from a checkout's files only where
     ``.gitattributes`` or ``core.autocrlf`` makes checkout convert them,
     and then they are the content ``git diff`` compares. No blobs start no
-    git process. Every git failure raises GitError.
+    git process. Every git failure raises GitError. A stream closed or
+    dropped early kills and reaps cat-file.
     """
-    files: dict[str, str] = {}
     if not blobs:
-        return files
+        return
     # cat-file answers each object id with "<oid> blob <size>\n", the
     # content and "\n"; a thread feeds the ids while this one reads, so
     # neither pipe fills up and no output is held beyond one blob
@@ -123,7 +126,7 @@ def read_repo_files(repo_path: str | Path,
                 if len(data) != size or proc.stdout.read(1) != b"\n":
                     raise _cat_file_error(proc, f"{path}: output ends early")
                 try:
-                    files[path] = data.decode("utf-8")
+                    yield path, data.decode("utf-8")
                 except UnicodeDecodeError:
                     log.debug("skipping undecodable file %s", path)
             if proc.wait() != 0:
@@ -132,7 +135,12 @@ def read_repo_files(repo_path: str | Path,
             if proc.poll() is None:
                 proc.kill()
             feeder.join()
-    return files
+
+
+def read_repo_files(repo_path: str | Path,
+                    blobs: Mapping[str, str]) -> dict[str, str]:
+    """iter_repo_files collected: path -> text, in the order given."""
+    return dict(iter_repo_files(repo_path, blobs))
 
 
 def _feed(pipe, data: bytes) -> None:
@@ -170,8 +178,9 @@ def snapshot(repo_path: str | Path, revision: str,
     dest = Path(tempfile.mkdtemp(prefix="ws-", dir=root)).resolve()
     target = dest / "repo"
     try:
-        # clone writes no files, so the checkout of sha is the only one
-        _git(["clone", "--quiet", "--no-checkout",
+        # clone writes no files, so the checkout of sha is the only one,
+        # and copies no git template, so no hook of the user's runs on it
+        _git(["clone", "--quiet", "--no-checkout", "--template=",
               str(Path(repo_path).resolve()), str(target)], dest)
         _git(["checkout", "--quiet", "--detach", sha], target)
     except BaseException:

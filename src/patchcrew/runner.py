@@ -6,8 +6,8 @@ listing by reading only the blobs it does not know, ranks from the
 postings of the issue's own terms, and then reads the contents of the
 top-k files for their summaries. The planner and the
 coder get the contents of the candidate files only. Every content comes
-straight from the repository's object store (gitops.read_repo_files),
-each blob read at most once, so a resolve makes no checkout;
+straight from the repository's object store (gitops.iter_repo_files and
+gitops.read_repo_files), so a resolve makes no checkout;
 ``--keep-workspaces`` alone makes one, for the user to inspect. With a
 memory path the index persists at ``<memory-path>.bm25`` (an inverted
 file, see custodian.TermIndex), rewritten only when the listing added or
@@ -48,7 +48,8 @@ from .custodian import (Custodian, LocateResult, TermIndex, content_hash,
                         load_memory, load_term_index, save_memory,
                         save_term_index)
 from .diffs import CodeChange, render_change
-from .gitops import Workspace, list_repo_files, read_repo_files, snapshot
+from .gitops import (Workspace, iter_repo_files, list_repo_files,
+                     read_repo_files, snapshot)
 from .llm import Gateway, LiveBackend, RecordBackend, ReplayBackend
 from .model import IssueInstance
 from .planner import DEFAULT_MEETING_ROUNDS, Planner, render_transcript
@@ -106,9 +107,9 @@ def locate_files(instance: IssueInstance, config: RunConfig,
     """List the base revision's files, and pick candidate files with the
     custodian (or take the oracle files). Contents come from the object
     store, and only where needed: the blobs the term index does not know
-    yet, a batch at a time, then the top-k files the custodian summarizes
-    and the candidates. Each blob is read once, except a top-k file or
-    candidate the index read in an earlier batch than its last. Only
+    yet, streamed and counted one blob's text at a time, then the top-k
+    files the custodian summarizes (the index keeps no text, so one it
+    has just counted is read again) and the candidates. Only
     keep_workspaces makes a checkout, which is left for the user. The
     memory and the index are saved once the custodian is done with them,
     since nothing later changes them; the index only when this listing
@@ -145,14 +146,8 @@ def locate_files(instance: IssueInstance, config: RunConfig,
         index = (load_term_index(index_path)
                  if index_path and index_path.exists() else TermIndex())
 
-        def read_batch(paths: list[str]) -> dict[str, str]:
-            # the cache keeps only the batch the index reads last, so a
-            # cold build holds one batch of contents, and a listing of one
-            # batch is still read once
-            texts.clear()
-            return read(paths)
-
-        changed = index.update(listing, read_batch)
+        changed = index.update(
+            listing, lambda blobs: iter_repo_files(repo, blobs))
         result = custodian.locate(index.documents(listing), issue,
                                   config.top_k, read)
         candidates = list(result.candidates)

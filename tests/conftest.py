@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import hashlib
+import subprocess
 
 import pytest
 
 import _e2e_data as e2e
 
+from patchcrew import gitops
 from patchcrew.custodian import Documents, TermIndex
 from patchcrew.llm import Gateway, ReplayBackend
 
@@ -57,12 +59,17 @@ def reader(files: dict[str, str]):
     return lambda paths: {path: files[path] for path in paths}
 
 
+def stream(files: dict[str, str]):
+    """A TermIndex.update reader over files held in memory."""
+    return lambda blobs: ((path, files[path]) for path in blobs)
+
+
 def documents(files: dict[str, str]) -> Documents:
     """What rank_files ranks, for files held in memory: a term index
     built from them."""
     listing = {path: blob_id(text) for path, text in files.items()}
     index = TermIndex()
-    index.update(listing, reader(files))
+    index.update(listing, stream(files))
     return index.documents(listing)
 
 
@@ -84,3 +91,18 @@ def fixture_instance_file(fixture_repo, tmp_path_factory):
     repo, sha = fixture_repo
     path = tmp_path_factory.mktemp("instance") / f"{e2e.INSTANCE_ID}.json"
     return e2e.write_instance(path, repo, sha)
+
+
+@pytest.fixture()
+def cat_file_procs(monkeypatch):
+    """Every git cat-file process started while the fixture is active."""
+    started: list[subprocess.Popen] = []
+
+    class Recording(subprocess.Popen):
+        def __init__(self, args, *rest, **kwargs):
+            super().__init__(args, *rest, **kwargs)
+            if "cat-file" in args:
+                started.append(self)
+
+    monkeypatch.setattr(gitops.subprocess, "Popen", Recording)
+    return started

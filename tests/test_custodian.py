@@ -12,15 +12,15 @@ from hypothesis import strategies as st
 
 import _e2e_data as e2e
 from _oracles import bm25_scores_brute, tokenize_two_pass
-from conftest import blob_id, documents, reader, scripted_gateway
+from conftest import blob_id, documents, reader, scripted_gateway, stream
 
-from patchcrew.custodian import (_READ_BATCH, MAX_LINEAGE_UPDATES, Custodian,
+from patchcrew.custodian import (MAX_LINEAGE_UPDATES, Custodian,
                                  EvolutionMemory, MemoryEntry, TermIndex,
                                  _RunTerms, content_hash, count_terms,
                                  load_memory, load_term_index, rank_files,
                                  save_memory, save_term_index, tokenize)
 from patchcrew.errors import CassetteMissError, TransportError
-from patchcrew.gitops import list_repo_files, read_repo_files
+from patchcrew.gitops import iter_repo_files, list_repo_files, read_repo_files
 from patchcrew.llm import Gateway, ReplayBackend
 
 
@@ -217,10 +217,10 @@ def test_term_index_across_revisions_ranks_like_the_oracle(steps, query):
             known = set(index.docs)
             asked: list[str] = []
 
-            def read(paths):
-                asked.extend(paths)
-                return {p: files[p] for p in paths
-                        if not files[p].startswith(BINARY)}
+            def read(blobs):
+                asked.extend(blobs)
+                return ((p, files[p]) for p in blobs
+                        if not files[p].startswith(BINARY))
 
             index.update(listing, read)
             assert sorted(listing[p] for p in asked) \
@@ -240,30 +240,37 @@ def test_term_index_across_revisions_ranks_like_the_oracle(steps, query):
                 assert _ranking(index.documents(listing), query) == expected
 
 
-def test_term_index_update_reads_one_batch_at_a_time():
-    # two and a half batches of unknown blobs, plus one blob under a second
-    # path, which is read once
+def test_term_index_update_counts_each_blob_before_it_reads_the_next():
+    # 600 blobs in one stream, one of them under a second path, which is
+    # read once, and one blob that is not UTF-8
     rng = random.Random(17)
     files = {f"m{i}.py": f"m{i} " + " ".join(rng.choices(
                  ["alpha", "cache", "login", "flush"], k=rng.randint(1, 9)))
-             for i in range(2 * _READ_BATCH + _READ_BATCH // 2)}
+             for i in range(600)}
     files["copy.py"] = files["m0.py"]
+    files["e.bin"] = BINARY + "alpha"
     listing = {path: blob_id(text) for path, text in files.items()}
-    asked: list[list[str]] = []
-
-    def read(paths):
-        asked.append(paths)
-        return {path: files[path] for path in paths}
-
     index = TermIndex()
+    reads: list[list[str]] = []
+
+    def read(blobs):
+        reads.append(list(blobs))
+        for path, oid in blobs.items():
+            if files[path].startswith(BINARY):
+                continue
+            yield path, files[path]
+            # resumed, so the blob just yielded must have been counted
+            assert index.lengths[index.docs[oid]] \
+                == len(tokenize(files[path]))
+
     assert index.update(listing, read)
-    assert [len(paths) for paths in asked] \
-        == [_READ_BATCH, _READ_BATCH, _READ_BATCH // 2]
-    assert sorted(path for paths in asked for path in paths) \
-        == sorted(set(listing) - {"m0.py"})
+    assert len(reads) == 1
+    assert sorted(reads[0]) == sorted(set(listing) - {"m0.py"})
+    assert index.lengths[index.docs[listing["e.bin"]]] is None
+    text = {p: c for p, c in files.items() if not c.startswith(BINARY)}
     query = "alpha cache login flush missing"
     assert dict(_ranking(index.documents(listing), query)) \
-        == bm25_scores_brute(files, query)
+        == bm25_scores_brute(text, query)
 
 
 def _saved(path: Path) -> tuple[list[str], dict[str, list[tuple[int, int]]]]:
@@ -290,7 +297,7 @@ def test_term_index_file_holds_at_most_twice_the_live_blobs(tmp_path):
                  for i in range(4)}
         files["m0.py"] = "alpha fixed"
         index.update({p: blob_id(c) for p, c in files.items()},
-                     reader(files))
+                     stream(files))
         save_term_index(index, path)
         blobs, postings = _saved(path)
         live = [line for line in blobs if line != "-"]
@@ -313,7 +320,7 @@ def test_term_index_file_holds_at_most_twice_the_live_blobs(tmp_path):
 def test_term_index_round_trips_and_records_skipped_blobs(tmp_path):
     index = TermIndex()
     index.update({"a.py": "1" * 40, "b.bin": "2" * 40},
-                 lambda paths: {"a.py": "alpha beta alpha"})
+                 lambda blobs: [("a.py", "alpha beta alpha")])
     assert index.docs == {"1" * 40: 0, "2" * 40: 1}
     assert index.lengths == [3, None]
     path = tmp_path / "memory.jsonl.bm25"
@@ -327,11 +334,11 @@ def test_term_index_round_trips_and_records_skipped_blobs(tmp_path):
     # a blob already known, skipped ones too, is not read again
     asked: list[str] = []
     loaded.update({"a.py": "1" * 40, "b.bin": "2" * 40},
-                  lambda paths: asked.extend(paths) or {})
+                  lambda blobs: asked.extend(blobs) or ())
     assert asked == []
     # a new blob's postings follow the loaded ones on their term lines
     loaded.update({"a.py": "1" * 40, "c.py": "3" * 40},
-                  lambda paths: {"c.py": "beta delta"})
+                  lambda blobs: [("c.py", "beta delta")])
     save_term_index(loaded, path)
     assert path.read_text(encoding="utf-8") == (
         "bm25-term-index-v2\n"
@@ -357,8 +364,7 @@ def _cold_build(repo: Path, index_path: Path) -> bytes:
         e2e.build_fixture_repo(repo, files)
     listing = list_repo_files(repo, "HEAD")
     index = TermIndex()
-    index.update(listing, lambda paths: read_repo_files(
-        repo, {p: listing[p] for p in paths}))
+    index.update(listing, lambda blobs: iter_repo_files(repo, blobs))
     save_term_index(index, index_path)
     assert index_path.read_bytes().count(b"\n") > len(listing) + 1000
     return index_path.read_bytes()

@@ -1,24 +1,28 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import os
 import re
 import shutil
 import signal
 import subprocess
+import threading
+import warnings
 
 import pytest
 
 import _e2e_data as e2e
 from _oracles import read_checkout
 
+from patchcrew.custodian import TermIndex
 from patchcrew.diffs import (CodeChange, DiffLine, FileDiff, Hunk,
                              compute_diff, render_change)
 from patchcrew.errors import GitError
-from patchcrew import gitops
+from patchcrew import custodian, gitops
 from patchcrew.gitops import (Workspace, apply_change, destroy,
-                              list_repo_files, read_repo_files, snapshot,
-                              verify_revision)
+                              iter_repo_files, list_repo_files,
+                              read_repo_files, snapshot, verify_revision)
 
 
 def _snapshot(tmp_path, files: dict[str, str | bytes]) -> Workspace:
@@ -113,6 +117,30 @@ def test_snapshot_under_a_relative_root(fixture_repo, tmp_path, monkeypatch):
     finally:
         destroy(ws)
     assert list((tmp_path / "runs").iterdir()) == []
+
+
+@pytest.mark.parametrize("setting", ["GIT_TEMPLATE_DIR", "init.templateDir"])
+def test_snapshot_runs_no_hook_of_the_users_git_template(
+        fixture_repo, tmp_path, monkeypatch, setting):
+    repo, sha = fixture_repo
+    marker = tmp_path / "hook-ran"
+    hook = tmp_path / "template" / "hooks" / "post-checkout"
+    hook.parent.mkdir(parents=True)
+    hook.write_text(f"#!/bin/sh\ntouch '{marker}'\n", encoding="utf-8")
+    hook.chmod(0o755)
+    if setting == "GIT_TEMPLATE_DIR":
+        monkeypatch.setenv("GIT_TEMPLATE_DIR", str(hook.parent.parent))
+    else:
+        monkeypatch.setenv("GIT_CONFIG_COUNT", "1")
+        monkeypatch.setenv("GIT_CONFIG_KEY_0", "init.templateDir")
+        monkeypatch.setenv("GIT_CONFIG_VALUE_0", str(hook.parent.parent))
+    ws = snapshot(repo, sha, root=tmp_path)
+    try:
+        assert not marker.exists()
+        assert not (ws.path / ".git" / "hooks").exists()
+        assert (ws.path / "calc.py").read_text(encoding="utf-8") == e2e.CALC_OLD
+    finally:
+        destroy(ws)
 
 
 def test_snapshot_removes_its_directory_when_git_fails(fixture_repo, tmp_path,
@@ -224,21 +252,6 @@ def test_list_repo_files_errors_name_the_revision_and_repo(odd_repo,
         list_repo_files(plain, "HEAD")
 
 
-@pytest.fixture()
-def cat_file_procs(monkeypatch):
-    """Every git cat-file process started while the fixture is active."""
-    started: list[subprocess.Popen] = []
-
-    class Recording(subprocess.Popen):
-        def __init__(self, args, *rest, **kwargs):
-            super().__init__(args, *rest, **kwargs)
-            if "cat-file" in args:
-                started.append(self)
-
-    monkeypatch.setattr(gitops.subprocess, "Popen", Recording)
-    return started
-
-
 def test_read_repo_files_reports_a_missing_blob(odd_repo, cat_file_procs):
     repo, base = odd_repo
     oid = _git_out(repo, "rev-parse", f"{base}:pkg/sub/deep.py")
@@ -279,6 +292,35 @@ def test_read_repo_files_reaps_cat_file_when_reading_raises(
         read_repo_files(repo, list_repo_files(repo, base))
     assert len(cat_file_procs) == 1
     assert cat_file_procs[0].returncode is not None  # reaped
+
+
+def test_an_error_in_the_consumer_stops_cat_file_mid_stream(
+        odd_repo, cat_file_procs, monkeypatch):
+    # the index fails to count its first blob while cat-file still has to
+    # send big.txt, more than a pipe holds: the stream is closed, so
+    # cat-file is killed and reaped, its pipes closed and the feeder
+    # thread joined
+    repo, base = odd_repo
+    listing = list_repo_files(repo, base)
+    listing["big.txt"] = listing.pop("big.txt")
+    counted: list[str] = []
+
+    def failing_count(text, memo):
+        counted.append(text)
+        raise RuntimeError("injected count failure")
+
+    monkeypatch.setattr(custodian, "count_terms", failing_count)
+    threads = threading.active_count()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(RuntimeError, match="injected"):
+            TermIndex().update(listing,
+                               lambda blobs: iter_repo_files(repo, blobs))
+        gc.collect()
+    assert [w for w in caught if w.category is ResourceWarning] == []
+    assert len(counted) == 1 and len(cat_file_procs) == 1
+    assert cat_file_procs[0].returncode is not None  # reaped
+    assert threading.active_count() == threads
 
 
 # --- application by git apply ------------------------------------------------------

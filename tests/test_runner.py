@@ -254,17 +254,18 @@ def _locate(repo, sha, config):
     return runner.locate_files(instance_from_dict(data), config, gateway)
 
 
-def _spy_reads(monkeypatch) -> list[str]:
-    """Every path runner asks the object store for, in order."""
-    asked: list[str] = []
-    real = runner.read_repo_files
+def _spy_reads(monkeypatch) -> list[tuple[str, list[str]]]:
+    """Each read of the object store that runner makes for one blob or
+    more, in order: the reader's name and the paths it is asked for."""
+    calls: list[tuple[str, list[str]]] = []
+    for name in ("iter_repo_files", "read_repo_files"):
+        def spy(repo, blobs, name=name, real=getattr(runner, name)):
+            if blobs:
+                calls.append((name, list(blobs)))
+            return real(repo, blobs)
 
-    def spy(repo, blobs):
-        asked.extend(blobs)
-        return real(repo, blobs)
-
-    monkeypatch.setattr(runner, "read_repo_files", spy)
-    return asked
+        monkeypatch.setattr(runner, name, spy)
+    return calls
 
 
 def test_warm_locate_reads_only_unknown_blobs_and_candidates(
@@ -272,44 +273,38 @@ def test_warm_locate_reads_only_unknown_blobs_and_candidates(
     repo, first, second = evolving_repo
     config = _config(tmp_path, top_k=2,
                      memory_path=str(tmp_path / "memory.jsonl"))
-    asked = _spy_reads(monkeypatch)
-    _locate(repo, first, config)
-    assert sorted(asked) == sorted([*EVOLVING, "blob.bin"])
+    calls = _spy_reads(monkeypatch)
+    located = _locate(repo, first, config)
+    top = [rf.path for rf in located.result.ranked[:2]]
+    assert calls == [("iter_repo_files", sorted([*EVOLVING, "blob.bin"])),
+                     ("read_repo_files", top)]
 
-    asked.clear()
+    calls.clear()
     located = _locate(repo, second, config)
     top = [rf.path for rf in located.result.ranked[:2]]
-    assert len(asked) == len(set(asked))  # each blob read once
-    assert set(asked) == {"store.py", "fresh.py", *top}
-    assert "blob.bin" not in asked
+    # the index streams only the blobs it does not know; the top-k files
+    # are read once more, and the candidates come from that read
+    assert calls == [("iter_repo_files", ["fresh.py", "store.py"]),
+                     ("read_repo_files", top)]
     assert located.candidates == top
     assert located.files == {path: (repo / path).read_text(encoding="utf-8")
                              for path in top}
 
 
-def test_cold_locate_holds_one_batch_of_contents(evolving_repo, tmp_path,
-                                                 monkeypatch):
-    # five blobs in batches of two: a top-k file from the last batch is
-    # still in the cache, one from an earlier batch is read again
-    repo, first, _ = evolving_repo
-    monkeypatch.setattr(custodian, "_READ_BATCH", 2)
-    calls: list[list[str]] = []
-    real = runner.read_repo_files
-
-    def spy(repo, blobs):
-        if blobs:
-            calls.append(list(blobs))
-        return real(repo, blobs)
-
-    monkeypatch.setattr(runner, "read_repo_files", spy)
-    located = _locate(repo, first, _config(tmp_path, top_k=2))
-    assert [len(paths) for paths in calls[:3]] == [2, 2, 1]
-    assert sorted(p for paths in calls[:3] for p in paths) \
-        == sorted([*EVOLVING, "blob.bin"])
+def test_cold_locate_streams_the_index_through_one_cat_file(
+        tmp_path, monkeypatch, cat_file_procs):
+    # 300 unknown blobs, which the index reads in one stream
+    repo = tmp_path / "wide"
+    files = {f"pkg/m{i:03}.py": f"def evict_{i}(cache):\n    return cache\n"
+             for i in range(300)}
+    sha = e2e.build_fixture_repo(repo, files)
+    calls = _spy_reads(monkeypatch)
+    located = _locate(repo, sha, _config(tmp_path, top_k=2))
     top = [rf.path for rf in located.result.ranked[:2]]
-    assert calls[3:] == [[p for p in top if p not in calls[2]]]
-    assert located.files == {path: (repo / path).read_text(encoding="utf-8")
-                             for path in top}
+    assert calls == [("iter_repo_files", sorted(files)),
+                     ("read_repo_files", top)]
+    assert len(cat_file_procs) == 2  # one for the index, one for the top-k
+    assert located.files == {path: files[path] for path in top}
 
 
 def test_term_index_keeps_only_the_latest_listing(evolving_repo, tmp_path):
@@ -350,10 +345,10 @@ def test_locate_without_memory_path_writes_no_index(evolving_repo, tmp_path):
 
 def test_oracle_resolve_reads_only_the_oracle_files(fixture_repo, tmp_path,
                                                     monkeypatch):
-    asked = _spy_reads(monkeypatch)
+    calls = _spy_reads(monkeypatch)
     instance = _instance(fixture_repo, oracle_files=["calc.py"])
     resolve_instance(instance, _config(tmp_path, use_oracle=True))
-    assert asked == ["calc.py"]
+    assert calls == [("read_repo_files", ["calc.py"])]
 
 
 def test_oracle_path_missing_from_the_tree_is_a_new_file(fixture_repo,
