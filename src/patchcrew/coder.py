@@ -6,6 +6,8 @@ rewritten, and the resulting diff goes to the QA engineer for a comment
 and then an approve/reject decision. A rejection folds the review comment
 into the task text for the next iteration. The loop runs at most n_max
 iterations and the final iteration's diff ships even without approval.
+Each iteration leaves one AttemptRecord, and the TaskResult reads its
+iteration count, approval and failure off those records.
 
 Every iteration rewrites the original file, not the previous attempt;
 only the task text accumulates review feedback. resolve_issue gives each
@@ -114,8 +116,7 @@ def append_block(content: str, block: str) -> str:
 
 @dataclass(frozen=True)
 class AttemptRecord:
-    index: int
-    intervals: LineIntervalSet | None
+    intervals: LineIntervalSet | None  # None: the iteration made no diff
     old_parts: tuple[str, ...]
     new_parts: tuple[str, ...]
     diff_text: str
@@ -128,10 +129,21 @@ class TaskResult:
     task: TaskAssignment
     file_diff: FileDiff
     new_content: str
-    iterations: int
-    approved: bool
     attempts: tuple[AttemptRecord, ...]
-    failed: bool = False
+
+    @property
+    def iterations(self) -> int:
+        return len(self.attempts)
+
+    @property
+    def approved(self) -> bool:
+        return any(a.review is not None and a.review.approved
+                   for a in self.attempts)
+
+    @property
+    def failed(self) -> bool:
+        """No iteration produced a diff."""
+        return all(a.intervals is None for a in self.attempts)
 
 
 class Coder:
@@ -212,12 +224,10 @@ class Coder:
         path = task.file_path
         work_text = task.task_text
         attempts: list[AttemptRecord] = []
-        last: tuple[FileDiff, str] | None = None
-        approved = False
-        iterations = 0
+        shipped = (FileDiff(path, path, ()), file_content)
 
         for j in range(self.n_max):
-            iterations = j + 1
+            review, error = None, ""
             try:
                 if file_content == "" or is_new_file:
                     intervals = LineIntervalSet(())
@@ -226,62 +236,43 @@ class Coder:
                                                   role=task.developer_role,
                                                   path=path)
                 retained, old_parts = split_file(file_content, intervals)
-                context = self._context_for(file_content, intervals, summary)
-                if intervals.is_empty():
-                    blocks = self.generate_replacement(
-                        role=task.developer_role, path=path,
-                        task_text=work_text, context=context, old_parts=[""])
-                    new_content = append_block(file_content, blocks[0])
-                else:
-                    blocks = self.generate_replacement(
-                        role=task.developer_role, path=path,
-                        task_text=work_text, context=context,
-                        old_parts=old_parts)
-                    new_content = substitute(retained, blocks)
+                blocks = self.generate_replacement(
+                    role=task.developer_role, path=path, task_text=work_text,
+                    context=self._context_for(file_content, intervals, summary),
+                    old_parts=old_parts or [""])
+            except LLM_TROUBLE as exc:
+                intervals, old_parts, blocks, diff_text = None, [], [], ""
+                error = str(exc)
+                self.notes.append(f"coder: {path}: iteration {j} failed ({exc})")
+                log.warning("iteration %d on %s failed: %s", j, path, exc)
+            else:
+                new_content = (substitute(retained, blocks) if old_parts
+                               else append_block(file_content, blocks[0]))
                 file_diff = compute_diff(file_content, new_content, path)
                 if is_new_file and file_diff.hunks:
                     file_diff = replace(file_diff, is_new_file=True)
-            except LLM_TROUBLE as exc:
-                self.notes.append(f"coder: {path}: iteration {j} failed ({exc})")
-                log.warning("iteration %d on %s failed: %s", j, path, exc)
-                attempts.append(AttemptRecord(j, None, (), (), "", None,
-                                              error=str(exc)))
-                break
-
-            last = (file_diff, new_content)
-            diff_text = render_file_diff(file_diff)
-
-            if task.qa_role is None:
-                attempts.append(AttemptRecord(j, intervals, tuple(old_parts),
-                                              tuple(blocks), diff_text, None))
-                break
-
-            try:
-                review = self._review(task.qa_role, work_text, diff_text)
-            except LLM_TROUBLE as exc:
-                self.notes.append(f"coder: {path}: review failed on "
-                                  f"iteration {j}, shipping unreviewed ({exc})")
-                attempts.append(AttemptRecord(j, intervals, tuple(old_parts),
-                                              tuple(blocks), diff_text, None,
-                                              error=str(exc)))
-                break
-            attempts.append(AttemptRecord(j, intervals, tuple(old_parts),
-                                          tuple(blocks), diff_text, review))
-            if review.approved:
-                approved = True
+                shipped = (file_diff, new_content)
+                diff_text = render_file_diff(file_diff)
+                if task.qa_role is not None:
+                    try:
+                        review = self._review(task.qa_role, work_text,
+                                              diff_text)
+                    except LLM_TROUBLE as exc:
+                        error = str(exc)
+                        self.notes.append(
+                            f"coder: {path}: review failed on iteration {j}, "
+                            f"shipping unreviewed ({exc})")
+            attempts.append(AttemptRecord(intervals, tuple(old_parts),
+                                          tuple(blocks), diff_text, review,
+                                          error))
+            if error or review is None or review.approved:
                 break
             work_text = f"{work_text}\n\nReview comment:\n{review.comment}"
 
-        if last is None:
+        result = TaskResult(task, *shipped, tuple(attempts))
+        if result.failed:
             self.notes.append(f"coder: {path}: no iteration produced a change")
-            return TaskResult(task=task, file_diff=FileDiff(path, path, ()),
-                              new_content=file_content, iterations=iterations,
-                              approved=False, attempts=tuple(attempts),
-                              failed=True)
-        file_diff, new_content = last
-        return TaskResult(task=task, file_diff=file_diff,
-                          new_content=new_content, iterations=iterations,
-                          approved=approved, attempts=tuple(attempts))
+        return result
 
     def resolve_issue(self, tasks: list[TaskAssignment],
                       original_files: dict[str, str],

@@ -456,6 +456,7 @@ def load_memory(path: str | Path) -> EvolutionMemory:
 class LocateResult:
     candidates: tuple[str, ...]  # kept files, in BM25 rank order
     ranked: tuple[RankedFile, ...]  # full ranking
+    files: dict[str, str]  # each candidate's text, from the top-k read
 
 
 class Custodian:
@@ -539,4 +540,5 @@ class Custodian:
                 candidates.append(rf.path)
             elif verdict:
                 candidates.append(rf.path)
-        return LocateResult(candidates=tuple(candidates), ranked=tuple(ranked))
+        return LocateResult(candidates=tuple(candidates), ranked=tuple(ranked),
+                            files={path: contents[path] for path in candidates})

@@ -40,10 +40,6 @@ def keyed_lines(text: str) -> list[str]:
     return keyed
 
 
-def line_count(text: str) -> int:
-    return len(keyed_lines(text))
-
-
 @dataclass(frozen=True)
 class DiffLine:
     tag: str  # context | added | deleted

@@ -7,13 +7,14 @@ checkouts by ``git apply``.
 for through one ``git cat-file --batch`` process, one blob at a time;
 ``read_repo_files`` collects that stream into a dict. A blob id names the
 exact content, so a caller can keep what it derived from a blob under its
-id and never read that blob again. Nothing is written to disk, so locating
-files needs no checkout. A snapshot clones the source repository
-into a fresh directory and checks out the requested revision, detached,
-without the hooks of the user's git template; the source repository is
-never written to, and ``destroy`` removes the snapshot again.
+id and never read that blob again. No content is written to disk, so
+locating files needs no checkout. A snapshot clones the source repository
+into a fresh directory and checks out the requested revision, detached;
+the source repository is never written to, and ``destroy`` removes the
+snapshot again. No git command here runs a hook of the user's.
 ``apply_change`` hands a patch's bytes to ``git apply``, so a patch
-applies exactly when git accepts it, as in SWE-bench: hunks may land at
+applies exactly when git with its default settings accepts it, whatever
+the user's git config says, as in SWE-bench: hunks may land at
 an offset, and paths with ``..`` or ``.git`` components, absolute paths
 and paths through a committed symlink are refused. A refused patch
 leaves the workspace's files as the revision has them.
@@ -26,7 +27,6 @@ import os
 import shutil
 import subprocess
 import tempfile
-import threading
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,10 +39,14 @@ log = logging.getLogger(__name__)
 # have no text of their own to rank.
 _FILE_MODES = (b"100644", b"100755")
 
+# every git command of this module runs no hook, whatever the user's git
+# config names as core.hooksPath
+_GIT = ("git", "-c", "core.hooksPath=/dev/null")
+
 
 def _git(args: list[str], cwd: str | Path) -> bytes:
     try:
-        proc = subprocess.run(["git", *args], cwd=str(cwd),
+        proc = subprocess.run([*_GIT, *args], cwd=str(cwd),
                               capture_output=True, check=False)
     except FileNotFoundError as exc:
         raise GitError("git executable not found") from exc
@@ -102,19 +106,19 @@ def iter_repo_files(repo_path: str | Path,
     if not blobs:
         return
     # cat-file answers each object id with "<oid> blob <size>\n", the
-    # content and "\n"; a thread feeds the ids while this one reads, so
-    # neither pipe fills up and no output is held beyond one blob
-    try:
-        proc = subprocess.Popen(["git", "cat-file", "--batch"],
-                                cwd=str(repo_path), stdin=subprocess.PIPE,
-                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    except FileNotFoundError as exc:
-        raise GitError("git executable not found") from exc
+    # content and "\n"; it reads the ids from a file, so writing them
+    # never waits on this reader, and no output is held beyond one blob
+    with tempfile.TemporaryFile() as ids:
+        ids.write("".join(oid + "\n" for oid in blobs.values()).encode())
+        ids.seek(0)
+        try:
+            proc = subprocess.Popen([*_GIT, "cat-file", "--batch"],
+                                    cwd=str(repo_path), stdin=ids,
+                                    stdout=subprocess.PIPE,
+                                    stderr=subprocess.PIPE)
+        except FileNotFoundError as exc:
+            raise GitError("git executable not found") from exc
     with proc:  # closes the pipes and reaps the process, also on error
-        feeder = threading.Thread(
-            target=_feed, args=(proc.stdin, "".join(
-                oid + "\n" for oid in blobs.values()).encode()))
-        feeder.start()
         try:
             for path in blobs:
                 header = proc.stdout.readline().split()
@@ -134,23 +138,12 @@ def iter_repo_files(repo_path: str | Path,
         finally:
             if proc.poll() is None:
                 proc.kill()
-            feeder.join()
 
 
 def read_repo_files(repo_path: str | Path,
                     blobs: Mapping[str, str]) -> dict[str, str]:
     """iter_repo_files collected: path -> text, in the order given."""
     return dict(iter_repo_files(repo_path, blobs))
-
-
-def _feed(pipe, data: bytes) -> None:
-    """Write data to a child's stdin and close it. A child that dies first
-    breaks the pipe; the reader of its output reports why."""
-    try:
-        with pipe:
-            pipe.write(data)
-    except BrokenPipeError:
-        pass
 
 
 def _cat_file_error(proc: subprocess.Popen, detail: str) -> GitError:
@@ -179,7 +172,7 @@ def snapshot(repo_path: str | Path, revision: str,
     target = dest / "repo"
     try:
         # clone writes no files, so the checkout of sha is the only one,
-        # and copies no git template, so no hook of the user's runs on it
+        # and copies no git template, so the workspace holds no hook
         _git(["clone", "--quiet", "--no-checkout", "--template=",
               str(Path(repo_path).resolve()), str(target)], dest)
         _git(["checkout", "--quiet", "--detach", sha], target)
@@ -202,8 +195,9 @@ def apply_change(workspace: Workspace, patch: bytes) -> str | None:
     full disk, a file size limit), so a refused patch resets the workspace
     to its revision with ``git checkout`` and ``git clean``.
     """
-    proc = subprocess.run(["git", "apply", "-"], cwd=str(workspace.path),
-                          input=patch, capture_output=True, check=False)
+    proc = subprocess.run([*_GIT, "apply", "--whitespace=warn", "-"],
+                          cwd=str(workspace.path), input=patch,
+                          capture_output=True, check=False)
     if proc.returncode == 0:
         return None
     _git(["checkout", "--quiet", "--", "."], workspace.path)

@@ -93,19 +93,6 @@ class Planner:
         self.meeting_rounds = meeting_rounds
         self.notes: list[str] = []
 
-    def define_task(self, file_path: str, file_content: str,
-                    issue_text: str) -> str:
-        return self.gateway.complete_structured(
-            prompts.TASK_DEFINITION,
-            {"issue": issue_text, "path": file_path, "file_content": file_content},
-            "plain_text")
-
-    def define_role(self, task_text: str, issue_text: str) -> str:
-        return self.gateway.complete_structured(
-            prompts.DEVELOPER_ROLE,
-            {"issue": issue_text, "task": task_text},
-            "plain_text")
-
     def build_team(self, candidate_paths: list[str], repo_files: dict[str, str],
                    issue_text: str) -> list[TaskAssignment]:
         """One task + one developer role per candidate file, the files
@@ -121,9 +108,13 @@ class Planner:
 
         def define(path: str) -> TaskAssignment | Exception:
             try:
-                task_text = self.define_task(path, repo_files.get(path, ""),
-                                             issue_text)
-                role_text = self.define_role(task_text, issue_text)
+                task_text = self.gateway.complete_structured(
+                    prompts.TASK_DEFINITION,
+                    {"issue": issue_text, "path": path,
+                     "file_content": repo_files.get(path, "")}, "plain_text")
+                role_text = self.gateway.complete_structured(
+                    prompts.DEVELOPER_ROLE,
+                    {"issue": issue_text, "task": task_text}, "plain_text")
             except LLM_TROUBLE as exc:
                 return exc
             return TaskAssignment(file_path=path, task_text=task_text,

@@ -4,8 +4,8 @@ Locate lists the base revision's files with their blob ids
 (gitops.list_repo_files), brings the custodian's term index up to that
 listing by reading only the blobs it does not know, ranks from the
 postings of the issue's own terms, and then reads the contents of the
-top-k files for their summaries. The planner and the
-coder get the contents of the candidate files only. Every content comes
+top-k files for their summaries. The planner and the coder get the
+candidate files' contents from that read. Every content comes
 straight from the repository's object store (gitops.iter_repo_files and
 gitops.read_repo_files), so a resolve makes no checkout;
 ``--keep-workspaces`` alone makes one, for the user to inspect. With a
@@ -108,9 +108,9 @@ def locate_files(instance: IssueInstance, config: RunConfig,
     custodian (or take the oracle files). Contents come from the object
     store, and only where needed: the blobs the term index does not know
     yet, streamed and counted one blob's text at a time, then the top-k
-    files the custodian summarizes (the index keeps no text, so one it
-    has just counted is read again) and the candidates. Only
-    keep_workspaces makes a checkout, which is left for the user. The
+    files the custodian summarizes, which hands on the candidates' texts
+    (the index keeps no text, so one it has just counted is read again).
+    Only keep_workspaces makes a checkout, which is left for the user. The
     memory and the index are saved once the custodian is done with them,
     since nothing later changes them; the index only when this listing
     added or dropped a blob."""
@@ -118,15 +118,9 @@ def locate_files(instance: IssueInstance, config: RunConfig,
     listing = list_repo_files(repo, instance.base_revision)
     workspace = (snapshot(repo, instance.base_revision)
                  if config.keep_workspaces else None)
-    texts: dict[str, str] = {}  # blob id -> content
 
     def read(paths: list[str]) -> dict[str, str]:
-        missing = {path: listing[path] for path in paths
-                   if listing[path] not in texts}
-        for path, text in read_repo_files(repo, missing).items():
-            texts[listing[path]] = text
-        return {path: texts[listing[path]] for path in paths
-                if listing[path] in texts}
+        return read_repo_files(repo, {path: listing[path] for path in paths})
 
     memory = (load_memory(config.memory_path) if config.memory_path
               and Path(config.memory_path).exists() else {})
@@ -139,6 +133,7 @@ def locate_files(instance: IssueInstance, config: RunConfig,
     result = None
     if config.use_oracle and instance.oracle_files:
         candidates = list(instance.oracle_files)
+        files = read([path for path in candidates if path in listing])
         log.info("oracle files supplied, custodian bypassed")
     else:
         index_path = (Path(f"{config.memory_path}.bm25")
@@ -150,13 +145,12 @@ def locate_files(instance: IssueInstance, config: RunConfig,
             listing, lambda blobs: iter_repo_files(repo, blobs))
         result = custodian.locate(index.documents(listing), issue,
                                   config.top_k, read)
-        candidates = list(result.candidates)
+        candidates, files = list(result.candidates), result.files
         if index_path and changed:
             save_term_index(index, index_path)
 
     if config.memory_path:
         save_memory(custodian.memory, config.memory_path)
-    files = read([path for path in candidates if path in listing])
     return Located(workspace, files, issue, custodian, candidates, result)
 
 
@@ -197,6 +191,7 @@ def resolve_instance(instance: IssueInstance, config: RunConfig,
                      if (entry := custodian.memory.get(path))
                      and entry.content_hash == content_hash(text)}
         change, task_results = coder.resolve_issue(tasks, files, summaries)
+        tasks = [result.task for result in task_results]  # with QA roles
     else:
         transcript = None
         plan = None
@@ -247,8 +242,8 @@ def _write_report(report_dir: Path, patch_path: Path, instance: IssueInstance,
                                          encoding="utf-8")
 
     for i, result in enumerate(task_results):
-        for attempt in result.attempts:
-            attempt_dir = report_dir / f"task_{i}" / f"attempt_{attempt.index}"
+        for j, attempt in enumerate(result.attempts):
+            attempt_dir = report_dir / f"task_{i}" / f"attempt_{j}"
             attempt_dir.mkdir(parents=True, exist_ok=True)
             if attempt.intervals is None:
                 intervals_text = f"(failed: {attempt.error})"

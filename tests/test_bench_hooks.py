@@ -7,6 +7,12 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from conftest import scripted_gateway
+
+from patchcrew.coder import Coder
+from patchcrew.model import MANAGER_ROLE, MeetingTranscript, TaskAssignment
+from patchcrew.planner import Planner
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -15,3 +21,31 @@ def test_benchmark_finds_every_function_it_wraps(monkeypatch):
     import spans
 
     assert spans.Tracer().skipped == []
+
+
+def test_benchmark_counts_read_real_results(monkeypatch):
+    # the counts of coder.execute_task and planner.make_plan applied to
+    # what a scripted run returns: two iterations, approved on the second,
+    # and a plan of stages [0, 1] and [2]
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    counts = {name: fn for _, _, name, fn in spans.WRAPPED}
+    decisions = ["NO", "YES"]
+    gateway = scripted_gateway({
+        "P7": "[[0, 1], [2]]",
+        "P9": "[[1,1]]",
+        "P10": "x = 2\n",
+        "P11": lambda prompt: (f"DECISION: {decisions.pop(0)}"
+                               if "Current phase: decision" in prompt
+                               else "check the value"),
+    })
+    tasks = [TaskAssignment(f"m{i}.py", f"task {i}", "dev", qa_role="qa")
+             for i in range(3)]
+    result = Coder(gateway).execute_task(tasks[0], "x = 1\n")
+    assert counts["coder.execute_task"](result, ()) == {"iterations": 2,
+                                                         "approved": 1}
+    transcript = MeetingTranscript(turns=((MANAGER_ROLE, "go"),),
+                                   summary="go")
+    plan = Planner(gateway).make_plan(transcript, tasks)
+    assert counts["planner.make_plan"](plan, ()) == {"stages": 2, "width": 2}

@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 from _oracles import git_apply, git_apply_with_modes
 
 from patchcrew.diffs import (CodeChange, DiffLine, FileDiff, Hunk,
-                             compute_diff, keyed_lines, line_count,
-                             modified_old_range, parse_diff, render_change,
-                             render_file_diff)
+                             compute_diff, keyed_lines, modified_old_range,
+                             parse_diff, render_change, render_file_diff)
 from patchcrew.errors import DiffParseError
 
 
@@ -27,8 +26,7 @@ def test_keyed_lines_identity(text):
 def test_keyed_lines_distinguish_final_newline():
     assert keyed_lines("x\ny\n") == ["x\n", "y\n"]
     assert keyed_lines("x\ny") == ["x\n", "y"]
-    assert line_count("x\ny") == 2
-    assert line_count("") == 0
+    assert keyed_lines("") == []
 
 
 # --- value-object validation ---------------------------------------------

@@ -143,6 +143,31 @@ def test_snapshot_runs_no_hook_of_the_users_git_template(
         destroy(ws)
 
 
+def _user_git_config(tmp_path, monkeypatch, text: str) -> None:
+    """Make text the user's global git config from now on."""
+    config = tmp_path / "user.gitconfig"
+    config.write_text(text, encoding="utf-8")
+    monkeypatch.setenv("GIT_CONFIG_GLOBAL", str(config))
+
+
+def test_snapshot_runs_no_hook_of_the_users_hooks_path(fixture_repo, tmp_path,
+                                                       monkeypatch):
+    repo, sha = fixture_repo
+    marker = tmp_path / "hook-ran"
+    hook = tmp_path / "hooks" / "post-checkout"
+    hook.parent.mkdir()
+    hook.write_text(f"#!/bin/sh\ntouch '{marker}'\n", encoding="utf-8")
+    hook.chmod(0o755)
+    _user_git_config(tmp_path, monkeypatch,
+                     f"[core]\n\thooksPath = {hook.parent}\n")
+    ws = snapshot(repo, sha, root=tmp_path)
+    try:
+        assert not marker.exists()
+        assert (ws.path / "calc.py").read_text(encoding="utf-8") == e2e.CALC_OLD
+    finally:
+        destroy(ws)
+
+
 def test_snapshot_removes_its_directory_when_git_fails(fixture_repo, tmp_path,
                                                        monkeypatch):
     repo, sha = fixture_repo
@@ -294,12 +319,28 @@ def test_read_repo_files_reaps_cat_file_when_reading_raises(
     assert cat_file_procs[0].returncode is not None  # reaped
 
 
+def test_read_repo_files_takes_more_ids_than_a_pipe_holds(tmp_path):
+    # 2,000 ids of 41 bytes are more than a 64 KiB pipe holds, and cat-file
+    # fills its output pipe long before it has read them all
+    repo = tmp_path / "many"
+    files = {f"f{i:04}.txt": f"blob {i}\n" * 100 for i in range(2000)}
+    listing = list_repo_files(repo, e2e.build_fixture_repo(repo, files))
+    assert len(set(listing.values())) == len(files)
+    read: dict[str, str] = {}
+    reader = threading.Thread(
+        target=lambda: read.update(read_repo_files(repo, listing)),
+        daemon=True)
+    reader.start()
+    reader.join(timeout=60)
+    assert not reader.is_alive(), "read_repo_files did not return"
+    assert read == files
+
+
 def test_an_error_in_the_consumer_stops_cat_file_mid_stream(
         odd_repo, cat_file_procs, monkeypatch):
     # the index fails to count its first blob while cat-file still has to
     # send big.txt, more than a pipe holds: the stream is closed, so
-    # cat-file is killed and reaped, its pipes closed and the feeder
-    # thread joined
+    # cat-file is killed and reaped, its pipes closed and no thread left
     repo, base = odd_repo
     listing = list_repo_files(repo, base)
     listing["big.txt"] = listing.pop("big.txt")
@@ -365,6 +406,15 @@ def test_apply_change_reports_why_git_refused(tmp_path, files, fd, message):
     assert _tree(ws.path) == before
 
 
+def test_apply_change_checks_whitespace_as_git_does_by_default(
+        tmp_path, monkeypatch):
+    ws = _snapshot(tmp_path, {"a.py": "one\n"})
+    _user_git_config(tmp_path, monkeypatch, "[apply]\n\twhitespace = error\n")
+    assert apply_change(ws, _patch(compute_diff("one\n", "one \n",
+                                                "a.py"))) is None
+    assert (ws.path / "a.py").read_text(encoding="utf-8") == "one \n"
+
+
 def test_apply_change_applies_a_hunk_at_an_offset(tmp_path):
     old = "".join(f"line {i}\n" for i in range(1, 31))
     new = old.replace("line 20\n", "line twenty\n")
@@ -385,7 +435,7 @@ def _limit_apply_file_size(tmp_path, monkeypatch) -> None:
     bindir.mkdir()
     wrapper = bindir / "git"
     wrapper.write_text('#!/bin/sh\n'
-                       'if [ "$1" = apply ]; then ulimit -f 4; fi\n'
+                       'case " $* " in *" apply "*) ulimit -f 4;; esac\n'
                        f'exec {real_git} "$@"\n', encoding="utf-8")
     wrapper.chmod(0o755)
     monkeypatch.setenv("PATH", f"{bindir}:{os.environ['PATH']}")

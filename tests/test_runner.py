@@ -98,6 +98,18 @@ def test_resolve_instance_report_layout(fixture_repo, tmp_path):
     assert "bm25_calls: 1" in run_text
 
 
+def test_plan_names_the_qa_role_each_task_was_reviewed_by(fixture_repo,
+                                                           tmp_path):
+    plan = lambda outcome: (outcome.report_dir / "plan.txt").read_text(
+        encoding="utf-8")
+    reviewed = resolve_instance(_instance(fixture_repo),
+                                _config(tmp_path / "qa"))
+    assert f"qa role:\n{e2e.RESPONSES['P8']}\n" in plan(reviewed)
+    unreviewed = resolve_instance(_instance(fixture_repo),
+                                  _config(tmp_path / "no-qa", qa_enabled=False))
+    assert "qa role:\n(none)\n" in plan(unreviewed)
+
+
 def test_resolve_instance_oracle_bypasses_ranking(fixture_repo, tmp_path):
     instance = _instance(fixture_repo, oracle_files=["calc.py"])
     gateway = Gateway(ReplayBackend(e2e.CASSETTE_PATH))
