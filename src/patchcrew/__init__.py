@@ -22,7 +22,7 @@ from .intervals import LineIntervalSet
 from .llm import (Gateway, LiveBackend, RecordBackend, ReplayBackend,
                   cassette_key, read_cassette)
 from .model import (IssueInstance, TaskAssignment, TestSpec, WorkPlan,
-                    instance_from_dict, instance_to_dict, load_instance)
+                    instance_from_dict, load_instance)
 from .planner import Planner
 from .runner import RunConfig, RunOutcome, resolve_instance
 
@@ -62,7 +62,6 @@ __all__ = [
     "cassette_key",
     "compute_diff",
     "instance_from_dict",
-    "instance_to_dict",
     "load_instance",
     "parse_diff",
     "rank_files",

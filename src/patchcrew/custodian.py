@@ -29,16 +29,17 @@ import logging
 import math
 import re
 from array import array
-from collections import Counter
+from collections import Counter, defaultdict, deque
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import chain, count
+from functools import partial
+from itertools import chain, count, repeat
 from pathlib import Path
 
 from . import prompts
 from .diffs import compute_diff, render_file_diff
 from .errors import LLM_TROUBLE
-from .llm import Gateway, map_concurrently
+from .llm import Gateway, map_concurrently, sha256_hex
 
 log = logging.getLogger(__name__)
 
@@ -227,18 +228,19 @@ class TermIndex:
         self.docs.update(zip(unknown, count(len(self.blob_ids))))
         self.blob_ids.extend(unknown)
         self.lengths.extend([None] * len(unknown))
-        added: dict[str, array] = {}  # term -> doc, count, ... of new blobs
+        # term -> doc, count, ... of new blobs
+        added: defaultdict[str, array] = defaultdict(partial(array, "I"))
         memo = _RunTerms()
         for path, text in read({path: oid for oid, path in unknown.items()}):
             doc = self.docs[listing[path]]
             counts = count_terms(text, memo)
             self.lengths[doc] = sum(counts.values())
-            for term, n in counts.items():
-                pairs = added.get(term)
-                if pairs is None:
-                    added[term] = pairs = array("I")
-                pairs.append(doc)
-                pairs.append(n)
+            # a term occurs once in counts, so appending doc to each of its
+            # term's arrays, then each count, keeps every array's doc,
+            # count order; map runs the appends without a Python loop
+            arrays = list(map(added.__getitem__, counts))
+            deque(map(array.append, arrays, repeat(doc)), 0)
+            deque(map(array.append, arrays, counts.values()), 0)
         for term, pairs in added.items():
             held = self.postings.get(term)
             if held is None:
@@ -385,11 +387,7 @@ def load_term_index(path: str | Path) -> TermIndex:
 
 
 def content_hash(content: str) -> str:
-    # imported here: it maps OpenSSL's libcrypto, about 3.5 MB of resident
-    # memory that runs which never summarize a file (evaluate) need not pay
-    import hashlib
-
-    return hashlib.sha256(content.encode("utf-8")).hexdigest()
+    return sha256_hex(content.encode("utf-8"))
 
 
 @dataclass(frozen=True)

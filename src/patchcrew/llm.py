@@ -34,6 +34,18 @@ from .errors import (CassetteMissError, ExtractionError, RateLimitError,
                      TransportError)
 from .intervals import LineIntervalSet
 
+# SHA-256 from CPython's builtin module, imported the way random.py imports
+# its seed hash: hashlib would map OpenSSL's libcrypto, about 3.5 MB of
+# resident memory, where the builtin module costs about 0.03 MB. The digests
+# are the same; hashlib serves only a build with neither builtin.
+try:
+    from _sha2 import sha256 as _sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
+
 log = logging.getLogger(__name__)
 
 T = TypeVar("T")
@@ -72,12 +84,13 @@ def canonical_vars(variables: dict[str, str]) -> str:
                       ensure_ascii=True)
 
 
-def cassette_key(template_id: str, variables: dict[str, str]) -> str:
-    # imported here: it maps OpenSSL's libcrypto, about 3.5 MB of resident
-    # memory that runs which make no LLM calls (evaluate) need not pay
-    import hashlib
+def sha256_hex(data: bytes) -> str:
+    """The SHA-256 digest of data, in hex."""
+    return _sha256(data).hexdigest()
 
-    digest = hashlib.sha256(canonical_vars(variables).encode("ascii")).hexdigest()
+
+def cassette_key(template_id: str, variables: dict[str, str]) -> str:
+    digest = sha256_hex(canonical_vars(variables).encode("ascii"))
     return f"{template_id}:{digest[:16]}"
 
 

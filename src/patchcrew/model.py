@@ -179,20 +179,6 @@ def _string_list(data: dict[str, Any], name: str, source: str) -> list[str]:
     return value
 
 
-def instance_to_dict(inst: IssueInstance) -> dict[str, Any]:
-    return {
-        "instance_id": inst.instance_id,
-        "repo_path": inst.repo_path,
-        "base_revision": inst.base_revision,
-        "issue_text": inst.issue_text,
-        "hints_text": inst.hints_text,
-        "oracle_files": list(inst.oracle_files),
-        "pass_to_pass": list(inst.test_spec.pass_to_pass),
-        "fail_to_pass": list(inst.test_spec.fail_to_pass),
-        "timeout_seconds": inst.test_spec.timeout_seconds,
-    }
-
-
 def load_instance(path: str | Path) -> IssueInstance:
     """Read one instance file (flat JSON object, schema above)."""
     path = Path(path)

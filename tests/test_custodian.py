@@ -240,6 +240,54 @@ def test_term_index_across_revisions_ranks_like_the_oracle(steps, query):
                 assert _ranking(index.documents(listing), query) == expected
 
 
+def _saved_index_by_plain_loop(revisions: list[dict[str, str]]) -> str:
+    """The saved index after one update per listing (path -> text, none of
+    them dropped later), built one posting at a time."""
+    docs: dict[str, int] = {}
+    blob_lines: list[str] = []
+    postings: dict[str, list[str]] = {}
+    for files in revisions:
+        for text in files.values():
+            oid = blob_id(text)
+            if oid in docs:
+                continue
+            docs[oid] = doc = len(blob_lines)
+            terms = Counter(tokenize(text))
+            blob_lines.append(f"{oid} {sum(terms.values())}\n")
+            for term, n in terms.items():
+                postings.setdefault(term, []).append(f"{doc}:{n}")
+    return "".join(["bm25-term-index-v2\n", *blob_lines, "\n",
+                    *(f"{term} {' '.join(pairs)}\n"
+                      for term, pairs in postings.items())])
+
+
+_BLOB_TEXT = st.lists(st.sampled_from(
+    ["alpha", "beta", "gamma", "parseHTTP", "HTTPServer", "x", "a1", "v2"]),
+    max_size=20).map(" ".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(revisions=st.lists(st.lists(_BLOB_TEXT, max_size=8), min_size=1,
+                          max_size=3))
+def test_saved_index_matches_a_plain_posting_loop(revisions):
+    # each revision adds files to the last; equal texts are one blob, and a
+    # term met again in a later update extends its postings
+    listings: list[dict[str, str]] = []
+    files: dict[str, str] = {}
+    index = TermIndex()
+    for texts in revisions:
+        files = {**files, **{f"m{len(files) + i}.py": text
+                             for i, text in enumerate(texts)}}
+        listings.append(files)
+        index.update({path: blob_id(text) for path, text in files.items()},
+                     stream(files))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "memory.jsonl.bm25"
+        save_term_index(index, path)
+        assert path.read_text(encoding="utf-8") \
+            == _saved_index_by_plain_loop(listings)
+
+
 def test_term_index_update_counts_each_blob_before_it_reads_the_next():
     # 600 blobs in one stream, one of them under a second path, which is
     # read once, and one blob that is not UTF-8

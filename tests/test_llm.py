@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 import threading
 import time
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import ScriptedBackend, scripted_gateway
 
@@ -15,7 +18,7 @@ from patchcrew.intervals import LineIntervalSet
 from patchcrew.llm import (MAX_TASKS, RATE_LIMIT_RETRIES, Gateway, LiveBackend,
                            RecordBackend, ReplayBackend, canonical_vars,
                            cassette_key, extract_structured, map_concurrently,
-                           read_cassette, retry_after_seconds)
+                           read_cassette, retry_after_seconds, sha256_hex)
 
 
 # --- keys ------------------------------------------------------------------
@@ -35,6 +38,19 @@ def test_cassette_key_shape_and_stability():
     assert key == cassette_key("P3", {"summary": "y", "issue": "x"})
     assert key != cassette_key("P3", {"issue": "x", "summary": "z"})
     assert key != cassette_key("P2", {"issue": "x", "summary": "y"})
+
+
+# arbitrary bytes, and repeated chunks that reach past 64 KiB
+_HASHED = st.binary(max_size=300) | st.builds(
+    bytes.__mul__, st.binary(min_size=1, max_size=64),
+    st.integers(min_value=1, max_value=3000))
+
+
+@given(_HASHED)
+@example(b"")
+@example(bytes(range(256)) * 300)  # 76,800 bytes
+def test_sha256_hex_agrees_with_hashlib(data):
+    assert sha256_hex(data) == hashlib.sha256(data).hexdigest()
 
 
 # --- cassette files ---------------------------------------------------------

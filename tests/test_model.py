@@ -8,8 +8,7 @@ import pytest
 from patchcrew.errors import InstanceError
 from patchcrew.model import (MANAGER_ROLE, IssueInstance, MeetingTranscript,
                              ReviewOutcome, TaskAssignment, TestSpec,
-                             WorkPlan, instance_from_dict, instance_to_dict,
-                             load_instance)
+                             WorkPlan, instance_from_dict, load_instance)
 
 
 def _instance_data(**overrides):
@@ -131,12 +130,6 @@ def test_instance_from_dict_type_checks():
         instance_from_dict(_instance_data(timeout_seconds=True))
     with pytest.raises(InstanceError):
         instance_from_dict([1, 2])
-
-
-def test_instance_dict_round_trip():
-    inst = instance_from_dict(_instance_data(
-        hints_text="see PR 7", oracle_files=["a/b.py"], timeout_seconds=5))
-    assert instance_from_dict(instance_to_dict(inst)) == inst
 
 
 def test_load_instance_io_errors(tmp_path):
