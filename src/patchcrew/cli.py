@@ -52,8 +52,6 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--memory-path", metavar="PATH",
                         help="persist the custodian memory at this path, "
                              "and its BM25 term index at PATH.bm25")
-    parser.add_argument("--keep-workspaces", action="store_true",
-                        help="retain temporary checkouts for debugging")
     parser.add_argument("--oracle", action="store_true",
                         help="use the instance's oracle_files, skipping "
                              "file locating")
@@ -73,7 +71,6 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         max_review_iters=args.max_review_iters,
         meeting_rounds=args.meeting_rounds,
         memory_path=args.memory_path,
-        keep_workspaces=args.keep_workspaces,
         use_oracle=args.oracle,
         qa_enabled=not args.no_qa,
         hints_enabled=not args.no_hints,
@@ -111,8 +108,6 @@ def cmd_locate(args: argparse.Namespace) -> int:
         marker = " *" if rf.path in kept else ""
         print(f"{rf.rank:>4}  {rf.bm25_score:>10.4f}  {rf.path}{marker}")
     print(f"candidates: {len(result.candidates)}")
-    if located.workspace is not None:
-        print(f"workspace: {located.workspace.path}")
     for note in located.custodian.notes:
         print(f"note: {note}")
     return EXIT_OK if result.candidates else EXIT_DEGENERATE

@@ -8,9 +8,11 @@ failures, not crashes.
 Commands are untrusted. Each runs in a session of its own, and once its
 shell exits, or the timeout passes, every process left in its process
 group is killed, so nothing it started outlives it; none of them sees the
-LLM API key. Memory stays bounded whatever a command prints: stdout is
-discarded, and stderr is read in chunks of which only the last
-_STDERR_TAIL characters are kept (bytes that are not UTF-8 become U+FFFD).
+LLM API key, or the caller's ``GIT_*`` variables, which would point an
+instance's own git calls at the caller's repository. Memory stays bounded
+whatever a command prints: stdout is discarded, and stderr is read in
+chunks of which only the last _STDERR_TAIL characters are kept (bytes
+that are not UTF-8 become U+FFFD).
 Waiting for the shell without reaping it uses a pidfd, so commands run on
 Linux 5.3 or later. Both waits use poll, not select, which cannot watch a
 descriptor numbered 1024 or above.
@@ -96,7 +98,7 @@ def _exits_by(proc: subprocess.Popen, deadline: float) -> bool:
 
 def _run_command(command: str, cwd, timeout_seconds: int) -> CommandResult:
     env = {name: value for name, value in os.environ.items()
-           if name != API_KEY_ENV}
+           if name != API_KEY_ENV and not name.startswith("GIT_")}
     deadline = time.monotonic() + timeout_seconds
     tail = bytearray()
     with subprocess.Popen(command, shell=True, cwd=str(cwd), env=env,

@@ -11,13 +11,15 @@ id and never read that blob again. No content is written to disk, so
 locating files needs no checkout. A snapshot clones the source repository
 into a fresh directory and checks out the requested revision, detached;
 the source repository is never written to, and ``destroy`` removes the
-snapshot again. No git command here runs a hook of the user's.
-``apply_change`` hands a patch's bytes to ``git apply``, so a patch
-applies exactly when git with its default settings accepts it, whatever
-the user's git config says, as in SWE-bench: hunks may land at
-an offset, and paths with ``..`` or ``.git`` components, absolute paths
-and paths through a committed symlink are refused. A refused patch
-leaves the workspace's files as the revision has them.
+snapshot again. Every git process here runs without the caller's
+``GIT_*`` variables and reads no config or attributes but the
+repository's own, so no ``GIT_DIR``, hook, filter or ``core.autocrlf`` of
+the user's acts here. ``apply_change`` hands a patch's bytes to ``git
+apply``, so a patch applies exactly when git with its default settings
+accepts it, as in SWE-bench: hunks may land at an offset, and paths with
+``..`` or ``.git`` components, absolute paths and paths through a
+committed symlink are refused. A refused patch leaves the workspace's
+files as the revision has them.
 """
 
 from __future__ import annotations
@@ -39,14 +41,23 @@ log = logging.getLogger(__name__)
 # have no text of their own to rank.
 _FILE_MODES = (b"100644", b"100755")
 
-# every git command of this module runs no hook, whatever the user's git
-# config names as core.hooksPath
-_GIT = ("git", "-c", "core.hooksPath=/dev/null")
+
+def _git_env() -> dict[str, str]:
+    """The environment of every git process here: the caller's without its
+    GIT_* variables, and git reading no system, global or user-wide config
+    or attributes file."""
+    env = {name: value for name, value in os.environ.items()
+           if not name.startswith("GIT_")}
+    env.update(GIT_CONFIG_NOSYSTEM="1", GIT_CONFIG_GLOBAL="/dev/null",
+               GIT_ATTR_NOSYSTEM="1", GIT_CONFIG_COUNT="1",
+               GIT_CONFIG_KEY_0="core.attributesFile",
+               GIT_CONFIG_VALUE_0="/dev/null")
+    return env
 
 
 def _git(args: list[str], cwd: str | Path) -> bytes:
     try:
-        proc = subprocess.run([*_GIT, *args], cwd=str(cwd),
+        proc = subprocess.run(["git", *args], cwd=str(cwd), env=_git_env(),
                               capture_output=True, check=False)
     except FileNotFoundError as exc:
         raise GitError("git executable not found") from exc
@@ -97,11 +108,11 @@ def iter_repo_files(repo_path: str | Path,
     decode as UTF-8 is left out.
 
     Contents are the committed blobs, what ``git show <rev>:<path>``
-    prints. They differ from a checkout's files only where
-    ``.gitattributes`` or ``core.autocrlf`` makes checkout convert them,
-    and then they are the content ``git diff`` compares. No blobs start no
-    git process. Every git failure raises GitError. A stream closed or
-    dropped early kills and reaps cat-file.
+    prints. They differ from a snapshot's files only where the
+    repository's own ``.gitattributes`` or config makes checkout convert
+    them, and then they are the content ``git diff`` compares. No blobs
+    start no git process. Every git failure raises GitError. A stream
+    closed or dropped early kills and reaps cat-file.
     """
     if not blobs:
         return
@@ -112,9 +123,9 @@ def iter_repo_files(repo_path: str | Path,
         ids.write("".join(oid + "\n" for oid in blobs.values()).encode())
         ids.seek(0)
         try:
-            proc = subprocess.Popen([*_GIT, "cat-file", "--batch"],
+            proc = subprocess.Popen(["git", "cat-file", "--batch"],
                                     cwd=str(repo_path), stdin=ids,
-                                    stdout=subprocess.PIPE,
+                                    env=_git_env(), stdout=subprocess.PIPE,
                                     stderr=subprocess.PIPE)
         except FileNotFoundError as exc:
             raise GitError("git executable not found") from exc
@@ -195,8 +206,8 @@ def apply_change(workspace: Workspace, patch: bytes) -> str | None:
     full disk, a file size limit), so a refused patch resets the workspace
     to its revision with ``git checkout`` and ``git clean``.
     """
-    proc = subprocess.run([*_GIT, "apply", "--whitespace=warn", "-"],
-                          cwd=str(workspace.path), input=patch,
+    proc = subprocess.run(["git", "apply", "-"], cwd=str(workspace.path),
+                          env=_git_env(), input=patch,
                           capture_output=True, check=False)
     if proc.returncode == 0:
         return None

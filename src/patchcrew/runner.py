@@ -7,8 +7,7 @@ postings of the issue's own terms, and then reads the contents of the
 top-k files for their summaries. The planner and the coder get the
 candidate files' contents from that read. Every content comes
 straight from the repository's object store (gitops.iter_repo_files and
-gitops.read_repo_files), so a resolve makes no checkout;
-``--keep-workspaces`` alone makes one, for the user to inspect. With a
+gitops.read_repo_files), so a resolve makes no checkout. With a
 memory path the index persists at ``<memory-path>.bm25`` (an inverted
 file, see custodian.TermIndex), rewritten only when the listing added or
 dropped a blob; without one it lives for the run.
@@ -48,8 +47,7 @@ from .custodian import (Custodian, LocateResult, TermIndex, content_hash,
                         load_memory, load_term_index, save_memory,
                         save_term_index)
 from .diffs import CodeChange, render_change
-from .gitops import (Workspace, iter_repo_files, list_repo_files,
-                     read_repo_files, snapshot)
+from .gitops import iter_repo_files, list_repo_files, read_repo_files
 from .llm import Gateway, LiveBackend, RecordBackend, ReplayBackend
 from .model import IssueInstance
 from .planner import DEFAULT_MEETING_ROUNDS, Planner, render_transcript
@@ -67,7 +65,6 @@ class RunConfig:
     max_review_iters: int = DEFAULT_MAX_REVIEW_ITERS
     meeting_rounds: int = DEFAULT_MEETING_ROUNDS
     memory_path: str | None = None
-    keep_workspaces: bool = False
     use_oracle: bool = False
     qa_enabled: bool = True
     hints_enabled: bool = True
@@ -94,7 +91,6 @@ class Located:
     """The locate stage's output: the candidate files and their contents,
     the issue text with hints folded in, and the custodian that ranked
     them."""
-    workspace: Workspace | None  # a checkout only with keep_workspaces
     files: dict[str, str]  # each candidate that is UTF-8 text at the base
     issue: str
     custodian: Custodian
@@ -109,15 +105,12 @@ def locate_files(instance: IssueInstance, config: RunConfig,
     store, and only where needed: the blobs the term index does not know
     yet, streamed and counted one blob's text at a time, then the top-k
     files the custodian summarizes, which hands on the candidates' texts
-    (the index keeps no text, so one it has just counted is read again).
-    Only keep_workspaces makes a checkout, which is left for the user. The
-    memory and the index are saved once the custodian is done with them,
-    since nothing later changes them; the index only when this listing
-    added or dropped a blob."""
+    (the index keeps no text, so one it has just counted is read again),
+    so no checkout is made. The memory and the index are saved once the
+    custodian is done with them, since nothing later changes them; the
+    index only when this listing added or dropped a blob."""
     repo = instance.repo_path
     listing = list_repo_files(repo, instance.base_revision)
-    workspace = (snapshot(repo, instance.base_revision)
-                 if config.keep_workspaces else None)
 
     def read(paths: list[str]) -> dict[str, str]:
         return read_repo_files(repo, {path: listing[path] for path in paths})
@@ -151,7 +144,7 @@ def locate_files(instance: IssueInstance, config: RunConfig,
 
     if config.memory_path:
         save_memory(custodian.memory, config.memory_path)
-    return Located(workspace, files, issue, custodian, candidates, result)
+    return Located(files, issue, custodian, candidates, result)
 
 
 @dataclass
@@ -201,10 +194,9 @@ def resolve_instance(instance: IssueInstance, config: RunConfig,
     report_dir = config.out_dir / instance.instance_id
     patch_path = config.out_dir / f"{instance.instance_id}.patch"
     elapsed = time.monotonic() - started
-    workspace_note = str(located.workspace.path) if located.workspace else ""
     _write_report(report_dir, patch_path, instance, config, gateway,
                   located.result is not None, transcript, plan, tasks,
-                  task_results, change, notes, elapsed, workspace_note)
+                  task_results, change, notes, elapsed)
     return RunOutcome(instance_id=instance.instance_id, change=change,
                       patch_path=patch_path, report_dir=report_dir,
                       task_results=task_results, notes=notes,
@@ -214,8 +206,7 @@ def resolve_instance(instance: IssueInstance, config: RunConfig,
 def _write_report(report_dir: Path, patch_path: Path, instance: IssueInstance,
                   config: RunConfig, gateway: Gateway, ranked: bool,
                   transcript, plan, tasks, task_results: list[TaskResult],
-                  change: CodeChange, notes: list[str], elapsed: float,
-                  workspace_note: str) -> None:
+                  change: CodeChange, notes: list[str], elapsed: float) -> None:
     report_dir.mkdir(parents=True, exist_ok=True)
     patch_path.parent.mkdir(parents=True, exist_ok=True)
     patch_path.write_text(render_change(change), encoding="utf-8")
@@ -285,7 +276,6 @@ def _write_report(report_dir: Path, patch_path: Path, instance: IssueInstance,
         f"bm25_calls: {int(ranked)}",
         f"network_calls: {gateway.network_calls}",
         f"wall_seconds: {elapsed:.2f}",
-        f"workspace_kept: {workspace_note or '-'}",
     ]
     (report_dir / "run.txt").write_text("\n".join(run_lines) + "\n",
                                         encoding="utf-8")

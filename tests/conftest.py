@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import os
 import subprocess
 
 import pytest
@@ -10,6 +11,13 @@ import _e2e_data as e2e
 from patchcrew import gitops
 from patchcrew.custodian import Documents, TermIndex
 from patchcrew.llm import Gateway, ReplayBackend
+
+
+def pytest_configure(config):
+    # every git the tests run, the session fixtures' included, reads no
+    # git config of the developer's (a commit.gpgsign there fails every
+    # commit); a test that sets one through monkeypatch still overrides it
+    os.environ.update(GIT_CONFIG_GLOBAL=os.devnull, GIT_CONFIG_NOSYSTEM="1")
 
 
 class ScriptedBackend:

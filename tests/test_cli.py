@@ -1,8 +1,6 @@
 from __future__ import annotations
 
 import json
-import tempfile
-from pathlib import Path
 
 import pytest
 
@@ -95,21 +93,6 @@ def test_locate_reads_and_writes_memory(fixture_instance_file, tmp_path,
     out, err = capsys.readouterr()
     assert code == 0, err
     assert "candidates: 1" in out
-
-
-def test_locate_names_the_checkout_it_keeps(fixture_instance_file, tmp_path,
-                                           capsys, monkeypatch):
-    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-    code = main(["locate", str(fixture_instance_file), *_run_flags(tmp_path),
-                 "--keep-workspaces"])
-    out = capsys.readouterr().out
-    assert code == 0
-    kept = [l.removeprefix("workspace: ") for l in out.splitlines()
-            if l.startswith("workspace: ")]
-    assert len(kept) == 1
-    assert Path(kept[0]).is_relative_to(tmp_path)
-    assert (Path(kept[0]) / "calc.py").read_text(encoding="utf-8") \
-        == e2e.CALC_OLD
 
 
 def test_locate_oracle_bypass(fixture_repo, tmp_path, capsys):

@@ -209,6 +209,25 @@ def test_commands_do_not_see_the_api_key(tmp_path, monkeypatch):
     assert [r.passed for r in result.records] == [True, True, True]
 
 
+def test_commands_do_not_see_the_callers_git_variables(tmp_path, monkeypatch):
+    # git exports GIT_DIR to the hooks it runs (githooks(5))
+    checkout = tmp_path / "checkout"
+    checkout.mkdir()
+    (checkout / "f.txt").write_text("instance\n", encoding="utf-8")
+    e2e.commit_all(checkout)
+    other = tmp_path / "other"
+    subprocess.run(["git", "init", "-q", str(other)], check=True)
+    monkeypatch.setenv("GIT_DIR", str(other / ".git"))
+    monkeypatch.setenv("GIT_WORK_TREE", str(other))
+    ws = Workspace(path=checkout, revision="0" * 40)
+    spec = TestSpec(pass_to_pass=(),
+                    fail_to_pass=('test -z "$GIT_DIR$GIT_WORK_TREE"',
+                                  "git ls-files --error-unmatch f.txt"),
+                    timeout_seconds=30)
+    result = run_tests(ws, spec)
+    assert [r.passed for r in result.records] == [True, True]
+
+
 @pytest.fixture()
 def many_descriptors():
     """Hold open enough descriptors that the next ones are numbered past

@@ -184,6 +184,79 @@ def test_snapshot_removes_its_directory_when_git_fails(fixture_repo, tmp_path,
     assert list(tmp_path.iterdir()) == []
 
 
+# --- the caller's git environment ---------------------------------------------------
+
+def test_git_variables_of_the_caller_name_no_repository_here(tmp_path,
+                                                             monkeypatch):
+    # git exports GIT_DIR and GIT_WORK_TREE to the hooks it runs
+    # (githooks(5)); here they name a clone of the instance's repository
+    # with a commit of its own and an uncommitted edit
+    origin = tmp_path / "origin"
+    origin.mkdir()
+    (origin / "f.txt").write_text("base\n", encoding="utf-8")
+    base = e2e.commit_all(origin)
+    other = tmp_path / "other"
+    subprocess.run(["git", "clone", "-q", str(origin), str(other)],
+                   check=True)
+    (other / "f.txt").write_text("other's commit\n", encoding="utf-8")
+    e2e.commit_all(other, "other's")
+    (other / "f.txt").write_text("other's edit\n", encoding="utf-8")
+    (origin / "f.txt").write_text("head\n", encoding="utf-8")
+    head = e2e.commit_all(origin, "head")
+    head_listing = {"f.txt": _git_out(origin, "rev-parse", "HEAD:f.txt")}
+    held = {name: (other / ".git" / name).read_bytes()
+            for name in ("HEAD", "index")}
+    monkeypatch.setenv("GIT_DIR", str(other / ".git"))
+    monkeypatch.setenv("GIT_WORK_TREE", str(other))
+    monkeypatch.setenv("GIT_INDEX_FILE", str(other / ".git" / "index"))
+
+    assert list_repo_files(origin, "HEAD") == head_listing
+    assert read_repo_files(origin, head_listing) == {"f.txt": "head\n"}
+    ws = snapshot(origin, base, root=tmp_path)
+    assert ws.revision == base
+    assert (ws.path / "f.txt").read_text(encoding="utf-8") == "base\n"
+    assert apply_change(ws, _patch(compute_diff("base\n", "fixed\n",
+                                                "f.txt"))) is None
+    assert (ws.path / "f.txt").read_text(encoding="utf-8") == "fixed\n"
+    # a refused patch resets the workspace, not the other checkout
+    assert apply_change(ws, _patch(compute_diff("base\n", "again\n",
+                                                "f.txt"))) is not None
+    assert (ws.path / "f.txt").read_text(encoding="utf-8") == "base\n"
+    assert verify_revision(origin, "HEAD") == head
+
+    assert {name: (other / ".git" / name).read_bytes()
+            for name in held} == held
+    assert (other / "f.txt").read_text(encoding="utf-8") == "other's edit\n"
+
+
+def _committed(tmp_path, content: bytes):
+    """A repository that commits f.txt with the given bytes, and its
+    commit."""
+    repo = tmp_path / "origin"
+    repo.mkdir()
+    (repo / "f.txt").write_bytes(content)
+    return repo, e2e.commit_all(repo)
+
+
+def test_snapshot_is_the_blob_whatever_the_users_autocrlf(tmp_path,
+                                                           monkeypatch):
+    repo, sha = _committed(tmp_path, b"one\ntwo\n")
+    _user_git_config(tmp_path, monkeypatch, "[core]\n\tautocrlf = true\n")
+    ws = snapshot(repo, sha, root=tmp_path)
+    assert (ws.path / "f.txt").read_bytes() == b"one\ntwo\n"
+
+
+def test_snapshot_is_the_blob_whatever_the_users_attributes(tmp_path,
+                                                             monkeypatch):
+    repo, sha = _committed(tmp_path, b"one\ntwo\n")
+    attributes = tmp_path / "xdg" / "git" / "attributes"
+    attributes.parent.mkdir(parents=True)
+    attributes.write_text("* text eol=crlf\n", encoding="utf-8")
+    monkeypatch.setenv("XDG_CONFIG_HOME", str(tmp_path / "xdg"))
+    ws = snapshot(repo, sha, root=tmp_path)
+    assert (ws.path / "f.txt").read_bytes() == b"one\ntwo\n"
+
+
 # --- reading a revision from the object store ------------------------------------
 
 def _git_out(repo, *args: str) -> str:
