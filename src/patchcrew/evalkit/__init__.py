@@ -9,7 +9,7 @@ from .logistic import LogisticFit, logistic_fit
 from .metrics import (ComplexityIndices, InstanceOutcome, applied_ratio,
                       change_intervals, change_overlap_ratio, complexity_of,
                       format_summary_table, overlap_ratio, recall,
-                      recall_curve, resolved_ratio, summarize_changes)
+                      recall_curve, resolved_ratio, summarize_indices)
 
 __all__ = [
     "AnalysisResult", "CommandResult", "ComplexityIndices",
@@ -19,5 +19,5 @@ __all__ = [
     "evaluate_directory", "evaluate_instance", "format_analysis",
     "format_summary_table", "headline", "logistic_fit", "overlap_ratio",
     "read_results_csv", "recall", "recall_curve", "render_summary",
-    "resolved_ratio", "run_tests", "summarize_changes", "write_results_csv",
+    "resolved_ratio", "run_tests", "summarize_indices", "write_results_csv",
 ]

@@ -40,7 +40,7 @@ from .execution import CommandResult, run_tests
 from .logistic import LogisticFit, logistic_fit
 from .metrics import (ComplexityIndices, InstanceOutcome, SUMMARY_ROWS,
                       applied_ratio, change_overlap_ratio, complexity_of,
-                      format_summary_table, resolved_ratio, summarize_changes)
+                      format_summary_table, resolved_ratio, summarize_indices)
 
 log = logging.getLogger(__name__)
 
@@ -62,7 +62,6 @@ ANALYSIS_INDICES = tuple(
 @dataclass(frozen=True)
 class InstanceEvaluation:
     outcome: InstanceOutcome
-    change: CodeChange | None
     notes: str = ""
     # the commands of an applied change that did not pass
     failed_commands: tuple[CommandResult, ...] = ()
@@ -152,7 +151,7 @@ def evaluate_instance(instance: IssueInstance, change: CodeChange | None,
         overlap_ratio=overlap,
         complexity=complexity_of(change) if generated else _ZERO_COMPLEXITY,
     )
-    return InstanceEvaluation(outcome=outcome, change=change, notes=note,
+    return InstanceEvaluation(outcome=outcome, notes=note,
                               failed_commands=failed)
 
 
@@ -231,17 +230,15 @@ def render_summary(report: EvaluationReport) -> str:
     lines.append(f"{'this run':<16} {report.applied() * 100:>10.2f} "
                  f"{report.resolved() * 100:>11.2f}")
 
-    resolved_changes = [r.change for r in report.rows
-                        if r.outcome.resolved and r.change is not None]
-    applied_only = [r.change for r in report.rows
-                    if r.outcome.applied and not r.outcome.resolved
-                    and r.change is not None]
-    if resolved_changes:
+    resolved = [o.complexity for o in outcomes if o.resolved]
+    applied_only = [o.complexity for o in outcomes
+                    if o.applied and not o.resolved]
+    if resolved:
         lines += ["", "Complexity of resolved changes:",
-                  format_summary_table(summarize_changes(resolved_changes))]
+                  format_summary_table(summarize_indices(resolved))]
     if applied_only:
         lines += ["", "Complexity of applied-but-not-resolved changes:",
-                  format_summary_table(summarize_changes(applied_only))]
+                  format_summary_table(summarize_indices(applied_only))]
     failing = [f"{r.outcome.instance_id}: {c.command!r} "
                + ("timed out" if c.timed_out else f"exited {c.exit_code}")
                for r in report.rows for c in r.failed_commands]
@@ -306,7 +303,7 @@ def analyze_results(path: str | Path) -> AnalysisResult:
 
     fits: list[IndexFit] = []
     for label, field_name in ANALYSIS_INDICES:
-        feature = [[float(r[field_name])] for r in generated]
+        feature = [float(r[field_name]) for r in generated]
         try:
             fit = logistic_fit(feature, labels)
             fits.append(IndexFit(label=label, field=field_name, fit=fit))

@@ -185,11 +185,12 @@ SUMMARY_ROWS = (
 )
 
 
-def summarize_changes(changes: list[CodeChange]) -> list[tuple[str, int, int, float]]:
-    """Per-index (label, min, max, mean) rows in the standard order."""
-    if not changes:
-        raise ValueError("summarize_changes needs at least one change")
-    indices = [complexity_of(c) for c in changes]
+def summarize_indices(indices: list[ComplexityIndices]
+                      ) -> list[tuple[str, int, int, float]]:
+    """Per-index (label, min, max, mean) rows in the standard order, over
+    the complexity indices of some changes."""
+    if not indices:
+        raise ValueError("summarize_indices needs at least one change")
     rows: list[tuple[str, int, int, float]] = []
     for label, field_name in SUMMARY_ROWS:
         values = [getattr(ix, field_name) for ix in indices]

@@ -55,12 +55,17 @@ def _git_env() -> dict[str, str]:
     return env
 
 
-def _git(args: list[str], cwd: str | Path) -> bytes:
+def _run_git(args: list[str], cwd: str | Path,
+             stdin: bytes | None = None) -> subprocess.CompletedProcess:
     try:
-        proc = subprocess.run(["git", *args], cwd=str(cwd), env=_git_env(),
-                              capture_output=True, check=False)
+        return subprocess.run(["git", *args], cwd=str(cwd), env=_git_env(),
+                              input=stdin, capture_output=True, check=False)
     except FileNotFoundError as exc:
         raise GitError("git executable not found") from exc
+
+
+def _git(args: list[str], cwd: str | Path) -> bytes:
+    proc = _run_git(args, cwd)
     if proc.returncode != 0:
         raise GitError(f"git {' '.join(args)} failed: "
                        f"{proc.stderr.decode(errors='replace').strip()}")
@@ -206,9 +211,7 @@ def apply_change(workspace: Workspace, patch: bytes) -> str | None:
     full disk, a file size limit), so a refused patch resets the workspace
     to its revision with ``git checkout`` and ``git clean``.
     """
-    proc = subprocess.run(["git", "apply", "-"], cwd=str(workspace.path),
-                          env=_git_env(), input=patch,
-                          capture_output=True, check=False)
+    proc = _run_git(["apply", "-"], workspace.path, patch)
     if proc.returncode == 0:
         return None
     _git(["checkout", "--quiet", "--", "."], workspace.path)

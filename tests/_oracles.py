@@ -139,7 +139,8 @@ def newton_logistic_univariate(xs: list[float], ys: list[float],
     """Two-parameter logistic MLE ((intercept, slope), their Wald standard
     errors) by plain Newton steps with an explicit 2x2 solve; the standard
     errors come from the inverse of the 2x2 Hessian at the MLE. No numpy,
-    no shared code with the package."""
+    no shared code with the package. Raises ValueError when no step falls
+    below tol within max_iter steps."""
 
     def gradient_and_hessian(b0, b1):
         g0 = g1 = 0.0
@@ -167,5 +168,7 @@ def newton_logistic_univariate(xs: list[float], ys: list[float],
         b1 += step1
         if max(abs(step0), abs(step1)) < tol:
             break
+    else:
+        raise ValueError("no convergence in oracle")
     _, _, h00, _, h11, det = gradient_and_hessian(b0, b1)
     return (b0, b1), (math.sqrt(h11 / det), math.sqrt(h00 / det))

@@ -10,6 +10,7 @@ from pathlib import Path
 from conftest import scripted_gateway
 
 from patchcrew.coder import Coder
+from patchcrew.evalkit.logistic import logistic_fit
 from patchcrew.model import MANAGER_ROLE, MeetingTranscript, TaskAssignment
 from patchcrew.planner import Planner
 
@@ -26,9 +27,10 @@ def test_benchmark_finds_every_function_it_wraps(monkeypatch):
 
 
 def test_benchmark_counts_read_real_results(monkeypatch):
-    # the counts of coder.execute_task and planner.make_plan applied to
-    # what a scripted run returns: two iterations, approved on the second,
-    # and a plan of stages [0, 1] and [2]
+    # the counts of coder.execute_task, planner.make_plan and logistic_fit
+    # applied to what a scripted run and a one-feature fit return: two
+    # iterations, approved on the second, a plan of stages [0, 1] and [2],
+    # and the fit's iterations
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import spans
 
@@ -51,3 +53,6 @@ def test_benchmark_counts_read_real_results(monkeypatch):
                                    summary="go")
     plan = Planner(gateway).make_plan(transcript, tasks)
     assert counts["planner.make_plan"](plan, ()) == {"stages": 2, "width": 2}
+    fit = logistic_fit([1.0, 2.0, 2.0, 3.0, 3.0, 4.0], [0, 0, 1, 0, 1, 1])
+    assert fit.converged
+    assert counts["evalkit.logistic.fit"](fit, ()) == {"iterations": 6}

@@ -652,7 +652,7 @@ def _synthetic_report(n_easy: int, n_hard: int,
                 t_old_passed=resolved, t_new_passed=resolved,
                 overlap_ratio=overlap_samples[i % len(overlap_samples)],
                 complexity=complexity)
-            rows.append(InstanceEvaluation(outcome=outcome, change=None))
+            rows.append(InstanceEvaluation(outcome=outcome))
             i += 1
     return EvaluationReport(rows=rows, warnings=[])
 

@@ -488,6 +488,14 @@ def test_apply_change_checks_whitespace_as_git_does_by_default(
     assert (ws.path / "a.py").read_text(encoding="utf-8") == "one \n"
 
 
+def test_apply_change_without_git_on_path_raises_git_error(
+        tmp_path, monkeypatch):
+    ws = _snapshot(tmp_path, {"a.py": "one\n"})
+    monkeypatch.setenv("PATH", str(tmp_path / "no-such-dir"))
+    with pytest.raises(GitError, match="git executable not found"):
+        apply_change(ws, _patch(compute_diff("one\n", "ONE\n", "a.py")))
+
+
 def test_apply_change_applies_a_hunk_at_an_offset(tmp_path):
     old = "".join(f"line {i}\n" for i in range(1, 31))
     new = old.replace("line 20\n", "line twenty\n")

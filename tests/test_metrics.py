@@ -10,7 +10,7 @@ from patchcrew.evalkit.metrics import (ComplexityIndices, InstanceOutcome,
                                        change_overlap_ratio, complexity_of,
                                        format_summary_table, overlap_ratio,
                                        recall, recall_curve, resolved_ratio,
-                                       summarize_changes)
+                                       summarize_indices)
 from patchcrew.intervals import LineIntervalSet
 
 
@@ -219,7 +219,7 @@ def test_summarize_changes_rows():
         "a.py": (OLD_A, OLD_A.replace("a2\n", "A2\nextra\n")),
         "b.py": (OLD_B, OLD_B.replace("b4\n", "B4\n")),
     })
-    rows = summarize_changes([small, bigger])
+    rows = summarize_indices([complexity_of(small), complexity_of(bigger)])
     labels = [label for label, *_ in rows]
     assert labels == ["# Code Files", "# Functions", "# Hunks",
                       "# Added Lines", "# Deleted Lines",
@@ -229,12 +229,12 @@ def test_summarize_changes_rows():
     assert by_label["# Code Files"] == (1, 2, 1.5)
     assert by_label["# Added Lines"] == (1, 3, 2.0)
     with pytest.raises(ValueError):
-        summarize_changes([])
+        summarize_indices([])
 
 
 def test_format_summary_table():
-    table = format_summary_table(summarize_changes(
-        [_change({"a.py": (OLD_A, OLD_A.replace("a2\n", "A2\n"))})]))
+    table = format_summary_table(summarize_indices([complexity_of(
+        _change({"a.py": (OLD_A, OLD_A.replace("a2\n", "A2\n"))}))]))
     lines = table.splitlines()
     assert lines[0].split() == ["Index", "Min", "Max", "Avg"]
     assert set(lines[1]) == {"-"}
