@@ -14,12 +14,14 @@ later stage needs it. A term never spans a character outside
 ASCII letters and digits at a time, and each distinct run is tokenized
 once per index update.
 
-Summaries are memoized in an EvolutionMemory so a file is fully
-re-summarized at most once while it stays unchanged. When a file changes a
-little (its diff is shorter than the new content), the stored summary is
-extended with a one-line update derived from the diff instead of paying for
-a fresh summarization. After 5 such updates, or when the change is large,
-the summary is rebuilt fresh.
+Summaries are memoized in an EvolutionMemory, which keeps per file its
+summary, the number of updates in it and the content it describes, so a
+file is not summarized again while its content stays the same. When a file
+changes a little (its diff from the remembered content is shorter than the
+new content), the stored summary is extended with a one-line update
+derived from the diff instead of paying for a fresh summarization. After 5
+such updates, or when the change is large, the summary is rebuilt fresh.
+A file that returns to an earlier version is one more change.
 """
 
 from __future__ import annotations
@@ -39,14 +41,14 @@ from pathlib import Path
 from . import prompts
 from .diffs import compute_diff, render_file_diff
 from .errors import LLM_TROUBLE
-from .llm import Gateway, map_concurrently, sha256_hex
+from .llm import Gateway, map_concurrently
 
 log = logging.getLogger(__name__)
 
 BM25_K1 = 1.2
 BM25_B = 0.75
-MAX_LINEAGE_UPDATES = 5
-MEMORY_FORMAT_VERSION = "evolution-memory-v1"
+MAX_SUMMARY_UPDATES = 5
+MEMORY_FORMAT_VERSION = "evolution-memory-v2"
 TERM_INDEX_FORMAT_VERSION = "bm25-term-index-v2"
 
 # a run of capitals then a run of lowercase letters and digits: camelCase
@@ -386,23 +388,11 @@ def load_term_index(path: str | Path) -> TermIndex:
     return index
 
 
-def content_hash(content: str) -> str:
-    return sha256_hex(content.encode("utf-8"))
-
-
 @dataclass(frozen=True)
 class MemoryEntry:
-    content_hash: str
-    summary: str
-    lineage: tuple[tuple[str, str], ...]  # (content_hash, commit_message)
-    content: str  # snapshot of the version the summary describes
-
-    def __post_init__(self):
-        hashes = [h for h, _ in self.lineage]
-        if len(set(hashes)) != len(hashes):
-            raise ValueError("lineage hashes must be distinct")
-        if self.lineage and self.lineage[-1][0] != self.content_hash:
-            raise ValueError("summary must correspond to the newest lineage hash")
+    summary: str  # a fresh summary, then one UPDATE: line per update
+    updates: int  # the UPDATE: lines added since the fresh summary
+    content: str  # the version the summary describes
 
 
 EvolutionMemory = dict[str, MemoryEntry]  # path -> entry
@@ -414,39 +404,45 @@ def save_memory(memory: EvolutionMemory, path: str | Path) -> None:
     lines = [MEMORY_FORMAT_VERSION]
     for file_path in sorted(memory):
         e = memory[file_path]
-        lines.append(json.dumps({
-            "path": file_path,
-            "content_hash": e.content_hash,
-            "summary": e.summary,
-            "lineage": [list(pair) for pair in e.lineage],
-            "content": e.content,
-        }, ensure_ascii=True))
+        lines.append(json.dumps({"path": file_path, "summary": e.summary,
+                                 "updates": e.updates, "content": e.content},
+                                ensure_ascii=True))
     tmp = path.with_suffix(path.suffix + ".tmp")
     tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
     tmp.replace(path)
 
 
+def _memory_record(line: str) -> tuple[str, MemoryEntry]:
+    """One saved record as (path, entry), its fields' types checked."""
+    obj = json.loads(line)
+    if not isinstance(obj, dict):
+        raise ValueError("not a JSON object")
+    for key in ("path", "summary", "content"):
+        if not isinstance(obj[key], str):
+            raise ValueError(f"{key} is not a string")
+    updates = obj["updates"]
+    if type(updates) is not int or updates < 0:
+        raise ValueError("updates is not an integer >= 0")
+    return obj["path"], MemoryEntry(obj["summary"], updates, obj["content"])
+
+
 def load_memory(path: str | Path) -> EvolutionMemory:
+    """Read a saved memory. Every error names the file and line."""
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    lines = text.split("\n")
-    if not lines or lines[0] != MEMORY_FORMAT_VERSION:
-        raise ValueError(f"{path}: not a {MEMORY_FORMAT_VERSION} file")
+    lines = path.read_text(encoding="utf-8").split("\n")
+    if lines[0] != MEMORY_FORMAT_VERSION:
+        raise ValueError(f"{path}:1: not a {MEMORY_FORMAT_VERSION} file; "
+                         f"it is a cache of file summaries, safe to delete "
+                         f"at the cost of summarizing each file afresh")
     memory: EvolutionMemory = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
-            entry = MemoryEntry(
-                content_hash=obj["content_hash"],
-                summary=obj["summary"],
-                lineage=tuple((h, m) for h, m in obj["lineage"]),
-                content=obj["content"],
-            )
-            memory[obj["path"]] = entry
-        except (KeyError, TypeError, ValueError) as exc:
+            file_path, entry = _memory_record(line)
+        except (KeyError, ValueError) as exc:
             raise ValueError(f"{path}:{lineno}: bad memory record: {exc}") from exc
+        memory[file_path] = entry
     return memory
 
 
@@ -471,34 +467,31 @@ class Custodian:
         otherwise -> one fresh summarization call. The memory is only
         mutated after the LLM call succeeds.
         """
-        digest = content_hash(content)
         entry = self.memory.get(path)
-        if entry is not None and entry.content_hash == digest:
+        if entry is not None and entry.content == content:
             return entry.summary
 
-        if entry is not None and len(entry.lineage) - 1 < MAX_LINEAGE_UPDATES:
+        if entry is not None and entry.updates < MAX_SUMMARY_UPDATES:
             diff_text = render_file_diff(compute_diff(entry.content, content, path))
             if len(diff_text) < len(content):
                 message = self.gateway.complete_structured(
                     prompts.COMMIT_MESSAGE, {"diff": diff_text}, "plain_text")
                 summary = f"{entry.summary}\nUPDATE: {message}"
-                self.memory[path] = MemoryEntry(
-                    content_hash=digest,
-                    summary=summary,
-                    lineage=entry.lineage + ((digest, message),),
-                    content=content,
-                )
+                self.memory[path] = MemoryEntry(summary, entry.updates + 1,
+                                                content)
                 return summary
 
         summary = self.gateway.complete_structured(
             prompts.FILE_SUMMARY, {"path": path, "content": content}, "plain_text")
-        self.memory[path] = MemoryEntry(
-            content_hash=digest,
-            summary=summary,
-            lineage=((digest, ""),),
-            content=content,
-        )
+        self.memory[path] = MemoryEntry(summary, 0, content)
         return summary
+
+    def summaries_of(self, files: Mapping[str, str]) -> dict[str, str]:
+        """The remembered summary of each file whose entry describes the
+        given text. Nothing is summarized, so a file the memory holds at
+        another version, or not at all, gets none."""
+        return {path: entry.summary for path, text in files.items()
+                if (entry := self.memory.get(path)) and entry.content == text}
 
     def locate(self, documents: Documents, issue_text: str, k: int,
                read: Callable[[list[str]], Mapping[str, str]]

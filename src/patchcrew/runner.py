@@ -43,9 +43,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .coder import DEFAULT_MAX_REVIEW_ITERS, Coder, TaskResult
-from .custodian import (Custodian, LocateResult, TermIndex, content_hash,
-                        load_memory, load_term_index, save_memory,
-                        save_term_index)
+from .custodian import (Custodian, LocateResult, TermIndex, load_memory,
+                        load_term_index, save_memory, save_term_index)
 from .diffs import CodeChange, render_change
 from .gitops import iter_repo_files, list_repo_files, read_repo_files
 from .llm import Gateway, LiveBackend, RecordBackend, ReplayBackend
@@ -180,10 +179,8 @@ def resolve_instance(instance: IssueInstance, config: RunConfig,
         tasks, plan = planner.refine_and_plan(tasks, transcript)
         # only a summary of the version at hand: an oracle run summarizes
         # nothing, and a failed summary call leaves the old entry
-        summaries = {path: entry.summary for path, text in files.items()
-                     if (entry := custodian.memory.get(path))
-                     and entry.content_hash == content_hash(text)}
-        change, task_results = coder.resolve_issue(tasks, files, summaries)
+        change, task_results = coder.resolve_issue(
+            tasks, files, custodian.summaries_of(files))
         tasks = [result.task for result in task_results]  # with QA roles
     else:
         transcript = None

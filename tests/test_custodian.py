@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 import re
 import tempfile
@@ -14,11 +15,11 @@ import _e2e_data as e2e
 from _oracles import bm25_scores_brute, tokenize_two_pass
 from conftest import blob_id, documents, reader, scripted_gateway, stream
 
-from patchcrew.custodian import (MAX_LINEAGE_UPDATES, Custodian,
+from patchcrew.custodian import (MAX_SUMMARY_UPDATES, Custodian,
                                  EvolutionMemory, MemoryEntry, TermIndex,
-                                 _RunTerms, content_hash, count_terms,
-                                 load_memory, load_term_index, rank_files,
-                                 save_memory, save_term_index, tokenize)
+                                 _RunTerms, count_terms, load_memory,
+                                 load_term_index, rank_files, save_memory,
+                                 save_term_index, tokenize)
 from patchcrew.errors import CassetteMissError, TransportError
 from patchcrew.gitops import iter_repo_files, list_repo_files, read_repo_files
 from patchcrew.llm import Gateway, ReplayBackend
@@ -495,25 +496,6 @@ def test_ranking_parses_only_the_issue_terms(tmp_path, postings):
         rank_files(documents, "alpha zeta")
 
 
-# --- memory entries ----------------------------------------------------------
-
-def test_content_hash_is_stable_and_discriminating():
-    assert content_hash("abc") == content_hash("abc")
-    assert content_hash("abc") != content_hash("abd")
-    assert re.fullmatch(r"[0-9a-f]{64}", content_hash(""))
-
-
-def test_memory_entry_validation():
-    h = content_hash("v1")
-    MemoryEntry(content_hash=h, summary="s", lineage=((h, ""),), content="v1")
-    with pytest.raises(ValueError, match="distinct"):
-        MemoryEntry(content_hash=h, summary="s",
-                    lineage=((h, ""), (h, "again")), content="v1")
-    with pytest.raises(ValueError, match="newest lineage hash"):
-        MemoryEntry(content_hash=h, summary="s",
-                    lineage=((content_hash("v0"), ""),), content="v1")
-
-
 # --- summarize_file branches --------------------------------------------------
 
 SMALL_OLD = "\n".join(f"def f{i}():\n    return {i}\n" for i in range(12))
@@ -527,9 +509,8 @@ def test_summarize_fresh_then_cached():
     assert gw.call_counts == {"P2": 1}
     assert custodian.summarize_file("m.py", SMALL_OLD) == "module summary"
     assert gw.call_counts == {"P2": 1}
-    entry = custodian.memory.get("m.py")
-    assert entry.lineage == ((content_hash(SMALL_OLD), ""),)
-    assert entry.content == SMALL_OLD
+    assert custodian.memory.get("m.py") == MemoryEntry("module summary", 0,
+                                                       SMALL_OLD)
 
 
 def test_summarize_small_edit_extends_summary():
@@ -539,11 +520,7 @@ def test_summarize_small_edit_extends_summary():
     summary = custodian.summarize_file("m.py", SMALL_NEW)
     assert summary == "base summary\nUPDATE: bump f3 result"
     assert gw.call_counts == {"P2": 1, "P1": 1}
-    entry = custodian.memory.get("m.py")
-    assert entry.content_hash == content_hash(SMALL_NEW)
-    assert len(entry.lineage) == 2
-    assert entry.lineage[1] == (content_hash(SMALL_NEW), "bump f3 result")
-    assert entry.content == SMALL_NEW
+    assert custodian.memory.get("m.py") == MemoryEntry(summary, 1, SMALL_NEW)
 
 
 def test_summarize_large_edit_starts_fresh():
@@ -553,24 +530,46 @@ def test_summarize_large_edit_starts_fresh():
     summary = custodian.summarize_file("m.py", "x\ny\n")
     assert summary == "second"
     assert gw.call_counts == {"P2": 2}
-    assert len(custodian.memory.get("m.py").lineage) == 1
+    assert custodian.memory.get("m.py") == MemoryEntry("second", 0, "x\ny\n")
 
 
 def test_summarize_rebuilds_after_update_cap():
-    versions = [f"content version {i}\n" + SMALL_OLD
-                for i in range(MAX_LINEAGE_UPDATES + 1)]
-    lineage = tuple((content_hash(v), f"msg {i}")
-                    for i, v in enumerate(versions))
-    entry = MemoryEntry(content_hash=content_hash(versions[-1]),
-                        summary="long lived", lineage=lineage,
-                        content=versions[-1])
-    memory: EvolutionMemory = {"m.py": entry}
+    old = "content version\n" + SMALL_OLD
+    memory: EvolutionMemory = {
+        "m.py": MemoryEntry("long lived", MAX_SUMMARY_UPDATES, old)}
     gw = scripted_gateway({"P2": "rebuilt", "P1": "unused"})
     custodian = Custodian(gw, memory)
-    newest = versions[-1].replace("version", "revision")
+    newest = old.replace("version", "revision")
     assert custodian.summarize_file("m.py", newest) == "rebuilt"
     assert gw.call_counts == {"P2": 1}
-    assert len(memory.get("m.py").lineage) == 1
+    assert memory.get("m.py") == MemoryEntry("rebuilt", 0, newest)
+
+
+def test_summarize_updates_up_to_the_cap():
+    old = "content version\n" + SMALL_OLD
+    memory: EvolutionMemory = {
+        "m.py": MemoryEntry("long lived", MAX_SUMMARY_UPDATES - 1, old)}
+    gw = scripted_gateway({"P2": "unused", "P1": "last update"})
+    custodian = Custodian(gw, memory)
+    newest = old.replace("version", "revision")
+    summary = custodian.summarize_file("m.py", newest)
+    assert summary == "long lived\nUPDATE: last update"
+    assert gw.call_counts == {"P1": 1}
+    assert memory.get("m.py") == MemoryEntry(summary, MAX_SUMMARY_UPDATES,
+                                             newest)
+
+
+def test_summarize_a_return_to_an_earlier_version_is_an_update():
+    first = "".join(f"def g{i}(x):\n    return x + {i}\n\n" for i in range(14))
+    second = first.replace("x + 7", "x - 7")  # one of 42 lines
+    gw = scripted_gateway({"P2": "base", "P1": ["to second", "back"]})
+    custodian = Custodian(gw)
+    custodian.summarize_file("m.py", first)
+    custodian.summarize_file("m.py", second)
+    summary = custodian.summarize_file("m.py", first)
+    assert summary == "base\nUPDATE: to second\nUPDATE: back"
+    assert gw.call_counts == {"P2": 1, "P1": 2}
+    assert custodian.memory.get("m.py") == MemoryEntry(summary, 2, first)
 
 
 def test_summarize_leaves_memory_alone_on_llm_failure():
@@ -594,30 +593,66 @@ def test_summarize_leaves_memory_alone_on_llm_failure():
 # --- persistence ---------------------------------------------------------------
 
 def test_memory_round_trip(tmp_path):
-    h1, h2 = content_hash("one"), content_hash("two")
     memory: EvolutionMemory = {
-        "a.py": MemoryEntry(h1, "summary a", ((h1, ""),), "one"),
-        "b.py": MemoryEntry(h2, "summary b\nUPDATE: tweak",
-                            ((h1, ""), (h2, "tweak")), "two")}
+        "a.py": MemoryEntry("summary a", 0, "one"),
+        "b.py": MemoryEntry("summary b\nUPDATE: tweak", 1, "two")}
     path = tmp_path / "memory.jsonl"
     save_memory(memory, path)
     first_line = path.read_text(encoding="utf-8").splitlines()[0]
-    assert first_line == "evolution-memory-v1"
+    assert first_line == "evolution-memory-v2"
     loaded = load_memory(path)
     assert loaded == memory
 
 
-def test_load_memory_rejects_wrong_version(tmp_path):
+_V1_RECORD = ('{"path": "a.py", "content_hash": "00", "summary": "s", '
+              '"lineage": [["00", ""]], "content": "one"}')
+
+
+@pytest.mark.parametrize("text", [
+    "something-else\n", f"evolution-memory-v1\n{_V1_RECORD}\n", ""],
+    ids=["other", "v1", "empty"])
+def test_load_memory_rejects_wrong_version(tmp_path, text):
     path = tmp_path / "memory.jsonl"
-    path.write_text("something-else\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="evolution-memory-v1"):
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as caught:
         load_memory(path)
+    message = str(caught.value)
+    assert message.startswith(f"{path}:1: not a evolution-memory-v2 file")
+    assert "safe to delete" in message
+    assert "summarizing each file afresh" in message
 
 
 def test_load_memory_reports_bad_record_line(tmp_path):
     path = tmp_path / "memory.jsonl"
-    path.write_text("evolution-memory-v1\n{\n", encoding="utf-8")
+    path.write_text("evolution-memory-v2\n{\n", encoding="utf-8")
     with pytest.raises(ValueError, match=":2: bad memory record"):
+        load_memory(path)
+
+
+def _record(**fields) -> dict:
+    return {"path": "a.py", "summary": "s", "updates": 0, "content": "one",
+            **fields}
+
+
+@pytest.mark.parametrize("record,problem", [
+    (_record(content=5), "content is not a string"),
+    (_record(path=7), "path is not a string"),
+    (_record(summary=None), "summary is not a string"),
+    (_record(updates=-1), "updates is not an integer >= 0"),
+    (_record(updates=True), "updates is not an integer >= 0"),
+    (_record(updates=1.0), "updates is not an integer >= 0"),
+    (_record(updates="1"), "updates is not an integer >= 0"),
+    ({"path": "a.py", "summary": "s", "content": "one"}, "'updates'"),
+    (["a.py", "s", 0, "one"], "not a JSON object"),
+], ids=["content int", "path int", "summary null", "updates negative",
+        "updates bool", "updates float", "updates text", "updates missing",
+        "array"])
+def test_load_memory_checks_each_field(tmp_path, record, problem):
+    path = tmp_path / "memory.jsonl"
+    path.write_text(f"evolution-memory-v2\n{json.dumps(_record())}\n"
+                    f"{json.dumps(record)}\n", encoding="utf-8")
+    where = re.escape(f"{path}:3: bad memory record: {problem}")
+    with pytest.raises(ValueError, match=f"^{where}$"):
         load_memory(path)
 
 

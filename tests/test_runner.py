@@ -163,10 +163,8 @@ def test_oracle_run_passes_only_a_current_summary_to_the_coder(
     repo = tmp_path / "repo"
     sha = e2e.build_fixture_repo(repo, {"big.py": BIG_NEW})
     memory_path = tmp_path / "memory.jsonl"
-    digest = custodian.content_hash(remembered)
     custodian.save_memory({"big.py": custodian.MemoryEntry(
-        digest, "REMEMBERED SUMMARY", ((digest, ""),), remembered)},
-        memory_path)
+        "REMEMBERED SUMMARY", 0, remembered)}, memory_path)
     prompts: list[str] = []
     gateway = scripted_gateway({
         "P4": "Restore value_250.", "P5": "A developer.", "P6": "A developer.",
@@ -210,9 +208,12 @@ def test_resolve_instance_makes_no_checkout(fixture_repo, tmp_path,
 
 # --- incremental locate ------------------------------------------------------------
 
+# 42 functions, so that a one-line edit's diff is shorter than the file
+STORE = "def store(cache, key):\n    return cache.put(key)\n" + "".join(
+    f"\n\ndef keep_{i}(value):\n    return value + {i}\n" for i in range(41))
 EVOLVING = {
     "cache.py": "class Cache:\n    def evict(self):\n        return cache_limit\n",
-    "store.py": "def store(cache, key):\n    return cache.put(key)\n",
+    "store.py": STORE,
     "util.py": "def clamp(value, low, high):\n    return value\n",
     "docs/notes.md": "Notes on eviction of stale entries.\n",
 }
@@ -227,9 +228,8 @@ def evolving_repo(tmp_path):
     repo.mkdir()
     (repo / "blob.bin").write_bytes(b"\xff\xfe cache eviction")
     first = e2e.build_fixture_repo(repo, EVOLVING)
-    (repo / "store.py").write_text("def store(cache, key):\n"
-                                   "    return cache.evict(key)\n",
-                                   encoding="utf-8")
+    (repo / "store.py").write_text(
+        STORE.replace("cache.put(key)", "cache.evict(key)"), encoding="utf-8")
     (repo / "fresh.py").write_text("def fresh_cache():\n    return {}\n",
                                    encoding="utf-8")
     second = e2e.commit_all(repo, "second")
@@ -324,6 +324,20 @@ def test_unchanged_listing_leaves_the_index_file_alone(evolving_repo,
     assert warm.result.ranked == cold.result.ranked
     _locate(repo, second, config)
     assert index_path.stat().st_ino != inode
+
+
+def test_locate_back_at_an_earlier_revision_updates_the_summary(
+        evolving_repo, tmp_path):
+    # a shared memory meets the revisions of a repository in any order
+    repo, first, second = evolving_repo
+    memory_path = tmp_path / "memory.jsonl"
+    config = _config(tmp_path, top_k=10, memory_path=str(memory_path))
+    for sha in (first, second, first):
+        _locate(repo, sha, config)
+    entry = load_memory(memory_path)["store.py"]
+    assert entry.summary == "a summary\nUPDATE: an update\nUPDATE: an update"
+    assert entry.updates == 2
+    assert entry.content == STORE
 
 
 def test_locate_without_memory_path_writes_no_index(evolving_repo, tmp_path):
