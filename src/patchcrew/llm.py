@@ -28,6 +28,7 @@ import time
 from collections import Counter
 from pathlib import Path
 from typing import Any, Callable, Iterable, TypeVar
+from urllib.parse import urlsplit
 
 from . import prompts
 from .errors import (CassetteMissError, ExtractionError, RateLimitError,
@@ -111,6 +112,9 @@ def map_concurrently(fn: Callable[[T], R], items: Iterable[T],
     return [future.result() for future in futures]
 
 
+_RECORD_FIELDS = ("key", "template_id", "rendered_prompt", "response_text")
+
+
 def read_cassette(path: str | Path) -> dict[str, dict[str, str]]:
     """Load a cassette file into key -> record. Later duplicates win.
     Reads one line at a time, so the whole file text is never held."""
@@ -124,11 +128,18 @@ def read_cassette(path: str | Path) -> dict[str, dict[str, str]]:
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: bad cassette record: "
                                  f"{exc}") from exc
-            missing = ({"key", "template_id", "rendered_prompt", "response_text"}
-                       - set(obj))
+            if not isinstance(obj, dict):
+                raise ValueError(f"{path}:{lineno}: cassette record is not "
+                                 f"a JSON object")
+            missing = set(_RECORD_FIELDS) - set(obj)
             if missing:
                 raise ValueError(f"{path}:{lineno}: cassette record missing "
                                  f"{', '.join(sorted(missing))}")
+            not_text = sorted(field for field in _RECORD_FIELDS
+                              if not isinstance(obj[field], str))
+            if not_text:
+                raise ValueError(f"{path}:{lineno}: cassette record has a "
+                                 f"non-string {', '.join(not_text)}")
             records[obj["key"]] = obj
     return records
 
@@ -223,7 +234,8 @@ class LiveBackend:
                  clock: Callable[[], float] = time.monotonic,
                  timeout: float = 120.0):
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
-        self.api_url = api_url or os.environ.get(API_URL_ENV, DEFAULT_API_URL)
+        self.api_url = (api_url if api_url is not None
+                        else os.environ.get(API_URL_ENV, DEFAULT_API_URL))
         self.model = model
         self.timeout = timeout
         self._transport = transport or self._http_transport
@@ -232,8 +244,15 @@ class LiveBackend:
         self._lock = threading.Lock()
         self._resume_at = 0.0  # no call is sent before this clock reading
         self.network_calls = 0
-        if transport is None and not self.api_key:
-            raise TransportError(f"{API_KEY_ENV} is not set")
+        if transport is None:
+            if not self.api_key:
+                raise TransportError(f"{API_KEY_ENV} is not set")
+            # urllib would also open file: and ftp: URLs
+            url = urlsplit(self.api_url)
+            if url.scheme not in ("http", "https") or not url.hostname:
+                raise TransportError(f"{API_URL_ENV} must be an http or "
+                                     f"https URL with a host, not "
+                                     f"{self.api_url!r}")
 
     def complete(self, key: str, template_id: str, rendered_prompt: str) -> str:
         delay = BACKOFF_START_SECONDS
@@ -273,21 +292,38 @@ class LiveBackend:
             delay *= 2
 
     def _http_transport(self, rendered_prompt: str) -> str:
-        import requests
+        # imported here: urllib.request loads http.client and ssl, about
+        # 6.7 MB of resident memory that a replayed run need not pay
+        import urllib.error
+        import urllib.request
 
-        resp = requests.post(
-            self.api_url,
-            headers={"Authorization": f"Bearer {self.api_key}"},
-            json={"model": self.model,
-                  "messages": [{"role": "user", "content": rendered_prompt}]},
-            timeout=self.timeout,
-        )
-        if resp.status_code == 429:
-            raise RateLimitError(
-                f"HTTP 429 from {self.api_url}",
-                retry_after_seconds(resp.headers.get("Retry-After")))
-        resp.raise_for_status()
-        return resp.json()["choices"][0]["message"]["content"]
+        body = {"model": self.model,
+                "messages": [{"role": "user", "content": rendered_prompt}]}
+        request = urllib.request.Request(
+            self.api_url, data=json.dumps(body).encode("ascii"),
+            headers={"Content-Type": "application/json"})
+        # not forwarded when the server redirects, to its host or another
+        request.add_unredirected_header("Authorization",
+                                        f"Bearer {self.api_key}")
+        # a new opener reads http_proxy, https_proxy and no_proxy on every
+        # call; urlopen's process-wide one reads them once
+        try:
+            with urllib.request.build_opener().open(
+                    request, timeout=self.timeout) as resp:
+                reply = json.load(resp)
+        except urllib.error.HTTPError as exc:
+            exc.close()  # it holds the socket
+            if exc.code == 429:
+                raise RateLimitError(
+                    f"HTTP 429 from {self.api_url}",
+                    retry_after_seconds(exc.headers.get("Retry-After"))) from None
+            raise
+        content = reply["choices"][0]["message"]["content"]
+        if not isinstance(content, str):
+            # the API sends null for a refusal or a tool call
+            raise ValueError(f"reply content is {type(content).__name__}, "
+                             f"not text")
+        return content
 
 
 def last_nonempty_line(text: str) -> str:

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import subprocess
+import threading
+from http import HTTPStatus
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -114,3 +118,65 @@ def cat_file_procs(monkeypatch):
 
     monkeypatch.setattr(gitops.subprocess, "Popen", Recording)
     return started
+
+
+class _LoopbackHandler(BaseHTTPRequestHandler):
+    def do_POST(self):
+        length = int(self.headers.get("Content-Length") or 0)
+        seen = (self.requestline, self.headers, self.rfile.read(length))
+        self.server.seen.append(seen)
+        status, headers, body = self.server.answer(*seen)
+        head = [f"HTTP/1.1 {status} {HTTPStatus(status).phrase}",
+                *(f"{name}: {value}" for name, value in headers.items()),
+                f"Content-Length: {len(body)}", "Connection: close", "", ""]
+        # one send: a reply split into a header and a body write can wait
+        # out the client's delayed ACK
+        self.wfile.write("\r\n".join(head).encode("latin-1") + body)
+        self.close_connection = True
+
+    do_GET = do_POST
+
+    def log_message(self, format, *args):
+        pass
+
+
+def chat_reply(content) -> tuple[int, dict, bytes]:
+    """A chat-completion API's answer whose message content is content."""
+    body = {"choices": [{"message": {"role": "assistant", "content": content}}]}
+    return 200, {"Content-Type": "application/json"}, json.dumps(body).encode()
+
+
+@pytest.fixture()
+def no_proxy_env(monkeypatch):
+    """Clears the proxy variables, so an HTTP call goes direct unless the
+    test sets one."""
+    for name in ("http_proxy", "https_proxy", "no_proxy", "all_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+
+
+@pytest.fixture()
+def loopback(no_proxy_env):
+    """Starts HTTP servers on 127.0.0.1: ``loopback(answer)`` returns one
+    whose ``url`` has no path and whose ``seen`` lists each request it got
+    as (request line, headers, body). ``answer`` maps those three to the
+    reply's (status, headers, body)."""
+    running = []
+
+    def start(answer):
+        server = ThreadingHTTPServer(("127.0.0.1", 0), _LoopbackHandler)
+        server.answer, server.seen = answer, []
+        server.url = f"http://127.0.0.1:{server.server_port}"
+        # a short poll keeps shutdown() from waiting half a second
+        thread = threading.Thread(target=server.serve_forever, args=(0.02,),
+                                  daemon=True)
+        thread.start()
+        running.append((server, thread))
+        return server
+
+    yield start
+    for server, thread in running:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()

@@ -5,10 +5,11 @@ import json
 import pytest
 
 import _e2e_data as e2e
+from conftest import chat_reply
 
 from patchcrew.cli import main
 from patchcrew.custodian import load_memory
-from patchcrew.llm import cassette_key
+from patchcrew.llm import cassette_key, read_cassette
 
 
 def _run_flags(tmp_path, *extra: str, cassette=e2e.CASSETTE_PATH) -> list[str]:
@@ -29,6 +30,42 @@ def test_resolve_success(fixture_instance_file, tmp_path, capsys):
     assert "report: " in out
     patch = tmp_path / "runs" / f"{e2e.INSTANCE_ID}.patch"
     assert patch.read_bytes() == e2e.EXPECTED_PATCH_PATH.read_bytes()
+
+
+def test_record_resolve_over_a_loopback_api(fixture_instance_file, tmp_path,
+                                            loopback, monkeypatch):
+    """A record run whose every call crosses a socket to a chat API that
+    answers from the fixture cassette, by prompt, gives the fixture's patch,
+    and the cassette it writes replays to the same patch."""
+    answers = {record["rendered_prompt"]: record["response_text"]
+               for record in read_cassette(e2e.CASSETTE_PATH).values()}
+
+    def answer(requestline, headers, body):
+        prompt = json.loads(body)["messages"][0]["content"]
+        return chat_reply(answers[prompt]) if prompt in answers else (
+            500, {}, b"no recorded answer")
+
+    server = loopback(answer)
+    monkeypatch.setenv("MAGIS_API_URL", server.url + "/v1/chat/completions")
+    monkeypatch.setenv("MAGIS_API_KEY", "sk-test")
+    recorded = tmp_path / "recorded.jsonl"
+    code = main(["resolve", str(fixture_instance_file), "--llm-mode", "record",
+                 *_run_flags(tmp_path, cassette=recorded)])
+    assert code == 0
+    patch = tmp_path / "runs" / f"{e2e.INSTANCE_ID}.patch"
+    assert patch.read_bytes() == e2e.EXPECTED_PATCH_PATH.read_bytes()
+    prompts = [json.loads(body)["messages"][0]["content"]
+               for _, _, body in server.seen]
+    assert set(prompts) <= set(answers)
+    run_text = (tmp_path / "runs" / e2e.INSTANCE_ID / "run.txt").read_text(
+        encoding="utf-8")
+    assert f"network_calls: {len(server.seen)}\n" in run_text
+
+    replayed = tmp_path / "replayed"
+    assert main(["resolve", str(fixture_instance_file),
+                 *_run_flags(replayed, cassette=recorded)]) == 0
+    assert (replayed / "runs" / f"{e2e.INSTANCE_ID}.patch").read_bytes() \
+        == e2e.EXPECTED_PATCH_PATH.read_bytes()
 
 
 def test_resolve_cassette_miss_is_exit_3(fixture_repo, tmp_path, capsys):

@@ -1,11 +1,12 @@
 """Import budgets. Importing the package, its CLI and its evaluation kit,
 evaluating a patch and analysing a results file load none of the modules
 that only other paths need: numpy is no dependency at all, datetime is
-imported by an HTTP-date Retry-After and requests by a live LLM call, and
-evaluation makes neither. A replayed resolve loads no OpenSSL: cassette
-keys and content hashes take SHA-256 from CPython's builtin module
-(``_sha2``, or ``_sha256`` before Python 3.12), not from hashlib, which
-maps OpenSSL's libcrypto."""
+imported by an HTTP-date Retry-After and the HTTP client (``urllib.request``
+and ``http.client``) by a live LLM call, and evaluation makes neither. A
+replayed resolve loads neither the HTTP client nor OpenSSL: cassette keys
+take SHA-256 from CPython's builtin module (``_sha2``, or ``_sha256``
+before Python 3.12), not from hashlib, which maps OpenSSL's libcrypto.
+Module names match exactly: ``pathlib`` already loads ``urllib.parse``."""
 
 from __future__ import annotations
 
@@ -20,7 +21,8 @@ from test_evalkit_driver import GOOD_PATCH, _synthetic_report
 
 from patchcrew.evalkit.driver import write_results_csv
 
-NOT_LOADED = ("_hashlib", "hashlib", "datetime", "numpy", "requests")
+HTTP_CLIENT = ("http.client", "urllib.request")
+NOT_LOADED = ("_hashlib", "hashlib", "datetime", "numpy", *HTTP_CLIENT)
 OPENSSL = ("_hashlib", "hashlib", "ssl", "_ssl")
 
 
@@ -40,8 +42,7 @@ instances, changes, out, results = sys.argv[1:]
 assert patchcrew.cli.main(["evaluate", "--instances", instances,
                            "--changes", changes, "--out", out]) == 0
 assert patchcrew.cli.main(["analyze", "--results", results]) == 0
-print(sorted(name for name in sys.modules
-             if name.split(".")[0] in {not_loaded!r}))
+print(sorted(name for name in sys.modules if name in {not_loaded!r}))
 """
 
 
@@ -68,14 +69,14 @@ _RESOLVE_SCRIPT = """
 import sys
 import patchcrew.cli
 assert patchcrew.cli.main(sys.argv[1:]) == 0
-print(sorted(name for name in sys.modules
-             if name.split(".")[0] in {openssl!r}))
+print(sorted(name for name in sys.modules if name in {not_loaded!r}))
 """
 
 
 def test_replayed_resolve_loads_no_openssl(fixture_instance_file, tmp_path):
     out = tmp_path / "runs"
-    proc = _run_fresh(_RESOLVE_SCRIPT.format(openssl=set(OPENSSL)),
+    proc = _run_fresh(_RESOLVE_SCRIPT.format(
+                          not_loaded={*OPENSSL, *HTTP_CLIENT}),
                       "resolve", str(fixture_instance_file),
                       "--cassette", str(e2e.CASSETTE_PATH),
                       "--top-k", str(e2e.TOP_K),

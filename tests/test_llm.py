@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import socket
 import sys
 import threading
 import time
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import ScriptedBackend, scripted_gateway
+from conftest import ScriptedBackend, chat_reply, scripted_gateway
 
 from patchcrew.errors import (CassetteMissError, ExtractionError,
                               RateLimitError, TransportError)
@@ -80,6 +81,22 @@ def test_read_cassette_rejects_bad_json_with_line_number(tmp_path):
     path.write_text(json.dumps(_record("k")) + "\nnot json\n",
                     encoding="utf-8")
     with pytest.raises(ValueError, match=":2: bad cassette record"):
+        read_cassette(path)
+    path.write_text(json.dumps(_record("k")) + "\n5\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=":2: cassette record is not a JSON "
+                                         "object"):
+        read_cassette(path)
+
+
+@pytest.mark.parametrize("field", ["key", "template_id", "rendered_prompt",
+                                   "response_text"])
+def test_read_cassette_rejects_a_field_that_is_not_a_string(tmp_path, field):
+    # a chat API replies with null content to a refusal or a tool call
+    path = tmp_path / "c.jsonl"
+    _write_cassette(path, [_record("k1"), {**_record("k2"), field: None}])
+    with pytest.raises(ValueError,
+                       match=f"c.jsonl:2: cassette record has a non-string "
+                             f"{field}$"):
         read_cassette(path)
 
 
@@ -353,31 +370,97 @@ def test_live_backend_rides_out_429s_under_a_full_stage():
     assert backend.network_calls == MAX_TASKS + transport.refused
 
 
-class FakeResponse:
-    def __init__(self, status_code: int, headers=None, body=None):
-        self.status_code = status_code
-        self.headers = headers or {}
-        self._body = body
-
-    def raise_for_status(self):
-        if self.status_code >= 400:
-            raise ConnectionError(f"HTTP {self.status_code}")
-
-    def json(self):
-        return self._body
+def _backend(server, **kwargs) -> LiveBackend:
+    return LiveBackend("sk-test", api_url=server.url + "/v1/chat", **kwargs)
 
 
-def test_http_transport_turns_429_into_a_rate_limit(monkeypatch):
-    requests = pytest.importorskip("requests")
-    replies = iter([
-        FakeResponse(429, {"Retry-After": "3"}),
-        FakeResponse(200, body={"choices": [{"message": {"content": "hi"}}]}),
-    ])
-    monkeypatch.setattr(requests, "post", lambda *a, **kw: next(replies))
+def test_http_transport_sends_the_prompt_and_the_key(loopback):
+    server = loopback(lambda *seen: chat_reply("hi"))
+    backend = _backend(server, model="m")
+    assert backend.complete("k", "P1", "fix the naïve add") == "hi"
+    [(requestline, headers, body)] = server.seen
+    assert requestline == "POST /v1/chat HTTP/1.1"
+    assert headers["Authorization"] == "Bearer sk-test"
+    assert headers["Content-Type"] == "application/json"
+    assert json.loads(body) == {
+        "model": "m",
+        "messages": [{"role": "user", "content": "fix the naïve add"}]}
+
+
+def test_http_transport_turns_429_into_a_rate_limit(loopback):
+    replies = iter([(429, {"Retry-After": "2"}, b""), chat_reply("hi")])
+    server = loopback(lambda *seen: next(replies))
     clock = FakeClock()
-    backend = LiveBackend("key", sleeper=clock.sleep, clock=lambda: clock.now)
+    backend = _backend(server, sleeper=clock.sleep, clock=lambda: clock.now)
     assert backend.complete("k", "P1", "p") == "hi"
-    assert clock.sleeps == [3.0]
+    assert clock.sleeps == [2.0]
+    assert len(server.seen) == backend.network_calls == 2
+
+
+@pytest.mark.parametrize("reply", [
+    (500, {}, b"overloaded"),
+    chat_reply(None),  # what the API sends for a refusal or a tool call
+    chat_reply(["a", "list"]),
+    (200, {}, b"not json"),
+    (200, {}, b'{"choices": []}'),
+], ids=["server-error", "null-content", "list-content", "not-json",
+        "no-choices"])
+def test_http_transport_retries_a_failed_reply(loopback, reply):
+    server = loopback(lambda *seen: reply)
+    sleeps: list[float] = []
+    backend = _backend(server, sleeper=sleeps.append)
+    with pytest.raises(TransportError) as info:
+        backend.complete("k", "P1", "p")
+    assert info.value.attempts == 3
+    assert sleeps == [1.0, 2.0]
+    assert len(server.seen) == 3
+
+
+def test_http_transport_times_out_on_a_silent_server(no_proxy_env):
+    # accepts connections into its backlog and never answers
+    with socket.create_server(("127.0.0.1", 0)) as silent:
+        sleeps: list[float] = []
+        backend = LiveBackend(
+            "sk-test", api_url=f"http://127.0.0.1:{silent.getsockname()[1]}/",
+            timeout=0.2, sleeper=sleeps.append)
+        started = time.monotonic()
+        with pytest.raises(TransportError, match="timed out"):
+            backend.complete("k", "P1", "p")
+    assert sleeps == [1.0, 2.0]
+    assert time.monotonic() - started < 10
+
+
+def test_http_transport_sends_no_key_after_a_redirect(loopback):
+    other = loopback(lambda *seen: chat_reply("moved"))
+    server = loopback(
+        lambda *seen: (302, {"Location": other.url + "/elsewhere"}, b""))
+    assert _backend(server).complete("k", "P1", "p") == "moved"
+    [(_, first_headers, _)] = server.seen
+    [(requestline, headers, _)] = other.seen
+    assert first_headers["Authorization"] == "Bearer sk-test"
+    assert requestline == "GET /elsewhere HTTP/1.1"
+    assert "Authorization" not in headers
+
+
+def test_http_transport_reads_the_proxy_variables_on_every_call(
+        loopback, monkeypatch):
+    server = loopback(lambda *seen: chat_reply("direct"))
+    proxy = loopback(lambda *seen: chat_reply("proxied"))
+    backend = _backend(server)
+    monkeypatch.setenv("http_proxy", proxy.url)
+    assert backend.complete("k", "P1", "p") == "proxied"
+    [(requestline, _, _)] = proxy.seen
+    assert requestline == f"POST {server.url}/v1/chat HTTP/1.1"
+    assert server.seen == []
+    monkeypatch.setenv("no_proxy", "127.0.0.1")
+    assert backend.complete("k", "P1", "p") == "direct"
+    assert len(server.seen) == len(proxy.seen) == 1
+
+
+@pytest.mark.parametrize("url", ["file:///etc/hostname", "", "https://"])
+def test_live_backend_refuses_a_url_that_is_not_http(url):
+    with pytest.raises(TransportError, match="MAGIS_API_URL"):
+        LiveBackend("sk-test", api_url=url)
 
 
 def test_retry_after_seconds(monkeypatch):
