@@ -12,7 +12,10 @@ iteration count, approval and failure off those records.
 Every iteration rewrites the original file, not the previous attempt;
 only the task text accumulates review feedback. resolve_issue gives each
 file one task, and runs all the tasks concurrently; no work plan orders
-them.
+them. A task's QA persona reads only the task text and the file, so
+assign_qa can give it one early, beside other work (the runner does so
+during the kick-off meeting); resolve_issue then runs the task on the
+coder that spawned its QA engineer.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import logging
 import re
 from collections import Counter
 from dataclasses import dataclass, replace
+from typing import Callable
 
 from . import prompts
 from .diffs import (CodeChange, FileDiff, compute_diff, keyed_lines,
@@ -156,6 +160,20 @@ class Coder:
         self.n_max = n_max
         self.qa_enabled = qa_enabled
         self.notes: list[str] = []
+        # task file path -> the coder that spawned its QA engineer
+        self._workers: dict[str, Coder] = {}
+
+    def _worker(self) -> Coder:
+        return Coder(self.gateway, n_max=self.n_max, qa_enabled=self.qa_enabled)
+
+    def assign_qa(self, task: TaskAssignment,
+                  original_files: dict[str, str]) -> TaskAssignment:
+        """spawn_qa for the task's file on a coder of the task's own, which
+        resolve_issue later runs the task on, so a failed spawn's note leads
+        that task's notes. Tasks on different files may be given their QA
+        engineers at once, from several threads."""
+        worker = self._workers[task.file_path] = self._worker()
+        return worker.spawn_qa(task, original_files.get(task.file_path, ""))
 
     def spawn_qa(self, task: TaskAssignment, file_content: str) -> TaskAssignment:
         """Attach a QA persona to the task; on failure the task proceeds
@@ -277,14 +295,18 @@ class Coder:
     def resolve_issue(self, tasks: list[TaskAssignment],
                       original_files: dict[str, str],
                       summaries: dict[str, str] | None = None,
+                      on_result: Callable[[int, TaskResult], None] | None = None,
                       ) -> tuple[CodeChange, list[TaskResult]]:
         """Execute every task and merge the results.
 
         Each task edits a file of its own: two tasks naming one path raise
         ValueError. So every task starts from its file's original content,
         nothing passes from one task to another, and all the tasks run
-        concurrently, each with a coder of its own, so its notes stay apart
-        from other workers'. Results and notes are merged in task order, as
+        concurrently, each with a coder of its own (the one assign_qa gave
+        it, if any), so its notes stay apart from other workers'. A task
+        runs with the QA role it carries: assign_qa the tasks first for a
+        review loop. Task i's worker calls ``on_result(i, result)`` as soon
+        as the task is done. Results and notes are merged in task order, as
         if the tasks had run one by one. The change holds the diff of each
         task that changed its file (a failed task has none), sorted by path.
         """
@@ -294,19 +316,21 @@ class Coder:
             raise ValueError(f"tasks share a file: {', '.join(shared)}")
         summaries = summaries or {}
 
-        def run(task: TaskAssignment) -> tuple[TaskResult, list[str]]:
+        def run(numbered: tuple[int, TaskAssignment]
+                ) -> tuple[TaskResult, list[str]]:
+            i, task = numbered
             path = task.file_path
-            content = original_files.get(path, "")
-            worker = Coder(self.gateway, n_max=self.n_max,
-                           qa_enabled=self.qa_enabled)
-            task = worker.spawn_qa(task, content)
+            worker = self._workers.pop(path, None) or self._worker()
             result = worker.execute_task(
-                task, content, is_new_file=path not in original_files,
+                task, original_files.get(path, ""),
+                is_new_file=path not in original_files,
                 summary=summaries.get(path, ""))
+            if on_result is not None:
+                on_result(i, result)
             return result, worker.notes
 
         results: list[TaskResult] = []
-        for result, notes in map_concurrently(run, tasks):
+        for result, notes in map_concurrently(run, enumerate(tasks)):
             results.append(result)
             self.notes += notes
         diffs = sorted((r.file_diff for r in results if r.file_diff.hunks),

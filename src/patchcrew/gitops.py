@@ -72,27 +72,40 @@ def _git(args: list[str], cwd: str | Path) -> bytes:
     return proc.stdout
 
 
-def verify_revision(repo_path: str | Path, revision: str) -> str:
-    """Resolve a revision to a full commit hash, or raise naming it."""
+def _repository(repo_path: str | Path) -> Path:
     repo = Path(repo_path)
     if not (repo / ".git").exists():
         raise GitError(f"{repo} is not a git repository")
+    return repo
+
+
+def _unresolvable(revision: str, repo: Path, exc: GitError) -> GitError:
+    return GitError(f"revision {revision!r} not resolvable in {repo}: {exc}")
+
+
+def verify_revision(repo_path: str | Path, revision: str) -> str:
+    """Resolve a revision to a full commit hash, or raise naming it."""
+    repo = _repository(repo_path)
     try:
         out = _git(["rev-parse", "--verify", f"{revision}^{{commit}}"], repo)
     except GitError as exc:
-        raise GitError(f"revision {revision!r} not resolvable in {repo}: "
-                       f"{exc}") from exc
+        raise _unresolvable(revision, repo, exc) from exc
     return out.decode().strip()
 
 
 def list_repo_files(repo_path: str | Path, revision: str) -> dict[str, str]:
     """Every regular file of the revision: its repo-relative posix path and
     the git blob id of its content, in the order a sorted walk of a
-    checkout would give. Symlinks and gitlinks are left out. Every git
-    failure raises GitError."""
-    repo = Path(repo_path)
-    sha = verify_revision(repo, revision)
-    listing = _git(["ls-tree", "-r", "-z", "--full-tree", sha], repo)
+    checkout would give. Symlinks and gitlinks are left out. One git
+    process lists the tree of the revision's commit; every git failure
+    raises GitError."""
+    repo = _repository(repo_path)
+    try:
+        # --end-of-options: a revision starting with "-" is no option
+        listing = _git(["ls-tree", "-r", "-z", "--full-tree",
+                        "--end-of-options", f"{revision}^{{commit}}"], repo)
+    except GitError as exc:
+        raise _unresolvable(revision, repo, exc) from exc
     blobs: list[tuple[str, str]] = []
     for entry in listing.split(b"\0")[:-1]:
         meta, path = entry.split(b"\t", 1)

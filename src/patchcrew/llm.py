@@ -14,7 +14,8 @@ Replay is fail-closed: a missing key raises CassetteMissError naming the
 key. It never falls back to the network.
 
 Backends and the gateway are safe to call from several threads at once:
-map_concurrently runs a stage's independent calls side by side.
+map_concurrently runs a stage's independent calls side by side, and
+map_beside runs calls on threads while the caller works on.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import re
 import threading
 import time
 from collections import Counter
+from contextvars import copy_context
 from pathlib import Path
 from typing import Any, Callable, Iterable, TypeVar
 from urllib.parse import urlsplit
@@ -51,6 +53,7 @@ log = logging.getLogger(__name__)
 
 T = TypeVar("T")
 R = TypeVar("R")
+M = TypeVar("M")
 
 API_KEY_ENV = "MAGIS_API_KEY"
 API_URL_ENV = "MAGIS_API_URL"
@@ -98,18 +101,39 @@ def cassette_key(template_id: str, variables: dict[str, str]) -> str:
 def map_concurrently(fn: Callable[[T], R], items: Iterable[T],
                      workers: int = MAX_TASKS) -> list[R]:
     """fn over items on up to ``workers`` threads, results in input order.
-    Every call runs to its end; then the first exception, in input order,
-    is re-raised, so a CassetteMissError still stops the run."""
+    Each item runs in a copy of the caller's contextvars context, made when
+    the call starts, so it sees the caller's context variables and its own
+    sets reach neither the caller nor the other items. Every call runs to
+    its end; then the first exception, in input order, is re-raised, so a
+    CassetteMissError still stops the run."""
     # imported here, not at module level: the import costs about 0.06 MB
     # of resident memory, which runs that never call this need not pay
     from concurrent.futures import ThreadPoolExecutor
 
     items = list(items)
     if len(items) < 2:
-        return [fn(item) for item in items]
+        return [copy_context().run(fn, item) for item in items]
     with ThreadPoolExecutor(max_workers=min(len(items), workers)) as pool:
-        futures = [pool.submit(fn, item) for item in items]
+        futures = [pool.submit(copy_context().run, fn, item) for item in items]
     return [future.result() for future in futures]
+
+
+def map_beside(main: Callable[[], M], fn: Callable[[T], R],
+               items: Iterable[T]) -> tuple[M, list[R]]:
+    """main() on the calling thread while fn runs over items, each item on
+    a thread of its own (at most MAX_TASKS threads) in a copy of the
+    caller's context, as in map_concurrently. Returns main's result and fn's results in input
+    order. Everything runs to its end; then main's exception, or else the
+    first item's in input order, is raised."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    items = list(items)
+    if not items:
+        return main(), []
+    with ThreadPoolExecutor(max_workers=min(len(items), MAX_TASKS)) as pool:
+        futures = [pool.submit(copy_context().run, fn, item) for item in items]
+        head = main()  # on an exception, leaving the block waits for fn
+    return head, [future.result() for future in futures]
 
 
 _RECORD_FIELDS = ("key", "template_id", "rendered_prompt", "response_text")
@@ -164,8 +188,12 @@ class ReplayBackend:
 
 
 class RecordBackend:
-    """Delegates to an inner backend and appends each exchange to the
-    cassette. Already-recorded keys are not re-appended. A lock keeps
+    """Reads through its cassette: a key the cassette already holds, or
+    one this backend has already answered, is answered from memory, and
+    only a miss calls the inner backend and appends the exchange to the
+    cassette. So a recorded run gets the answers its replay will. Calls
+    with one key made at once make one inner call: the others wait for its
+    answer, and if it fails, one of them tries again. A lock keeps
     concurrent appends whole: a long record takes several writes."""
 
     mode = "record"
@@ -174,24 +202,40 @@ class RecordBackend:
         self.inner = inner
         self.cassette_path = Path(cassette_path)
         self._lock = threading.Lock()
-        self._seen: set[str] = set()
+        self._answers: dict[str, str] = {}
+        self._asking: dict[str, threading.Event] = {}  # key -> set when done
         if self.cassette_path.exists():
-            self._seen = set(read_cassette(self.cassette_path))
+            self._answers = {key: record["response_text"] for key, record
+                             in read_cassette(self.cassette_path).items()}
 
     @property
     def network_calls(self) -> int:
         return getattr(self.inner, "network_calls", 0)
 
     def complete(self, key: str, template_id: str, rendered_prompt: str) -> str:
-        response = self.inner.complete(key, template_id, rendered_prompt)
-        record = {"key": key, "template_id": template_id,
-                  "rendered_prompt": rendered_prompt, "response_text": response}
-        with self._lock:
-            if key not in self._seen:
+        while True:
+            with self._lock:
+                if key in self._answers:
+                    return self._answers[key]
+                asking = self._asking.get(key)
+                if asking is None:
+                    done = self._asking[key] = threading.Event()
+                    break
+            asking.wait()
+        try:
+            response = self.inner.complete(key, template_id, rendered_prompt)
+            record = {"key": key, "template_id": template_id,
+                      "rendered_prompt": rendered_prompt,
+                      "response_text": response}
+            with self._lock:
                 self.cassette_path.parent.mkdir(parents=True, exist_ok=True)
                 with self.cassette_path.open("a", encoding="utf-8") as fh:
                     fh.write(json.dumps(record, ensure_ascii=True) + "\n")
-                self._seen.add(key)
+                self._answers[key] = response
+        finally:
+            with self._lock:
+                del self._asking[key]
+            done.set()
         return response
 
 
@@ -248,8 +292,12 @@ class LiveBackend:
             if not self.api_key:
                 raise TransportError(f"{API_KEY_ENV} is not set")
             # urllib would also open file: and ftp: URLs
-            url = urlsplit(self.api_url)
-            if url.scheme not in ("http", "https") or not url.hostname:
+            try:
+                url = urlsplit(self.api_url)
+                usable = url.scheme in ("http", "https") and url.hostname
+            except ValueError:  # a malformed netloc, such as "[bad"
+                usable = False
+            if not usable:
                 raise TransportError(f"{API_URL_ENV} must be an http or "
                                      f"https URL with a host, not "
                                      f"{self.api_url!r}")

@@ -8,7 +8,10 @@ the transcript and the tasks' paths and first lines, which refinement
 leaves as they are; its notes follow theirs.
 The meeting is a circular speech: the manager opens, each developer speaks
 once per round in task order, the manager summarizes. Its turns run one at
-a time, since each reads the transcript so far. The plan asked of the
+a time on the calling thread, since each reads the transcript so far; the
+runner has the coder write each task's QA persona on other threads
+meanwhile, so the tasks reach refine_and_plan with their QA roles, which
+refinement keeps. The plan asked of the
 model is a JSON list of lists of task indices, stages as the paper's
 manager writes them; whatever comes back is repaired into a real partition
 (unknown or repeated indices dropped, missing indices appended as final

@@ -15,22 +15,29 @@ dropped a blob; without one it lives for the run.
 Independent LLM calls run concurrently (llm.map_concurrently): the
 per-file summaries and relevance checks of locate, the per-file task and
 role definitions, the role refinements after the meeting beside the
-work-plan call, and then every task at once. Each task edits a file of
-its own, starting from the base revision, so the plan.txt stages order
-no work; they are the manager's plan, reported as written. The kick-off
-meeting runs turn by turn, since each turn reads the transcript so far.
-Every stage merges its results and notes in rank or task order, so the
-report is the same as if every call had run in turn.
+work-plan call, and then every task at once. Each task's QA persona
+(P8) reads only its task text and its file, which neither the meeting
+nor role refinement changes, so the P8 calls run on threads of their own
+beside the kick-off meeting (llm.map_beside). The meeting runs turn by
+turn on the calling thread, since each turn reads the transcript so far.
+Each task edits a file of its own, starting from the base revision, so
+the plan.txt stages order no work; they are the manager's plan, reported
+as written. Every stage merges its results and notes in rank or task
+order, so the report is the same as if every call had run in turn.
 
-Artifacts per run, under ``<out_dir>/<instance_id>/``:
-  meeting.txt   the kick-off transcript and summary
+Artifacts per run, under ``<out_dir>/<instance_id>/``, each file written
+as soon as its content is final:
+  meeting.txt   the kick-off transcript and summary, after the meeting
   plan.txt      the manager's staged schedule, then task i, its file and
-                roles, for each i
+                roles, for each i; after role refinement and the plan
   task_<i>/attempt_<j>/{intervals.txt, old.txt, new.txt, diff.patch,
-                        review.txt}   the attempts of plan.txt's task i
+                        review.txt}   the attempts of plan.txt's task i,
+                written by task i's worker once the task is done
   notes.txt     degradations and warnings collected along the way
   run.txt       flags, mode, call counts, wall time (the one file that is
-                not byte-stable between runs)
+                not byte-stable between runs), written last: a report
+                directory without one comes from a resolve that raised
+                (or is still running); an earlier run's is removed first
 
 The generated patch itself lands at ``<out_dir>/<instance_id>.patch``.
 """
@@ -40,6 +47,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from .coder import DEFAULT_MAX_REVIEW_ITERS, Coder, TaskResult
@@ -47,7 +55,8 @@ from .custodian import (Custodian, LocateResult, TermIndex, load_memory,
                         load_term_index, save_memory, save_term_index)
 from .diffs import CodeChange, render_change
 from .gitops import iter_repo_files, list_repo_files, read_repo_files
-from .llm import Gateway, LiveBackend, RecordBackend, ReplayBackend
+from .llm import (Gateway, LiveBackend, RecordBackend, ReplayBackend,
+                  map_beside)
 from .model import IssueInstance
 from .planner import DEFAULT_MEETING_ROUNDS, Planner, render_transcript
 
@@ -171,48 +180,50 @@ def resolve_instance(instance: IssueInstance, config: RunConfig,
     planner = Planner(gateway, meeting_rounds=config.meeting_rounds)
     coder = Coder(gateway, n_max=config.max_review_iters,
                   qa_enabled=config.qa_enabled)
+    report_dir = config.out_dir / instance.instance_id
+    patch_path = config.out_dir / f"{instance.instance_id}.patch"
 
     tasks = planner.build_team(located.candidates, files, issue)
+    report_dir.mkdir(parents=True, exist_ok=True)
+    # run.txt marks a finished resolve, so an earlier run's must not stay
+    (report_dir / "run.txt").unlink(missing_ok=True)
     task_results: list[TaskResult] = []
     if tasks:
-        transcript = planner.kickoff_meeting(tasks, issue)
+        transcript, tasks = map_beside(
+            partial(planner.kickoff_meeting, tasks, issue),
+            partial(coder.assign_qa, original_files=files), tasks)
+        _write_meeting(report_dir, transcript)
         tasks, plan = planner.refine_and_plan(tasks, transcript)
+        _write_plan(report_dir, plan, tasks)
         # only a summary of the version at hand: an oracle run summarizes
         # nothing, and a failed summary call leaves the old entry
         change, task_results = coder.resolve_issue(
-            tasks, files, custodian.summaries_of(files))
-        tasks = [result.task for result in task_results]  # with QA roles
+            tasks, files, custodian.summaries_of(files),
+            on_result=partial(_write_task, report_dir))
     else:
-        transcript = None
-        plan = None
+        _write_plan(report_dir, None, tasks)
         change = CodeChange(())
 
     notes = custodian.notes + planner.notes + coder.notes
-    report_dir = config.out_dir / instance.instance_id
-    patch_path = config.out_dir / f"{instance.instance_id}.patch"
+    patch_path.write_text(render_change(change), encoding="utf-8")
+    (report_dir / "notes.txt").write_text(
+        "\n".join(notes) + "\n" if notes else "", encoding="utf-8")
     elapsed = time.monotonic() - started
-    _write_report(report_dir, patch_path, instance, config, gateway,
-                  located.result is not None, transcript, plan, tasks,
-                  task_results, change, notes, elapsed)
+    _write_run(report_dir, instance, config, gateway,
+               located.result is not None, elapsed)
     return RunOutcome(instance_id=instance.instance_id, change=change,
                       patch_path=patch_path, report_dir=report_dir,
                       task_results=task_results, notes=notes,
                       elapsed_seconds=elapsed)
 
 
-def _write_report(report_dir: Path, patch_path: Path, instance: IssueInstance,
-                  config: RunConfig, gateway: Gateway, ranked: bool,
-                  transcript, plan, tasks, task_results: list[TaskResult],
-                  change: CodeChange, notes: list[str], elapsed: float) -> None:
-    report_dir.mkdir(parents=True, exist_ok=True)
-    patch_path.parent.mkdir(parents=True, exist_ok=True)
-    patch_path.write_text(render_change(change), encoding="utf-8")
+def _write_meeting(report_dir: Path, transcript) -> None:
+    meeting = render_transcript(transcript.turns)
+    (report_dir / "meeting.txt").write_text(
+        f"{meeting}\n\n# summary\n{transcript.summary}\n", encoding="utf-8")
 
-    if transcript is not None:
-        meeting = render_transcript(transcript.turns)
-        (report_dir / "meeting.txt").write_text(
-            f"{meeting}\n\n# summary\n{transcript.summary}\n", encoding="utf-8")
 
+def _write_plan(report_dir: Path, plan, tasks) -> None:
     lines = ["# work plan"]
     if plan is not None:
         lines.append("transcript: meeting.txt")
@@ -229,36 +240,36 @@ def _write_report(report_dir: Path, patch_path: Path, instance: IssueInstance,
     (report_dir / "plan.txt").write_text("\n".join(lines) + "\n",
                                          encoding="utf-8")
 
-    for i, result in enumerate(task_results):
-        for j, attempt in enumerate(result.attempts):
-            attempt_dir = report_dir / f"task_{i}" / f"attempt_{j}"
-            attempt_dir.mkdir(parents=True, exist_ok=True)
-            if attempt.intervals is None:
-                intervals_text = f"(failed: {attempt.error})"
-            elif attempt.intervals.is_empty():
-                intervals_text = "(append at end of file)"
-            else:
-                intervals_text = " ".join(f"[{s},{e}]" for s, e
-                                          in attempt.intervals.intervals)
-            (attempt_dir / "intervals.txt").write_text(intervals_text + "\n",
-                                                       encoding="utf-8")
-            (attempt_dir / "old.txt").write_text(
-                _parts_text(attempt.old_parts), encoding="utf-8")
-            (attempt_dir / "new.txt").write_text(
-                _parts_text(attempt.new_parts), encoding="utf-8")
-            (attempt_dir / "diff.patch").write_text(attempt.diff_text,
-                                                    encoding="utf-8")
-            if attempt.review is not None:
-                verdict = "yes" if attempt.review.approved else "no"
-                review_text = f"approved: {verdict}\n\n{attempt.review.comment}\n"
-            else:
-                review_text = "(no review)\n"
-            (attempt_dir / "review.txt").write_text(review_text,
-                                                    encoding="utf-8")
 
-    (report_dir / "notes.txt").write_text(
-        "\n".join(notes) + "\n" if notes else "", encoding="utf-8")
+def _write_task(report_dir: Path, i: int, result: TaskResult) -> None:
+    for j, attempt in enumerate(result.attempts):
+        attempt_dir = report_dir / f"task_{i}" / f"attempt_{j}"
+        attempt_dir.mkdir(parents=True, exist_ok=True)
+        if attempt.intervals is None:
+            intervals_text = f"(failed: {attempt.error})"
+        elif attempt.intervals.is_empty():
+            intervals_text = "(append at end of file)"
+        else:
+            intervals_text = " ".join(f"[{s},{e}]" for s, e
+                                      in attempt.intervals.intervals)
+        (attempt_dir / "intervals.txt").write_text(intervals_text + "\n",
+                                                   encoding="utf-8")
+        (attempt_dir / "old.txt").write_text(
+            _parts_text(attempt.old_parts), encoding="utf-8")
+        (attempt_dir / "new.txt").write_text(
+            _parts_text(attempt.new_parts), encoding="utf-8")
+        (attempt_dir / "diff.patch").write_text(attempt.diff_text,
+                                                encoding="utf-8")
+        if attempt.review is not None:
+            verdict = "yes" if attempt.review.approved else "no"
+            review_text = f"approved: {verdict}\n\n{attempt.review.comment}\n"
+        else:
+            review_text = "(no review)\n"
+        (attempt_dir / "review.txt").write_text(review_text, encoding="utf-8")
 
+
+def _write_run(report_dir: Path, instance: IssueInstance, config: RunConfig,
+               gateway: Gateway, ranked: bool, elapsed: float) -> None:
     counts = " ".join(f"{tid}={n}" for tid, n
                       in sorted(gateway.call_counts.items()))
     run_lines = [

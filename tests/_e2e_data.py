@@ -246,16 +246,27 @@ def cassette_without(template_id: str, dest: Path) -> Path:
 @contextlib.contextmanager
 def calls_in_turn():
     """Run every stage's calls one at a time, in input order, as a serial
-    pipeline would. A recording backend appends records as calls finish, so
-    only in this mode does a cassette list them in a fixed order."""
-    from patchcrew import coder, custodian, planner
+    pipeline would: map_beside's main work first, then its items. A
+    recording backend appends records as calls finish, so only in this
+    mode does a cassette list them in a fixed order."""
+    from patchcrew import coder, custodian, planner, runner
 
-    modules = (custodian, planner, coder)
-    saved = [module.map_concurrently for module in modules]
-    for module in modules:
-        module.map_concurrently = lambda fn, items: [fn(item) for item in items]
+    def in_turn(fn, items, workers=None):
+        return [fn(item) for item in items]
+
+    def beside_in_turn(main, fn, items):
+        return main(), in_turn(fn, items)
+
+    patches = [(custodian, "map_concurrently", in_turn),
+               (planner, "map_concurrently", in_turn),
+               (coder, "map_concurrently", in_turn),
+               (runner, "map_beside", beside_in_turn)]
+    saved = [(module, name, getattr(module, name))
+             for module, name, _ in patches]
+    for module, name, serial in patches:
+        setattr(module, name, serial)
     try:
         yield
     finally:
-        for module, original in zip(modules, saved):
-            module.map_concurrently = original
+        for module, name, original in saved:
+            setattr(module, name, original)

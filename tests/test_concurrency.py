@@ -124,6 +124,49 @@ def test_each_stage_has_its_calls_in_flight_together(four_file_repo, tmp_path,
     assert _patched_files(report) == N_FILES
 
 
+def test_qa_personas_are_in_flight_with_the_meeting(four_file_repo, tmp_path):
+    # the meeting's opening waits until every task's P8 call has arrived
+    report = _resolve(four_file_repo, tmp_path,
+                      StageBackend(barrier=("MEETING_OPEN", "P8"),
+                                   parties=N_FILES + 1))
+    assert _patched_files(report) == N_FILES
+    assert "qa role:\nQA engineer for # file mod_3.py.\n" in (
+        report / "plan.txt").read_text(encoding="utf-8")
+
+
+class AwaitingBackend(StageBackend):
+    """Holds the P9 call about ``path`` until ``awaited`` exists, or fails
+    it after 10 s."""
+
+    def __init__(self, path: str, awaited: Path):
+        super().__init__()
+        self.path = path
+        self.awaited = awaited
+
+    def complete(self, key: str, template_id: str, prompt: str) -> str:
+        if template_id == "P9" and f"# file {self.path}" in prompt:
+            deadline = time.monotonic() + 10
+            while not self.awaited.exists():
+                if time.monotonic() > deadline:
+                    raise TransportError(f"{self.awaited} never came",
+                                         attempts=1)
+                time.sleep(0.005)
+        return super().complete(key, template_id, prompt)
+
+
+def test_a_task_report_is_written_as_soon_as_the_task_is_done(
+        four_file_repo, tmp_path):
+    # task i is mod_i.py; task 1 starts only once task 0 is on disk
+    backend = AwaitingBackend(
+        "mod_1.py", tmp_path / "four" / "task_0" / "attempt_0" / "review.txt")
+    report = _resolve(four_file_repo, tmp_path, backend)
+    assert (report / "notes.txt").read_text(encoding="utf-8") == ""
+    assert _patched_files(report) == N_FILES
+    plan = (report / "plan.txt").read_text(encoding="utf-8")
+    assert "task 0\nfile: mod_0.py\n" in plan
+    assert "task 1\nfile: mod_1.py\n" in plan
+
+
 def test_tasks_of_different_plan_stages_are_in_flight_together(
         four_file_repo, tmp_path):
     report = _resolve(four_file_repo, tmp_path,

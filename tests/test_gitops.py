@@ -338,6 +338,28 @@ def test_read_repo_files_reads_only_the_blobs_asked_for(odd_repo,
     assert len(cat_file_procs) == 1
 
 
+def test_list_repo_files_runs_one_git_process(odd_repo, monkeypatch):
+    repo, base = odd_repo
+    ran: list[str] = []
+    run_git = gitops._run_git
+
+    def recording(args, *rest):
+        ran.append(args[0])
+        return run_git(args, *rest)
+
+    monkeypatch.setattr(gitops, "_run_git", recording)
+    assert "top.py" in list_repo_files(repo, base)
+    assert ran == ["ls-tree"]
+
+
+@pytest.mark.parametrize("revision", ["--format=%(path)", "-r"])
+def test_list_repo_files_reads_no_revision_as_an_option(odd_repo, revision):
+    repo, _ = odd_repo
+    with pytest.raises(GitError, match=f"{re.escape(repr(revision))} not "
+                                       f"resolvable"):
+        list_repo_files(repo, revision)
+
+
 def test_list_repo_files_errors_name_the_revision_and_repo(odd_repo,
                                                            tmp_path):
     repo, _ = odd_repo

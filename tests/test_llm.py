@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextvars
 import hashlib
 import json
 import socket
@@ -18,8 +19,9 @@ from patchcrew.errors import (CassetteMissError, ExtractionError,
 from patchcrew.intervals import LineIntervalSet
 from patchcrew.llm import (MAX_TASKS, RATE_LIMIT_RETRIES, Gateway, LiveBackend,
                            RecordBackend, ReplayBackend, canonical_vars,
-                           cassette_key, extract_structured, map_concurrently,
-                           read_cassette, retry_after_seconds, sha256_hex)
+                           cassette_key, extract_structured, map_beside,
+                           map_concurrently, read_cassette,
+                           retry_after_seconds, sha256_hex)
 
 
 # --- keys ------------------------------------------------------------------
@@ -131,6 +133,67 @@ def test_record_backend_skips_keys_already_on_disk(tmp_path):
     assert read_cassette(path)["P1:k1"]["response_text"] == "old"
 
 
+class CountingBackend:
+    """Answers ``answer <n>`` on its n-th call (from 0); with ``fail_first``
+    the first call raises TransportError instead."""
+
+    mode = "live"
+
+    def __init__(self, delay: float = 0.0, fail_first: bool = False):
+        self.delay = delay
+        self.fail_first = fail_first
+        self.network_calls = 0
+        self._lock = threading.Lock()
+
+    def complete(self, key: str, template_id: str, rendered_prompt: str) -> str:
+        with self._lock:
+            n = self.network_calls
+            self.network_calls += 1
+        time.sleep(self.delay)
+        if self.fail_first and n == 0:
+            raise TransportError("first call fails", attempts=1)
+        return f"answer {n}"
+
+
+def test_record_backend_answers_a_repeated_key_from_memory(tmp_path):
+    path = tmp_path / "c.jsonl"
+    inner = CountingBackend()
+    backend = RecordBackend(inner, path)
+    answers = [backend.complete("P1:k", "P1", "p") for _ in range(2)]
+    assert answers == ["answer 0", "answer 0"]
+    assert inner.network_calls == backend.network_calls == 1
+    replay = ReplayBackend(path)
+    assert [replay.complete("P1:k", "P1", "p") for _ in range(2)] == answers
+
+
+def test_a_second_record_run_calls_only_for_new_keys(tmp_path):
+    path = tmp_path / "c.jsonl"
+    RecordBackend(CountingBackend(), path).complete("P1:k", "P1", "p")
+    inner = CountingBackend()
+    again = RecordBackend(inner, path)
+    assert again.complete("P1:k", "P1", "p") == "answer 0"
+    assert inner.network_calls == again.network_calls == 0
+    assert again.complete("P1:new", "P1", "q") == "answer 0"
+    assert inner.network_calls == 1
+    assert {key: r["response_text"] for key, r in read_cassette(path).items()
+            } == {"P1:k": "answer 0", "P1:new": "answer 0"}
+
+
+def test_record_backend_asks_again_when_the_first_call_fails(tmp_path):
+    inner = CountingBackend(delay=0.05, fail_first=True)
+    backend = RecordBackend(inner, tmp_path / "c.jsonl")
+
+    def ask(_):
+        try:
+            return backend.complete("P1:k", "P1", "p")
+        except TransportError:
+            return "failed"
+
+    answers = map_concurrently(ask, range(4))
+    assert sorted(answers) == ["answer 1"] * 3 + ["failed"]
+    assert inner.network_calls == 2
+
+
 def _run_threads(n_threads: int, work) -> None:
     """work(thread_index) on n_threads threads started together, under a
     short switch interval; every thread must finish within 60 s."""
@@ -178,6 +241,26 @@ def test_record_backend_concurrent_appends_stay_whole(tmp_path):
                for key in keys)
 
 
+def test_record_backend_makes_one_call_per_key_asked_at_once(tmp_path):
+    # every thread asks every key, in its own order
+    inner = CountingBackend(delay=0.001)
+    backend = RecordBackend(inner, tmp_path / "c.jsonl")
+    keys = [f"P1:k{i}" for i in range(8)]
+    answers: list[dict[str, str]] = [{} for _ in range(8)]
+
+    def ask(t: int) -> None:
+        for key in keys[t:] + keys[:t]:
+            answers[t][key] = backend.complete(key, "P1", key)
+
+    _run_threads(8, ask)
+    assert inner.network_calls == len(keys)
+    assert all(seen == answers[0] for seen in answers)
+    assert sorted(answers[0].values()) == sorted(
+        f"answer {n}" for n in range(len(keys)))
+    assert {key: r["response_text"] for key, r in read_cassette(
+        tmp_path / "c.jsonl").items()} == answers[0]
+
+
 def test_call_counters_lose_no_update_across_threads():
     gateway = Gateway(LiveBackend(transport=lambda prompt: "ok",
                                   sleeper=lambda s: None))
@@ -213,6 +296,72 @@ def test_map_concurrently_reraises_the_first_failure_after_all_finish():
         map_concurrently(work, range(5))
     assert info.value.key == "P1:1"
     assert sorted(finished) == [0, 1, 2, 3, 4]
+
+
+_VAR = contextvars.ContextVar("_VAR", default="unset")
+
+
+@pytest.mark.parametrize("n_items,workers", [(1, MAX_TASKS), (4, MAX_TASKS),
+                                             (3, 1)],
+                         ids=["inline", "threads", "one-thread"])
+def test_map_concurrently_runs_each_item_in_a_copy_of_the_callers_context(
+        n_items, workers):
+    def work(i: int) -> tuple[str, str]:
+        seen = _VAR.get()
+        _VAR.set(f"item {i}")
+        time.sleep(0.01)  # the other items set theirs meanwhile
+        return seen, _VAR.get()
+
+    token = _VAR.set("caller")
+    try:
+        out = map_concurrently(work, range(n_items), workers=workers)
+        assert _VAR.get() == "caller"
+    finally:
+        _VAR.reset(token)
+    assert out == [("caller", f"item {i}") for i in range(n_items)]
+
+
+def test_map_beside_runs_main_here_while_the_items_run_on_threads():
+    gate = threading.Barrier(4, timeout=10)  # main and three items at once
+    caller = threading.get_ident()
+
+    def main() -> int:
+        gate.wait()
+        return threading.get_ident()
+
+    def item(i: int) -> tuple[int, int]:
+        gate.wait()
+        return i * i, threading.get_ident()
+
+    token = _VAR.set("caller")
+    try:
+        here, results = map_beside(main, item, range(3))
+    finally:
+        _VAR.reset(token)
+    assert here == caller
+    assert [square for square, _ in results] == [0, 1, 4]
+    assert caller not in {ident for _, ident in results}
+    assert map_beside(lambda: "alone", item, []) == ("alone", [])
+
+
+def test_map_beside_raises_mains_failure_after_the_items_finish():
+    finished: list[int] = []
+
+    def item(i: int) -> int:
+        time.sleep(0.02)
+        finished.append(i)
+        raise CassetteMissError(f"P8:{i}")
+
+    def main() -> None:
+        raise CassetteMissError("MEETING_OPEN:x")
+
+    with pytest.raises(CassetteMissError) as info:
+        map_beside(main, item, range(3))
+    assert info.value.key == "MEETING_OPEN:x"
+    assert sorted(finished) == [0, 1, 2]
+    with pytest.raises(CassetteMissError) as info:
+        map_beside(lambda: None, item, range(3))
+    assert info.value.key == "P8:0"
 
 
 def test_map_concurrently_caps_its_threads():
@@ -457,7 +606,8 @@ def test_http_transport_reads_the_proxy_variables_on_every_call(
     assert len(server.seen) == len(proxy.seen) == 1
 
 
-@pytest.mark.parametrize("url", ["file:///etc/hostname", "", "https://"])
+@pytest.mark.parametrize("url", ["file:///etc/hostname", "", "https://",
+                                 "http://[bad"])
 def test_live_backend_refuses_a_url_that_is_not_http(url):
     with pytest.raises(TransportError, match="MAGIS_API_URL"):
         LiveBackend("sk-test", api_url=url)

@@ -11,7 +11,7 @@ from conftest import scripted_gateway
 from patchcrew.custodian import load_memory, load_term_index
 from patchcrew.errors import CassetteMissError
 from patchcrew.gitops import list_repo_files
-from patchcrew.llm import Gateway, ReplayBackend
+from patchcrew.llm import Gateway, RecordBackend, ReplayBackend
 from patchcrew import custodian, runner
 from patchcrew.model import instance_from_dict
 from patchcrew.runner import RunConfig, build_gateway, resolve_instance
@@ -149,6 +149,18 @@ def test_resolve_instance_keeps_memory_when_a_later_stage_fails(
     assert set(load_memory(memory_path)) == set(e2e.REPO_FILES)
 
 
+def test_a_resolve_that_raises_leaves_no_run_txt(fixture_repo, tmp_path):
+    report = resolve_instance(_instance(fixture_repo),
+                              _config(tmp_path)).report_dir
+    assert (report / "run.txt").exists()
+    cassette = e2e.cassette_without("MEETING_OPEN",
+                                    tmp_path / "no-meeting.jsonl")
+    with pytest.raises(CassetteMissError, match="MEETING_OPEN:"):
+        resolve_instance(_instance(fixture_repo),
+                         _config(tmp_path, cassette_path=str(cassette)))
+    assert not (report / "run.txt").exists()
+
+
 BIG_OLD = "".join(f"value_{i} = {i}\n" for i in range(500))
 BIG_NEW = BIG_OLD.replace("value_250 = 250\n", "value_250 = -250\n")
 
@@ -194,6 +206,33 @@ def test_replay_report_matches_checked_in_report(fixture_repo, tmp_path):
     del produced["run.txt"]  # carries the wall time
     assert produced == _tree(e2e.EXPECTED_REPORT_DIR)
     assert outcome.patch_path.read_bytes() == e2e.EXPECTED_PATCH_PATH.read_bytes()
+
+
+class Refusing:
+    """A live backend that must not be called."""
+
+    mode = "live"
+    network_calls = 0
+
+    def complete(self, key: str, template_id: str, rendered_prompt: str) -> str:
+        raise AssertionError(f"live call for {key}")
+
+
+def test_a_second_record_run_makes_no_live_call(fixture_repo, tmp_path):
+    cassette = tmp_path / "cassette.jsonl"
+    trees = []
+    for n, live in enumerate([e2e.AuthoredBackend(), Refusing()]):
+        config = _config(tmp_path / str(n), llm_mode="record",
+                         cassette_path=str(cassette))
+        outcome = resolve_instance(_instance(fixture_repo), config,
+                                   Gateway(RecordBackend(live, cassette)))
+        trees.append(_tree(outcome.report_dir))
+        trees[-1]["patch"] = outcome.patch_path.read_bytes()
+    first, second = trees
+    assert "network_calls: 0" in second.pop("run.txt").decode()
+    del first["run.txt"]
+    assert second == first
+    assert first["patch"] == e2e.EXPECTED_PATCH_PATH.read_bytes()
 
 
 def test_resolve_instance_makes_no_checkout(fixture_repo, tmp_path,
