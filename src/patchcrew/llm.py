@@ -10,12 +10,12 @@ non-ASCII, making keys stable across platforms and dict insertion orders.
 Keys hash the variables, not the rendered text, so template wording can evolve
 without invalidating recordings; cassettes are small enough to hand-write.
 
-Replay is fail-closed: a missing key raises CassetteMissError naming the
-key. It never falls back to the network.
+Replay is the record backend with no live backend behind it, so it is
+fail-closed: a missing key raises CassetteMissError naming the key, and
+nothing is written. It never falls back to the network.
 
 Backends and the gateway are safe to call from several threads at once:
-map_concurrently runs a stage's independent calls side by side, and
-map_beside runs calls on threads while the caller works on.
+map_concurrently runs a stage's independent calls side by side.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ log = logging.getLogger(__name__)
 
 T = TypeVar("T")
 R = TypeVar("R")
-M = TypeVar("M")
 
 API_KEY_ENV = "MAGIS_API_KEY"
 API_URL_ENV = "MAGIS_API_URL"
@@ -118,24 +117,6 @@ def map_concurrently(fn: Callable[[T], R], items: Iterable[T],
     return [future.result() for future in futures]
 
 
-def map_beside(main: Callable[[], M], fn: Callable[[T], R],
-               items: Iterable[T]) -> tuple[M, list[R]]:
-    """main() on the calling thread while fn runs over items, each item on
-    a thread of its own (at most MAX_TASKS threads) in a copy of the
-    caller's context, as in map_concurrently. Returns main's result and fn's results in input
-    order. Everything runs to its end; then main's exception, or else the
-    first item's in input order, is raised."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    items = list(items)
-    if not items:
-        return main(), []
-    with ThreadPoolExecutor(max_workers=min(len(items), MAX_TASKS)) as pool:
-        futures = [pool.submit(copy_context().run, fn, item) for item in items]
-        head = main()  # on an exception, leaving the block waits for fn
-    return head, [future.result() for future in futures]
-
-
 _RECORD_FIELDS = ("key", "template_id", "rendered_prompt", "response_text")
 
 
@@ -168,33 +149,16 @@ def read_cassette(path: str | Path) -> dict[str, dict[str, str]]:
     return records
 
 
-class ReplayBackend:
-    """Serves recorded responses only. Pure and offline. Keeps only
-    key -> response text; the recorded prompts are not needed to replay."""
-
-    mode = "replay"
-    network_calls = 0
-
-    def __init__(self, cassette_path: str | Path):
-        self.cassette_path = Path(cassette_path)
-        self._responses = {key: record["response_text"] for key, record
-                           in read_cassette(cassette_path).items()}
-
-    def complete(self, key: str, template_id: str, rendered_prompt: str) -> str:
-        try:
-            return self._responses[key]
-        except KeyError:
-            raise CassetteMissError(key) from None
-
-
 class RecordBackend:
     """Reads through its cassette: a key the cassette already holds, or
     one this backend has already answered, is answered from memory, and
     only a miss calls the inner backend and appends the exchange to the
-    cassette. So a recorded run gets the answers its replay will. Calls
-    with one key made at once make one inner call: the others wait for its
-    answer, and if it fails, one of them tries again. A lock keeps
-    concurrent appends whole: a long record takes several writes."""
+    cassette. So a recorded run gets the answers its replay will. Keeps
+    only key -> response text; the recorded prompts are not needed to
+    answer. Each key has a lock, held while the key is asked of the inner
+    backend, so calls with one key made at once make one inner call, and
+    if it fails, the next caller asks again. A lock keeps concurrent
+    appends whole: a long record takes several writes."""
 
     mode = "record"
 
@@ -202,9 +166,9 @@ class RecordBackend:
         self.inner = inner
         self.cassette_path = Path(cassette_path)
         self._lock = threading.Lock()
+        self._key_locks: dict[str, threading.Lock] = {}
         self._answers: dict[str, str] = {}
-        self._asking: dict[str, threading.Event] = {}  # key -> set when done
-        if self.cassette_path.exists():
+        if inner is None or self.cassette_path.exists():
             self._answers = {key: record["response_text"] for key, record
                              in read_cassette(self.cassette_path).items()}
 
@@ -213,30 +177,37 @@ class RecordBackend:
         return getattr(self.inner, "network_calls", 0)
 
     def complete(self, key: str, template_id: str, rendered_prompt: str) -> str:
-        while True:
-            with self._lock:
-                if key in self._answers:
-                    return self._answers[key]
-                asking = self._asking.get(key)
-                if asking is None:
-                    done = self._asking[key] = threading.Event()
-                    break
-            asking.wait()
-        try:
-            response = self.inner.complete(key, template_id, rendered_prompt)
-            record = {"key": key, "template_id": template_id,
-                      "rendered_prompt": rendered_prompt,
-                      "response_text": response}
-            with self._lock:
-                self.cassette_path.parent.mkdir(parents=True, exist_ok=True)
-                with self.cassette_path.open("a", encoding="utf-8") as fh:
-                    fh.write(json.dumps(record, ensure_ascii=True) + "\n")
-                self._answers[key] = response
-        finally:
-            with self._lock:
-                del self._asking[key]
-            done.set()
-        return response
+        if key in self._answers:  # answers are only ever added
+            return self._answers[key]
+        if self.inner is None:
+            raise CassetteMissError(key)
+        with self._lock:
+            key_lock = self._key_locks.setdefault(key, threading.Lock())
+        with key_lock:
+            if key not in self._answers:
+                response = self.inner.complete(key, template_id,
+                                               rendered_prompt)
+                record = {"key": key, "template_id": template_id,
+                          "rendered_prompt": rendered_prompt,
+                          "response_text": response}
+                with self._lock:
+                    self.cassette_path.parent.mkdir(parents=True,
+                                                    exist_ok=True)
+                    with self.cassette_path.open("a", encoding="utf-8") as fh:
+                        fh.write(json.dumps(record, ensure_ascii=True) + "\n")
+                    self._answers[key] = response
+        return self._answers[key]
+
+
+class ReplayBackend(RecordBackend):
+    """A record backend with no inner backend: serves recorded responses
+    only, pure and offline. The cassette must exist; a miss raises
+    CassetteMissError and writes nothing."""
+
+    mode = "replay"
+
+    def __init__(self, cassette_path: str | Path):
+        super().__init__(None, cassette_path)
 
 
 def retry_after_seconds(value: str | None) -> float | None:

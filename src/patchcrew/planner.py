@@ -8,7 +8,7 @@ the transcript and the tasks' paths and first lines, which refinement
 leaves as they are; its notes follow theirs.
 The meeting is a circular speech: the manager opens, each developer speaks
 once per round in task order, the manager summarizes. Its turns run one at
-a time on the calling thread, since each reads the transcript so far; the
+a time, since each reads the transcript so far; the
 runner has the coder write each task's QA persona on other threads
 meanwhile, so the tasks reach refine_and_plan with their QA roles, which
 refinement keeps. The plan asked of the

@@ -64,10 +64,6 @@ def get_template(template_id: str) -> PromptTemplate:
         raise TemplateError(f"unknown template id: {template_id}") from None
 
 
-def all_template_ids() -> tuple[str, ...]:
-    return tuple(_TEMPLATES)
-
-
 def render(template_id: str, variables: dict[str, str]) -> str:
     """Substitute all placeholders. The variable set must match the
     body's placeholder names exactly; values must be strings."""

@@ -17,9 +17,9 @@ per-file summaries and relevance checks of locate, the per-file task and
 role definitions, the role refinements after the meeting beside the
 work-plan call, and then every task at once. Each task's QA persona
 (P8) reads only its task text and its file, which neither the meeting
-nor role refinement changes, so the P8 calls run on threads of their own
-beside the kick-off meeting (llm.map_beside). The meeting runs turn by
-turn on the calling thread, since each turn reads the transcript so far.
+nor role refinement changes, so the kick-off meeting and the P8 calls
+run side by side, each on a thread of its own. The meeting runs turn by
+turn, since each turn reads the transcript so far.
 Each task edits a file of its own, starting from the base revision, so
 the plan.txt stages order no work; they are the manager's plan, reported
 as written. Every stage merges its results and notes in rank or task
@@ -37,7 +37,8 @@ as soon as its content is final:
   run.txt       flags, mode, call counts, wall time (the one file that is
                 not byte-stable between runs), written last: a report
                 directory without one comes from a resolve that raised
-                (or is still running); an earlier run's is removed first
+                (or is still running); an earlier run's is removed first,
+                with its meeting.txt and task_<i> directories
 
 The generated patch itself lands at ``<out_dir>/<instance_id>.patch``.
 """
@@ -45,6 +46,7 @@ The generated patch itself lands at ``<out_dir>/<instance_id>.patch``.
 from __future__ import annotations
 
 import logging
+import shutil
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -56,7 +58,7 @@ from .custodian import (Custodian, LocateResult, TermIndex, load_memory,
 from .diffs import CodeChange, render_change
 from .gitops import iter_repo_files, list_repo_files, read_repo_files
 from .llm import (Gateway, LiveBackend, RecordBackend, ReplayBackend,
-                  map_beside)
+                  map_concurrently)
 from .model import IssueInstance
 from .planner import DEFAULT_MEETING_ROUNDS, Planner, render_transcript
 
@@ -185,13 +187,19 @@ def resolve_instance(instance: IssueInstance, config: RunConfig,
 
     tasks = planner.build_team(located.candidates, files, issue)
     report_dir.mkdir(parents=True, exist_ok=True)
-    # run.txt marks a finished resolve, so an earlier run's must not stay
+    # run.txt marks a finished resolve, so an earlier run's must not stay,
+    # nor its meeting and attempts, which this run may not rewrite
     (report_dir / "run.txt").unlink(missing_ok=True)
+    (report_dir / "meeting.txt").unlink(missing_ok=True)
+    for stale in report_dir.glob("task_*"):
+        if stale.is_dir():
+            shutil.rmtree(stale)
     task_results: list[TaskResult] = []
     if tasks:
-        transcript, tasks = map_beside(
+        transcript, *tasks = map_concurrently(lambda unit: unit(), [
             partial(planner.kickoff_meeting, tasks, issue),
-            partial(coder.assign_qa, original_files=files), tasks)
+            *(partial(coder.assign_qa, task, original_files=files)
+              for task in tasks)], workers=len(tasks) + 1)
         _write_meeting(report_dir, transcript)
         tasks, plan = planner.refine_and_plan(tasks, transcript)
         _write_plan(report_dir, plan, tasks)

@@ -246,7 +246,7 @@ def cassette_without(template_id: str, dest: Path) -> Path:
 @contextlib.contextmanager
 def calls_in_turn():
     """Run every stage's calls one at a time, in input order, as a serial
-    pipeline would: map_beside's main work first, then its items. A
+    pipeline would: the kick-off meeting first, then the QA personas. A
     recording backend appends records as calls finish, so only in this
     mode does a cassette list them in a fixed order."""
     from patchcrew import coder, custodian, planner, runner
@@ -254,13 +254,8 @@ def calls_in_turn():
     def in_turn(fn, items, workers=None):
         return [fn(item) for item in items]
 
-    def beside_in_turn(main, fn, items):
-        return main(), in_turn(fn, items)
-
-    patches = [(custodian, "map_concurrently", in_turn),
-               (planner, "map_concurrently", in_turn),
-               (coder, "map_concurrently", in_turn),
-               (runner, "map_beside", beside_in_turn)]
+    patches = [(module, "map_concurrently", in_turn)
+               for module in (custodian, planner, coder, runner)]
     saved = [(module, name, getattr(module, name))
              for module, name, _ in patches]
     for module, name, serial in patches:

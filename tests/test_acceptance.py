@@ -8,10 +8,14 @@ the checks that must hold for the package to be considered working.
 
 from __future__ import annotations
 
+import json
 import random
 import subprocess
+import tempfile
 import time
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,7 +36,8 @@ from patchcrew.evalkit.metrics import (InstanceOutcome, applied_ratio,
 from patchcrew.gitops import apply_change, snapshot
 from patchcrew.intervals import LineIntervalSet
 from patchcrew.llm import Gateway, ReplayBackend
-from patchcrew.model import TaskAssignment
+from patchcrew.model import TaskAssignment, instance_from_dict
+from patchcrew.runner import RunConfig, resolve_instance
 
 
 WORDS = ("alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf",
@@ -358,3 +363,91 @@ def test_c10_replay_runs_are_byte_identical(fixture_repo,
         results.append((eval_out / "results.csv").read_bytes())
     assert patches[0] == patches[1]
     assert results[0] == results[1]
+
+
+# Every awkward line shape git and the diff model must agree on.
+ADVERSARIAL_FILES = {
+    "crlf.py": b"def widget():\r\n    return 1\r\n\r\nx = 2\r\n",
+    "lone_cr.txt": b"widget one\rstill one\nwidget two\n",
+    "no_newline.py": b"widget = 1\nlast = 2",
+    "empty.py": b"",
+    "form_feed.py": b"widget\n\x0c\ndef f():\n    pass\n",
+    "unicode.py": "widget = 'h\u00e9llo \u2603'\n\u03c0 = 3.14\n".encode(),
+}
+_NASTY_LINES = ("\r", "\x00", "\u0085", "```", "```python",
+                "diff --git a/x b/x", "@@ -1,2 +1,2 @@",
+                "\\ No newline at end of file", "--- a/x", "+++ b/x",
+                "\u00e9t\u00e9 \u2603", "\x0c", "")
+
+
+class AdversarialBackend:
+    """Answers drawn from the seed and the call's key alone, so threads
+    arriving in any order see the same answers: P9 intervals out of range
+    or reversed, P10 blocks with carriage returns, NUL, U+0085, code
+    fences and lines that read like diff syntax."""
+
+    mode = "live"
+    network_calls = 0
+
+    def __init__(self, seed: int):
+        self.seed = seed
+
+    def complete(self, key: str, template_id: str, rendered_prompt: str) -> str:
+        rng = random.Random(f"{self.seed}:{key}")
+        if template_id == "P9":
+            pairs = [[rng.randint(-2, 12), rng.randint(-2, 12)]
+                     for _ in range(rng.randint(0, 3))]
+            return f"These lines.\n{json.dumps(pairs)}"
+        if template_id == "P10":
+            lines = [rng.choice(_NASTY_LINES) + rng.choice(("", " y = 1", "z"))
+                     for _ in range(rng.randint(0, 4))]
+            block = (rng.choice(("\n", "\r\n", "\r")).join(lines)
+                     + rng.choice(("", "\n", "\r\n")))
+            return f"```\n{block}\n```" if rng.random() < 0.2 else block
+        if "Current phase: decision" in rendered_prompt:
+            return f"DECISION: {rng.choice(('YES', 'NO'))}"
+        if template_id == "P3":
+            return "DECISION: YES"
+        if template_id == "P7":
+            return "[[0, 1], [2, 3, 4, 5]]"
+        return "An answer."
+
+
+@pytest.fixture(scope="module")
+def adversarial_repo(tmp_path_factory):
+    repo = tmp_path_factory.mktemp("adversarial") / "repo"
+    repo.mkdir()
+    for path, data in ADVERSARIAL_FILES.items():
+        (repo / path).write_bytes(data)
+    return repo, e2e.commit_all(repo), tmp_path_factory.mktemp("runs")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_c11_resolved_patch_applies_with_git_to_the_coders_content(
+        adversarial_repo, seed):
+    """Whatever the model answers, the patch a resolve writes applies with
+    git at the base revision and leaves each changed file equal, byte for
+    byte, to the coder's new content, and every other file as it was."""
+    repo, sha, out_dir = adversarial_repo
+    instance = instance_from_dict({
+        "instance_id": "adversarial", "repo_path": str(repo),
+        "base_revision": sha, "issue_text": "The widget breaks."})
+    config = RunConfig(llm_mode="live", top_k=len(ADVERSARIAL_FILES),
+                       meeting_rounds=1, out_dir=out_dir)
+    outcome = resolve_instance(instance, config,
+                               Gateway(AdversarialBackend(seed)))
+    expected = dict(ADVERSARIAL_FILES)
+    for result in outcome.task_results:
+        if result.file_diff.hunks:
+            expected[result.task.file_path] = result.new_content.encode()
+    patch = outcome.patch_path.read_bytes()
+    with tempfile.TemporaryDirectory() as tmp:
+        clone = Path(tmp) / "clone"
+        subprocess.run(["git", "clone", "-q", str(repo), str(clone)],
+                       check=True)
+        if patch:
+            applied = subprocess.run(["git", "apply", "-"], cwd=clone,
+                                     input=patch, capture_output=True)
+            assert applied.returncode == 0, applied.stderr.decode()
+        assert _tree_bytes(clone) == expected

@@ -19,7 +19,7 @@ from patchcrew.errors import (CassetteMissError, ExtractionError,
 from patchcrew.intervals import LineIntervalSet
 from patchcrew.llm import (MAX_TASKS, RATE_LIMIT_RETRIES, Gateway, LiveBackend,
                            RecordBackend, ReplayBackend, canonical_vars,
-                           cassette_key, extract_structured, map_beside,
+                           cassette_key, extract_structured,
                            map_concurrently, read_cassette,
                            retry_after_seconds, sha256_hex)
 
@@ -105,12 +105,17 @@ def test_read_cassette_rejects_a_field_that_is_not_a_string(tmp_path, field):
 def test_replay_backend_serves_and_fails_closed(tmp_path):
     path = tmp_path / "c.jsonl"
     _write_cassette(path, [_record("P1:abc", "answer")])
+    before = path.read_bytes()
     backend = ReplayBackend(path)
     assert backend.complete("P1:abc", "P1", "prompt") == "answer"
     with pytest.raises(CassetteMissError) as info:
         backend.complete("P1:missing", "P1", "prompt")
     assert "P1:missing" in str(info.value)
     assert info.value.key == "P1:missing"
+    assert path.read_bytes() == before
+    with pytest.raises(FileNotFoundError):
+        ReplayBackend(tmp_path / "absent.jsonl")
+    assert not (tmp_path / "absent.jsonl").exists()
 
 
 def test_record_backend_appends_each_key_once(tmp_path):
@@ -319,49 +324,6 @@ def test_map_concurrently_runs_each_item_in_a_copy_of_the_callers_context(
     finally:
         _VAR.reset(token)
     assert out == [("caller", f"item {i}") for i in range(n_items)]
-
-
-def test_map_beside_runs_main_here_while_the_items_run_on_threads():
-    gate = threading.Barrier(4, timeout=10)  # main and three items at once
-    caller = threading.get_ident()
-
-    def main() -> int:
-        gate.wait()
-        return threading.get_ident()
-
-    def item(i: int) -> tuple[int, int]:
-        gate.wait()
-        return i * i, threading.get_ident()
-
-    token = _VAR.set("caller")
-    try:
-        here, results = map_beside(main, item, range(3))
-    finally:
-        _VAR.reset(token)
-    assert here == caller
-    assert [square for square, _ in results] == [0, 1, 4]
-    assert caller not in {ident for _, ident in results}
-    assert map_beside(lambda: "alone", item, []) == ("alone", [])
-
-
-def test_map_beside_raises_mains_failure_after_the_items_finish():
-    finished: list[int] = []
-
-    def item(i: int) -> int:
-        time.sleep(0.02)
-        finished.append(i)
-        raise CassetteMissError(f"P8:{i}")
-
-    def main() -> None:
-        raise CassetteMissError("MEETING_OPEN:x")
-
-    with pytest.raises(CassetteMissError) as info:
-        map_beside(main, item, range(3))
-    assert info.value.key == "MEETING_OPEN:x"
-    assert sorted(finished) == [0, 1, 2]
-    with pytest.raises(CassetteMissError) as info:
-        map_beside(lambda: None, item, range(3))
-    assert info.value.key == "P8:0"
 
 
 def test_map_concurrently_caps_its_threads():

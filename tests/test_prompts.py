@@ -4,8 +4,7 @@ import pytest
 
 from patchcrew import prompts
 from patchcrew.errors import TemplateError
-from patchcrew.prompts import (PromptTemplate, all_template_ids, get_template,
-                               render)
+from patchcrew.prompts import PromptTemplate, get_template, render
 
 EXPECTED_IDS = {
     "P1", "P2", "P3", "P4", "P5", "P6", "P7", "P8", "P9", "P10", "P11",
@@ -14,7 +13,7 @@ EXPECTED_IDS = {
 
 
 def test_all_templates_registered():
-    assert set(all_template_ids()) == EXPECTED_IDS
+    assert set(prompts._TEMPLATES) == EXPECTED_IDS
 
 
 def test_get_template_unknown_id():

@@ -161,6 +161,32 @@ def test_a_resolve_that_raises_leaves_no_run_txt(fixture_repo, tmp_path):
     assert not (report / "run.txt").exists()
 
 
+def _rejecting_review(rendered: str) -> str:
+    if "Current phase: decision" in rendered:
+        return "DECISION: NO"
+    return "Not yet."
+
+
+def test_a_reused_report_dir_holds_only_the_latest_run(fixture_repo,
+                                                      tmp_path):
+    def resolve_live(responses):
+        return resolve_instance(
+            _instance(fixture_repo), _config(tmp_path, llm_mode="live"),
+            Gateway(e2e.AuthoredBackend({**e2e.RESPONSES, **responses})))
+
+    report = resolve_live({"P11": _rejecting_review}).report_dir
+    assert (report / "task_0" / "attempt_2").is_dir()
+    outcome = resolve_instance(_instance(fixture_repo), _config(tmp_path))
+    assert [p.name for p in (report / "task_0").iterdir()] == ["attempt_0"]
+    produced = _tree(outcome.report_dir)
+    del produced["run.txt"]
+    assert produced == _tree(e2e.EXPECTED_REPORT_DIR)
+
+    resolve_live({"P3": "Not here.\nDECISION: NO"})  # no task
+    assert sorted(p.name for p in report.iterdir()) == [
+        "notes.txt", "plan.txt", "run.txt"]
+
+
 BIG_OLD = "".join(f"value_{i} = {i}\n" for i in range(500))
 BIG_NEW = BIG_OLD.replace("value_250 = 250\n", "value_250 = -250\n")
 
