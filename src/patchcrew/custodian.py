@@ -7,7 +7,7 @@ query's own terms, so it ranks from a TermIndex: an inverted file that
 keeps, per term, the document numbers of the git blobs that hold it and
 its count in each. The index follows the evolution memory's idea: it
 persists next to the memory (``<memory-path>.bm25``), so a new revision
-tokenizes only the blobs that changed, a query parses only the postings
+tokenizes only the blobs that changed, a query reads only the postings
 of its own terms, and a file's content is read only when a summary or a
 later stage needs it. A term never spans a character outside
 [A-Za-z0-9], non-ASCII ones included, so a blob is counted one run of
@@ -30,12 +30,13 @@ import json
 import logging
 import math
 import re
+import sys
 from array import array
 from collections import Counter, defaultdict, deque
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, count, repeat
+from itertools import accumulate, chain, count, repeat
 from pathlib import Path
 
 from . import prompts
@@ -49,7 +50,7 @@ BM25_K1 = 1.2
 BM25_B = 0.75
 MAX_SUMMARY_UPDATES = 5
 MEMORY_FORMAT_VERSION = "evolution-memory-v2"
-TERM_INDEX_FORMAT_VERSION = "bm25-term-index-v2"
+TERM_INDEX_FORMAT_VERSION = "bm25-term-index-v3"
 
 # a run of capitals then a run of lowercase letters and digits: camelCase
 # splits before each capital that follows a lowercase letter or digit, and
@@ -172,20 +173,21 @@ def rank_files(documents: Documents, issue_text: str) -> list[RankedFile]:
             for i, (p, s) in enumerate(ordered)]
 
 
-# A saved index: the version line, one line per document number (the blob
-# id and its content length in terms, "-" for a blob that is not UTF-8
-# text; a bare "-" for the number of a blob that is gone), a blank line,
-# then one line per term: the term and its postings, "<doc>:<count>" pairs
-# in ascending document order. Terms are [a-z0-9]+ (see tokenize), so
-# neither a space nor a colon can occur in one.
-_BLOB_LINE = re.compile(r"([0-9a-f]+) ([0-9]+|-)|-")
-_TERM_LINE = re.compile(r"([a-z0-9]+) (\S.*)")
-_POSTINGS = re.compile(r"[0-9]+:[0-9]+(?: [0-9]+:[0-9]+)*")
+# A saved index: the version line; four little-endian uint32s (blobs, blob
+# id width, terms, bytes of term names); the blob ids, dashes for a gone
+# blob; the term names joined by "\n" ([a-z0-9]+, see tokenize); then
+# little-endian uint32s: per blob its length in terms (_NO_LENGTH if gone
+# or not UTF-8 text), per term its number of pairs, then each term's pairs.
+_NO_LENGTH = 0xFFFFFFFF
+_TERM_BYTES = b"\n0123456789abcdefghijklmnopqrstuvwxyz"
 
 
-def _postings_text(pairs: array) -> str:
-    """doc, count, doc, count, ... as a saved term line's postings."""
-    return ("%d:%d " * (len(pairs) // 2) % tuple(pairs))[:-1]
+def _uint32s(values: bytes | Iterable[int]) -> array:
+    """Little-endian uint32s as an array in machine order, or the reverse."""
+    values = array("I", values)
+    if sys.byteorder == "big":
+        values.byteswap()
+    return values
 
 
 class TermIndex:
@@ -194,10 +196,10 @@ class TermIndex:
     numbers of the blobs that hold it with its count in each. A blob id
     names the exact content, so a posting never goes stale.
 
-    A term's postings stay as one text (as loaded) or one array of doc,
-    count pairs (as counted), never one object per posting, and a text is
-    parsed and checked only when a query or a purge needs that term. A
-    blob that leaves the listing leaves the blob table, but its number
+    A term's postings are one array of doc, count pairs, never one object
+    per posting; a loaded term holds its number in the file until a query,
+    an update or a purge first needs its pairs, sliced and checked then.
+    A blob that leaves the listing leaves the blob table, but its number
     stays in the postings, skipped, until numbers of gone blobs outnumber
     live ones; then a purge drops them and renumbers the rest in order.
     """
@@ -208,9 +210,10 @@ class TermIndex:
         # content length in terms; None for a blob that is not UTF-8 text,
         # so that it is not read again
         self.lengths: list[int | None] = []
-        self.postings: dict[str, str | array] = {}
+        self.postings: dict[str, array | int] = {}
         self.source = "term index"  # what errors name: the loaded file
-        self.lines: dict[str, int] = {}  # term -> its line in that file
+        # the file's pairs (term i's from ends[i] to ends[i + 1]), blobs
+        self._file: tuple[bytes, array, int] | None = None
 
     def update(self, listing: Mapping[str, str],
                read: Callable[[Mapping[str, str]],
@@ -244,13 +247,10 @@ class TermIndex:
             deque(map(array.append, arrays, repeat(doc)), 0)
             deque(map(array.append, arrays, counts.values()), 0)
         for term, pairs in added.items():
-            held = self.postings.get(term)
-            if held is None:
-                self.postings[term] = pairs
-            elif isinstance(held, array):
-                held.extend(pairs)
+            if term in self.postings:
+                self._pairs(term).extend(pairs)
             else:
-                self.postings[term] = f"{held} {_postings_text(pairs)}"
+                self.postings[term] = pairs
         listed = set(listing.values())
         gone = [oid for oid in self.docs if oid not in listed]
         for oid in gone:
@@ -261,7 +261,7 @@ class TermIndex:
 
     def documents(self, listing: Mapping[str, str]) -> Documents:
         """The listed paths of UTF-8 text, as rank_files takes them. A
-        term's postings are parsed when rank_files asks for that term."""
+        term's postings are read when rank_files asks for that term."""
         lengths: dict[str, int] = {}
         paths: dict[int, list[str]] = {}  # one blob can sit under two paths
         for path, oid in listing.items():
@@ -277,29 +277,27 @@ class TermIndex:
 
         return Documents(lengths, counts)
 
+    def _unchecked(self, held: array | int) -> array:
+        """A term's pairs as held, or as the loaded file holds them."""
+        if isinstance(held, array):
+            return held
+        pairs, ends, _ = self._file
+        return _uint32s(pairs[8 * ends[held]:8 * ends[held + 1]])
+
     def _pairs(self, term: str) -> Sequence[int]:
         """The term's postings as doc, count, doc, count, ...; a loaded
-        text is checked here, when it is first needed."""
+        term's are checked here, when first needed, and then kept."""
         held = self.postings.get(term, ())
-        if not isinstance(held, str):
+        if not isinstance(held, int):
             return held
-        if not _POSTINGS.fullmatch(held):
-            problem = "postings are not <doc>:<count> pairs"
-        else:
-            pairs = [int(n) for n in held.replace(":", " ").split(" ")]
-            docs = pairs[::2]
-            if sorted(set(docs)) != docs:
-                problem = "document numbers do not ascend"
-            elif docs[-1] >= len(self.blob_ids):
-                problem = (f"document {docs[-1]} is past the "
-                           f"{len(self.blob_ids)} blob lines")
-            elif 0 in pairs[1::2]:
-                problem = "a count is 0"
-            else:
-                return pairs
-        line = self.lines.get(term)
-        where = self.source if line is None else f"{self.source}:{line}"
-        raise ValueError(f"{where}: bad postings of term {term!r}: {problem}")
+        pairs = self._unchecked(held)
+        docs, blobs = pairs[::2].tolist(), self._file[2]
+        if sorted(set(docs)) != docs or docs[-1] >= blobs or 0 in pairs[1::2]:
+            raise ValueError(
+                f"{self.source}: bad postings of term {term!r}: want "
+                f"documents that ascend below {blobs}, counts above 0")
+        self.postings[term] = pairs
+        return pairs
 
     def _purge(self) -> None:
         """Drop the numbers of gone blobs from every term's postings and
@@ -309,7 +307,7 @@ class TermIndex:
         number: list[int | None] = [None] * len(self.blob_ids)
         for new, doc in enumerate(live):
             number[doc] = new
-        postings: dict[str, str | array] = {}
+        postings: dict[str, array | int] = {}
         for term in self.postings:
             pairs = self._pairs(term)
             kept = array("I")
@@ -323,68 +321,82 @@ class TermIndex:
         self.lengths = [self.lengths[doc] for doc in live]
         self.docs = {oid: doc for doc, oid in enumerate(self.blob_ids)}
         self.postings = postings
-        self.lines = {}
+        self._file = None
 
 
 def save_term_index(index: TermIndex, path: str | Path) -> None:
-    """Persist in the layout above, written to a temporary file that then
-    replaces the old one."""
+    """Persist in the layout above, in one write to a temporary file that
+    then replaces the old one; a loaded term's pairs go as loaded."""
     path = Path(path)
+    width = len(next(iter(index.docs), "-"))
+    if any(len(oid) != width for oid in index.docs):
+        raise ValueError("blob ids of more than one width")
+    names = "\n".join(index.postings).encode()
+    pairs = [held if isinstance(held, array) else index._unchecked(held)
+             for held in index.postings.values()]
+    counts = _uint32s(len(held) // 2 for held in pairs)
+    if sys.byteorder == "big":  # so far in machine order
+        pairs = list(map(_uint32s, pairs))
     tmp = path.with_suffix(path.suffix + ".tmp")
-    with tmp.open("w", encoding="utf-8") as out:
-        out.write(TERM_INDEX_FORMAT_VERSION + "\n")
-        out.writelines(
-            "-\n" if oid is None
-            else f"{oid} {'-' if length is None else length}\n"
-            for oid, length in zip(index.blob_ids, index.lengths))
-        out.write("\n")
-        for term, held in index.postings.items():
-            if not isinstance(held, str):
-                held = _postings_text(held)
-            out.write(f"{term} {held}\n")
+    tmp.write_bytes(b"".join([
+        f"{TERM_INDEX_FORMAT_VERSION}\n".encode(),
+        _uint32s([len(index.blob_ids), width, len(pairs), len(names)]),
+        "".join(oid or "-" * width for oid in index.blob_ids).encode(), names,
+        _uint32s(_NO_LENGTH if oid is None or n is None else n
+                 for oid, n in zip(index.blob_ids, index.lengths)),
+        counts, *pairs]))
     tmp.replace(path)
 
 
 def load_term_index(path: str | Path) -> TermIndex:
-    """Read a saved index. The version, every blob line and the shape of
-    every term line are checked here; a term's postings when a query or a
-    purge first parses them. Every error names the file and line."""
+    """Read a saved index in one read and check all but each term's pairs,
+    which a query, an update or a purge checks when it first needs them.
+    Every error names the file."""
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").split("\n")
+    data = path.read_bytes()
+    at = len(TERM_INDEX_FORMAT_VERSION) + 1
 
-    def bad(lineno: int, problem: str) -> ValueError:
-        return ValueError(f"{path}:{lineno}: {problem}")
+    def bad(problem: str) -> ValueError:
+        return ValueError(f"{path}: {problem}")
 
-    if lines[0] != TERM_INDEX_FORMAT_VERSION:
-        raise bad(1, f"not a {TERM_INDEX_FORMAT_VERSION} file; it is a "
-                     f"cache of BM25 term counts, safe to delete")
-    if lines[-1] != "":
-        raise bad(len(lines), "the file ends without a newline")
-    try:
-        blank = lines.index("", 1, len(lines) - 1)
-    except ValueError:
-        blank = len(lines) - 1
+    def take(size: int) -> bytes:
+        nonlocal at
+        if at + size > len(data):
+            raise bad("the file is cut short")
+        at += size
+        return data[at - size:at]
+
+    if data[:at] != f"{TERM_INDEX_FORMAT_VERSION}\n".encode():
+        raise bad(f"not a {TERM_INDEX_FORMAT_VERSION} file; it is a cache "
+                  f"of BM25 term counts, safe to delete")
+    n_blobs, width, n_terms, names_size = _uint32s(take(16))
+    table = take(n_blobs * width).decode("latin-1")
     index = TermIndex()
     index.source = str(path)
-    for doc, line in enumerate(lines[1:blank]):
-        match = _BLOB_LINE.fullmatch(line)
-        if match is None or match[1] in index.docs:
-            raise bad(doc + 2, f"bad blob line {line!r}: want '<blob id> "
-                               f"<length>', '<blob id> -' or '-'")
-        oid, length = match.groups()
-        if oid is not None:
-            index.docs[oid] = doc
-        index.blob_ids.append(oid)
-        index.lengths.append(None if length in (None, "-") else int(length))
-    if blank == len(lines) - 1:
-        raise bad(blank + 1, "no blank line after the blob lines")
-    for lineno, line in enumerate(lines[blank + 1:-1], start=blank + 2):
-        match = _TERM_LINE.fullmatch(line)
-        if match is None or match[1] in index.postings:
-            raise bad(lineno, f"bad term line {line[:60]!r}: want one "
-                              f"'<term> <doc>:<count> ...' line per term")
-        index.postings[match[1]] = match[2]
-        index.lines[match[1]] = lineno
+    index.blob_ids = [None if (oid := table[i:i + width]) == "-" * width
+                      else oid for i in range(0, len(table), width or 1)]
+    index.docs = {oid: doc for doc, oid in enumerate(index.blob_ids)
+                  if oid is not None}
+    if (width == 0 or len(index.docs) + index.blob_ids.count(None) != n_blobs
+            or not re.fullmatch("(?:[0-9a-f]{%d}|-{%d})*" % (width, width),
+                                table)):
+        raise bad(f"want {n_blobs} distinct blob ids of {width} hex digits "
+                  f"or dashes")
+    names = take(names_size)
+    terms = names.decode("latin-1").split("\n") if names else []
+    index.postings = dict(zip(terms, range(n_terms)))
+    if (len(index.postings) != n_terms or len(terms) != n_terms
+            or "" in terms or names.translate(None, _TERM_BYTES)):
+        raise bad(f"want {n_terms} distinct term names of [a-z0-9]+")
+    index.lengths = [None if n == _NO_LENGTH else n
+                     for n in _uint32s(take(4 * n_blobs))]
+    counts = _uint32s(take(4 * n_terms))
+    if 0 in counts:
+        raise bad(f"term {terms[counts.index(0)]!r} has no pairs")
+    ends = array("Q", accumulate(counts, initial=0))
+    index._file = (take(8 * ends[-1]), ends, n_blobs)
+    if at != len(data):
+        raise bad(f"{len(data) - at} bytes follow the pairs")
     return index
 
 

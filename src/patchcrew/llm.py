@@ -26,6 +26,7 @@ import os
 import re
 import threading
 import time
+import weakref
 from collections import Counter
 from contextvars import copy_context
 from pathlib import Path
@@ -157,8 +158,10 @@ class RecordBackend:
     only key -> response text; the recorded prompts are not needed to
     answer. Each key has a lock, held while the key is asked of the inner
     backend, so calls with one key made at once make one inner call, and
-    if it fails, the next caller asks again. A lock keeps concurrent
-    appends whole: a long record takes several writes."""
+    if it fails, the next caller asks again. The cassette is opened for
+    appending once, on the first miss, and closed when the backend is
+    dropped; a lock keeps concurrent appends whole (a long record takes
+    several writes), and each is flushed before its call returns."""
 
     mode = "record"
 
@@ -168,6 +171,7 @@ class RecordBackend:
         self._lock = threading.Lock()
         self._key_locks: dict[str, threading.Lock] = {}
         self._answers: dict[str, str] = {}
+        self._out = None  # the cassette's append handle, from the first miss
         if inner is None or self.cassette_path.exists():
             self._answers = {key: record["response_text"] for key, record
                              in read_cassette(self.cassette_path).items()}
@@ -191,10 +195,15 @@ class RecordBackend:
                           "rendered_prompt": rendered_prompt,
                           "response_text": response}
                 with self._lock:
-                    self.cassette_path.parent.mkdir(parents=True,
-                                                    exist_ok=True)
-                    with self.cassette_path.open("a", encoding="utf-8") as fh:
-                        fh.write(json.dumps(record, ensure_ascii=True) + "\n")
+                    if self._out is None:
+                        self.cassette_path.parent.mkdir(parents=True,
+                                                        exist_ok=True)
+                        self._out = self.cassette_path.open(
+                            "a", encoding="utf-8")
+                        weakref.finalize(self, self._out.close)
+                    self._out.write(json.dumps(record, ensure_ascii=True)
+                                    + "\n")
+                    self._out.flush()
                     self._answers[key] = response
         return self._answers[key]
 

@@ -3,7 +3,9 @@ from __future__ import annotations
 import json
 import random
 import re
+import struct
 import tempfile
+from array import array
 from collections import Counter
 from pathlib import Path
 
@@ -241,25 +243,70 @@ def test_term_index_across_revisions_ranks_like_the_oracle(steps, query):
                 assert _ranking(index.documents(listing), query) == expected
 
 
-def _saved_index_by_plain_loop(revisions: list[dict[str, str]]) -> str:
+Postings = list[tuple[str, list[tuple[int, int]]]]  # term, (doc, count)s
+
+
+def _v3_file(blobs: list[tuple[str | None, int | None]], postings: Postings,
+             width: int = 40) -> bytes:
+    """A bm25-term-index-v3 file packed one value at a time: (blob id,
+    length) per document, None for a gone blob or a missing length."""
+    names = "\n".join(term for term, _ in postings).encode()
+    return b"".join([
+        b"bm25-term-index-v3\n",
+        struct.pack("<4I", len(blobs), width, len(postings), len(names)),
+        *((oid or "-" * width).encode() for oid, _ in blobs), names,
+        *(struct.pack("<I", 0xFFFFFFFF if n is None else n)
+          for _, n in blobs),
+        *(struct.pack("<I", len(pairs)) for _, pairs in postings),
+        *(struct.pack("<2I", *pair) for _, pairs in postings
+          for pair in pairs)])
+
+
+def _v3_fields(data: bytes) -> tuple[list[str | None], list[int | None],
+                                     Postings]:
+    """A v3 file's blob ids, lengths and postings, unpacked one value at a
+    time."""
+    at = len(b"bm25-term-index-v3\n")
+    assert data[:at] == b"bm25-term-index-v3\n"
+    n_blobs, width, n_terms, size = struct.unpack_from("<4I", data, at)
+    at += 16
+    ids = [data[at + i * width:at + (i + 1) * width].decode()
+           for i in range(n_blobs)]
+    at += n_blobs * width
+    terms = data[at:at + size].decode().split("\n") if size else []
+    at += size
+    lengths = struct.unpack_from(f"<{n_blobs}I", data, at)
+    at += 4 * n_blobs
+    counts = struct.unpack_from(f"<{n_terms}I", data, at)
+    at += 4 * n_terms
+    postings: Postings = []
+    for term, n in zip(terms, counts):
+        flat = struct.unpack_from(f"<{2 * n}I", data, at)
+        at += 8 * n
+        postings.append((term, list(zip(flat[::2], flat[1::2]))))
+    assert at == len(data)
+    return ([None if oid == "-" * width else oid for oid in ids],
+            [None if n == 0xFFFFFFFF else n for n in lengths], postings)
+
+
+def _saved_index_by_plain_loop(revisions: list[dict[str, str]]) -> bytes:
     """The saved index after one update per listing (path -> text, none of
     them dropped later), built one posting at a time."""
     docs: dict[str, int] = {}
-    blob_lines: list[str] = []
-    postings: dict[str, list[str]] = {}
+    blobs: list[tuple[str, int]] = []
+    postings: dict[str, list[tuple[int, int]]] = {}
     for files in revisions:
         for text in files.values():
             oid = blob_id(text)
             if oid in docs:
                 continue
-            docs[oid] = doc = len(blob_lines)
+            docs[oid] = doc = len(blobs)
             terms = Counter(tokenize(text))
-            blob_lines.append(f"{oid} {sum(terms.values())}\n")
+            blobs.append((oid, sum(terms.values())))
             for term, n in terms.items():
-                postings.setdefault(term, []).append(f"{doc}:{n}")
-    return "".join(["bm25-term-index-v2\n", *blob_lines, "\n",
-                    *(f"{term} {' '.join(pairs)}\n"
-                      for term, pairs in postings.items())])
+                postings.setdefault(term, []).append((doc, n))
+    return _v3_file(blobs, list(postings.items()),
+                    width=len(blobs[0][0]) if blobs else 1)
 
 
 _BLOB_TEXT = st.lists(st.sampled_from(
@@ -285,8 +332,59 @@ def test_saved_index_matches_a_plain_posting_loop(revisions):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "memory.jsonl.bm25"
         save_term_index(index, path)
-        assert path.read_text(encoding="utf-8") \
-            == _saved_index_by_plain_loop(listings)
+        assert path.read_bytes() == _saved_index_by_plain_loop(listings)
+
+
+# a blob table, per document whether its blob is live and its length (None
+# for a blob that is not UTF-8 text; a gone blob may keep one in memory),
+# and terms whose documents ascend below the table's size
+_TABLE = st.lists(st.tuples(st.booleans(),
+                            st.none() | st.integers(0, 2 ** 32 - 2)),
+                  max_size=12)
+
+
+@st.composite
+def _term_indexes(draw) -> TermIndex:
+    index = TermIndex()
+    for doc, (live, length) in enumerate(draw(_TABLE)):
+        oid = f"{doc:040x}" if live else None
+        index.blob_ids.append(oid)
+        index.lengths.append(length)
+        if live:
+            index.docs[oid] = doc
+    for term in draw(st.lists(st.from_regex(r"[a-z0-9]{1,6}", fullmatch=True),
+                              unique=True, max_size=8)):
+        docs = draw(st.lists(st.integers(0, len(index.blob_ids) - 1),
+                             min_size=1, unique=True)) if index.blob_ids else []
+        counts = draw(st.lists(st.integers(1, 2 ** 32 - 1),
+                               min_size=len(docs), max_size=len(docs)))
+        if docs:
+            index.postings[term] = array(
+                "I", [v for pair in zip(sorted(docs), counts) for v in pair])
+    return index
+
+
+@settings(max_examples=200, deadline=None)
+@given(index=_term_indexes())
+def test_saved_index_round_trips_byte_for_byte(index, tmp_path_factory):
+    path = tmp_path_factory.mktemp("index") / "memory.jsonl.bm25"
+    save_term_index(index, path)
+    saved = path.read_bytes()
+    assert _v3_fields(saved) == (
+        index.blob_ids,
+        [n if oid else None for oid, n in zip(index.blob_ids, index.lengths)],
+        [(term, list(zip(pairs[::2], pairs[1::2])))
+         for term, pairs in index.postings.items()])
+    loaded = load_term_index(path)
+    save_term_index(loaded, path)  # its pairs as loaded, not yet checked
+    assert path.read_bytes() == saved
+    assert (loaded.docs, loaded.blob_ids) == (index.docs, index.blob_ids)
+    assert loaded.lengths == _v3_fields(saved)[1]
+    assert list(loaded.postings) == list(index.postings)
+    for term, pairs in index.postings.items():
+        assert loaded._pairs(term) == pairs
+    save_term_index(loaded, path)  # every term's pairs checked
+    assert path.read_bytes() == saved
 
 
 def test_term_index_update_counts_each_blob_before_it_reads_the_next():
@@ -322,18 +420,6 @@ def test_term_index_update_counts_each_blob_before_it_reads_the_next():
         == bm25_scores_brute(text, query)
 
 
-def _saved(path: Path) -> tuple[list[str], dict[str, list[tuple[int, int]]]]:
-    """A saved index's blob lines, and each term's postings."""
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "bm25-term-index-v2"
-    blank = lines.index("")
-    postings = {}
-    for line in lines[blank + 1:]:
-        term, *pairs = line.split(" ")
-        postings[term] = [tuple(map(int, pair.split(":"))) for pair in pairs]
-    return lines[1:blank], postings
-
-
 def test_term_index_file_holds_at_most_twice_the_live_blobs(tmp_path):
     # every revision rewrites two of four files, so gone blobs pile up
     # until a purge drops them
@@ -348,15 +434,15 @@ def test_term_index_file_holds_at_most_twice_the_live_blobs(tmp_path):
         index.update({p: blob_id(c) for p, c in files.items()},
                      stream(files))
         save_term_index(index, path)
-        blobs, postings = _saved(path)
-        live = [line for line in blobs if line != "-"]
+        blobs, _, postings = _v3_fields(path.read_bytes())
+        live = [oid for oid in blobs if oid is not None]
         assert len(live) == len(set(files.values()))
         assert len(blobs) <= 2 * len(live)
         if len(blobs) == len(live):  # no gone blob held: a purge ran
             purged += revision > 0
-            numbers = {doc for pairs in postings.values() for doc, _ in pairs}
+            numbers = {doc for _, pairs in postings for doc, _ in pairs}
             assert numbers == set(range(len(blobs)))
-        for pairs in postings.values():
+        for _, pairs in postings:
             docs = [doc for doc, _ in pairs]
             assert docs == sorted(set(docs)) and docs[-1] < len(blobs)
         expected = bm25_scores_brute(files, "alpha gamma r4")
@@ -374,10 +460,15 @@ def test_term_index_round_trips_and_records_skipped_blobs(tmp_path):
     assert index.lengths == [3, None]
     path = tmp_path / "memory.jsonl.bm25"
     save_term_index(index, path)
-    assert path.read_text(encoding="utf-8") == (
-        "bm25-term-index-v2\n"
-        f"{'1' * 40} 3\n{'2' * 40} -\n\n"
-        "alpha 0:2\nbeta 0:1\n")
+    assert path.read_bytes() == (
+        b"bm25-term-index-v3\n"
+        # 2 blobs, ids 40 wide, 2 terms, 10 bytes of term names
+        b"\x02\x00\x00\x00\x28\x00\x00\x00\x02\x00\x00\x00\x0a\x00\x00\x00"
+        + b"1" * 40 + b"2" * 40 + b"alpha\nbeta"
+        b"\x03\x00\x00\x00\xff\xff\xff\xff"  # lengths: 3, not text
+        b"\x01\x00\x00\x00\x01\x00\x00\x00"  # one pair per term
+        b"\x00\x00\x00\x00\x02\x00\x00\x00"  # alpha: doc 0, count 2
+        b"\x00\x00\x00\x00\x01\x00\x00\x00")  # beta: doc 0, count 1
     loaded = load_term_index(path)
     assert (loaded.docs, loaded.lengths) == (index.docs, index.lengths)
     # a blob already known, skipped ones too, is not read again
@@ -385,14 +476,14 @@ def test_term_index_round_trips_and_records_skipped_blobs(tmp_path):
     loaded.update({"a.py": "1" * 40, "b.bin": "2" * 40},
                   lambda blobs: asked.extend(blobs) or ())
     assert asked == []
-    # a new blob's postings follow the loaded ones on their term lines
+    # a new blob's postings follow the loaded ones of their terms
     loaded.update({"a.py": "1" * 40, "c.py": "3" * 40},
                   lambda blobs: [("c.py", "beta delta")])
     save_term_index(loaded, path)
-    assert path.read_text(encoding="utf-8") == (
-        "bm25-term-index-v2\n"
-        f"{'1' * 40} 3\n-\n{'3' * 40} 2\n\n"
-        "alpha 0:2\nbeta 0:1 2:1\ndelta 2:1\n")
+    assert path.read_bytes() == _v3_file(
+        [("1" * 40, 3), (None, None), ("3" * 40, 2)],
+        [("alpha", [(0, 2)]), ("beta", [(0, 1), (2, 1)]),
+         ("delta", [(2, 1)])])
 
 
 def _cold_build(repo: Path, index_path: Path) -> bytes:
@@ -415,7 +506,7 @@ def _cold_build(repo: Path, index_path: Path) -> bytes:
     index = TermIndex()
     index.update(listing, lambda blobs: iter_repo_files(repo, blobs))
     save_term_index(index, index_path)
-    assert index_path.read_bytes().count(b"\n") > len(listing) + 1000
+    assert len(load_term_index(index_path).postings) > 1000
     return index_path.read_bytes()
 
 
@@ -440,60 +531,89 @@ def test_cold_index_file_is_the_same_bytes_with_a_memo_of_two_runs(
 
 
 @pytest.mark.parametrize("first_line", [
-    "bm25-term-index-v1", "evolution-memory-v1", "bm25-term-index-v3", ""])
+    "bm25-term-index-v1", "evolution-memory-v1", "bm25-term-index-v2", ""])
 def test_load_term_index_refuses_another_version(tmp_path, first_line):
     path = tmp_path / "memory.jsonl.bm25"
-    path.write_text(f'{first_line}\n{{"blob": "0", "terms": null}}\n',
-                    encoding="utf-8")
+    path.write_bytes(f"{first_line}\n{'1' * 40} 3\n\nalpha 0:3\n".encode()
+                     + _GOOD[len("bm25-term-index-v3\n"):])
     with pytest.raises(ValueError) as caught:
         load_term_index(path)
     message = str(caught.value)
-    assert message.startswith(f"{path}:1: not a bm25-term-index-v2 file")
+    assert message.startswith(f"{path}: not a bm25-term-index-v3 file")
     assert "safe to delete" in message
 
 
-_GOOD_BLOBS = f"{'1' * 40} 3\n{'2' * 40} -\n-\n"
+_BLOBS = [("1" * 40, 3), ("2" * 40, None), (None, None)]
+_GOOD = _v3_file(_BLOBS, [("alpha", [(0, 2)])])
+# where each part of _GOOD ends: the header, the blob ids, the term names
+_HEADER_END = len("bm25-term-index-v3\n") + 16
+_IDS_END = _HEADER_END + 3 * 40
+_NAMES_END = _IDS_END + len("alpha")
 
 
-@pytest.mark.parametrize("text,line", [
-    (f"{'1' * 40} 3\n{'1' * 40} 2\n\nalpha 0:1\n", 3),  # a blob twice
-    (f"{'1' * 40}\n\nalpha 0:1\n", 2),
-    (f"{'1' * 40} x\n\nalpha 0:1\n", 2),
-    (f"{'A' * 40} 3\n\nalpha 0:1\n", 2),
-    (f"{'1' * 40} 3 4\n\nalpha 0:1\n", 2),
-    ("alpha 0:1\n", 2),  # no blank line after the blob lines
-    (_GOOD_BLOBS + "\nalpha 0:1\nalpha 0:2\n", 7),  # a term twice
-    (_GOOD_BLOBS + "\nAlpha 0:1\n", 6),
-    (_GOOD_BLOBS + "\nalpha\n", 6),
-    (_GOOD_BLOBS + "\nalpha \n", 6),
-    (_GOOD_BLOBS + "\nal:pha 0:1\n", 6),
-    (_GOOD_BLOBS + "\nalpha 0:1\n\n", 7),
-    (_GOOD_BLOBS + "\nalpha 0:1", 6),  # cut short
+@pytest.mark.parametrize("data,problem", [
+    (_v3_file([("1" * 40, 3), ("1" * 40, 2)], [("alpha", [(0, 1)])]),
+     "want 2 distinct blob ids"),
+    (_GOOD[:_NAMES_END], "the file is cut short"),  # no lengths
+    # the header counts one byte more of term names than there are
+    (_GOOD[:_HEADER_END - 4] + struct.pack("<I", 6) + _GOOD[_HEADER_END:],
+     "want 1 distinct term names"),
+    (_v3_file([("A" * 40, 3)], [("alpha", [(0, 1)])]),
+     "want 1 distinct blob ids of 40 hex digits"),
+    (_GOOD[:_HEADER_END - 4], "the file is cut short"),  # three fields
+    (_GOOD[:_IDS_END], "the file is cut short"),  # no term names
+    (_v3_file(_BLOBS, [("alpha", [(0, 1)]), ("alpha", [(0, 2)])]),
+     "want 2 distinct term names"),
+    (_v3_file(_BLOBS, [("Alpha", [(0, 1)])]), "want 1 distinct term names"),
+    (_v3_file(_BLOBS, [("alpha", [])]), "term 'alpha' has no pairs"),
+    (_GOOD[:-8], "the file is cut short"),  # no pairs
+    (_v3_file(_BLOBS, [("al:pha", [(0, 1)])]), "want 1 distinct term names"),
+    (_v3_file(_BLOBS, [("alpha", [(0, 1)]), ("", [(0, 1)])]),
+     "want 2 distinct term names"),
+    (_GOOD[:-1], "the file is cut short"),
+    (_GOOD + b"\0", "1 bytes follow the pairs"),
+    (_v3_file(_BLOBS, [("alpha", [(0, 1)])], width=0)[:_HEADER_END],
+     "want 3 distinct blob ids of 0 hex digits"),
+    (_GOOD.replace(b"1" * 40, b"1" * 39 + b"-"), "want 3 distinct blob ids"),
 ], ids=["blob twice", "no length", "bad length", "upper-case blob id",
         "three fields", "no blank line", "term twice", "upper-case term",
         "no postings", "empty postings", "colon in term", "blank term line",
-        "cut short"])
-def test_load_term_index_names_a_bad_line(tmp_path, text, line):
+        "cut short", "trailing bytes", "no blob id width", "dash in a blob id"])
+def test_load_term_index_names_a_bad_line(tmp_path, data, problem):
+    # the test ids name the bm25-term-index-v2 line each case stood for
     path = tmp_path / "memory.jsonl.bm25"
-    path.write_text("bm25-term-index-v2\n" + text, encoding="utf-8")
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{line}: "):
+    path.write_bytes(data)
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape(f'{path}: {problem}')}"):
         load_term_index(path)
 
 
 @pytest.mark.parametrize("postings", [
-    "0:x", "0:1:2", "3:1", "0:0", "0:1 0:1", "1:1 0:1", "0:1  1:1",
-    "0:1 ", "-1:1", "0:١",
-])
+    "3:1", "0:0", "0:1 0:1", "1:1 0:1", "-1:1"])
 def test_ranking_parses_only_the_issue_terms(tmp_path, postings):
+    # doc:count pairs, packed as uint32s: -1 is the largest of them
+    pairs = [tuple(int(n) % 2 ** 32 for n in pair.split(":"))
+             for pair in postings.split(" ")]
     path = tmp_path / "memory.jsonl.bm25"
-    path.write_text(f"bm25-term-index-v2\n{_GOOD_BLOBS}\nalpha 0:2\n"
-                    f"zeta {postings}\n", encoding="utf-8")
+    path.write_bytes(_v3_file(_BLOBS, [("alpha", [(0, 2)]),
+                                       ("zeta", pairs)]))
     index = load_term_index(path)
     documents = index.documents({"a.py": "1" * 40, "b.bin": "2" * 40})
     assert [rf.path for rf in rank_files(documents, "alpha")] == ["a.py"]
-    with pytest.raises(ValueError, match=(f"^{re.escape(str(path))}:7: "
+    with pytest.raises(ValueError, match=(f"^{re.escape(str(path))}: "
                                           f"bad postings of term 'zeta'")):
         rank_files(documents, "alpha zeta")
+
+
+def test_update_checks_the_loaded_postings_it_extends(tmp_path):
+    # document 3 is past the file's three blobs, though not past the four
+    # the update makes
+    path = tmp_path / "memory.jsonl.bm25"
+    path.write_bytes(_v3_file(_BLOBS, [("zeta", [(3, 1)])]))
+    index = load_term_index(path)
+    with pytest.raises(ValueError, match="bad postings of term 'zeta'"):
+        index.update({"a.py": "1" * 40, "c.py": "4" * 40},
+                     lambda blobs: [("c.py", "zeta")])
 
 
 # --- summarize_file branches --------------------------------------------------

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import contextvars
+import gc
 import hashlib
 import json
 import socket
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -128,6 +130,30 @@ def test_record_backend_appends_each_key_once(tmp_path):
     records = read_cassette(path)
     assert set(records) == {"P1:k1", "P1:k2"}
     assert records["P1:k1"]["rendered_prompt"] == "prompt one"
+
+
+def test_record_backend_opens_its_cassette_once_and_closes_it(
+        tmp_path, monkeypatch):
+    path = tmp_path / "sub" / "c.jsonl"
+    opened = []
+    real_open = Path.open
+
+    def counting_open(self, *args, **kwargs):
+        handle = real_open(self, *args, **kwargs)
+        if self == path and args[:1] == ("a",):
+            opened.append(handle)
+        return handle
+
+    monkeypatch.setattr(Path, "open", counting_open)
+    backend = RecordBackend(ScriptedBackend({"P1": "resp"}), path)
+    for n in range(5):
+        backend.complete(f"P1:k{n}", "P1", f"prompt {n}")
+        # each record is on disk when its call returns
+        assert len(path.read_text("utf-8").splitlines()) == n + 1
+    assert len(opened) == 1
+    del backend
+    gc.collect()
+    assert opened[0].closed
 
 
 def test_record_backend_skips_keys_already_on_disk(tmp_path):
