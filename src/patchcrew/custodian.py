@@ -210,10 +210,12 @@ class TermIndex:
         # content length in terms; None for a blob that is not UTF-8 text,
         # so that it is not read again
         self.lengths: list[int | None] = []
-        self.postings: dict[str, array | int] = {}
+        # a term's pairs: an array, or, as loaded and not yet checked, its
+        # number in the file or its little-endian bytes
+        self.postings: dict[str, array | int | bytes] = {}
         self.source = "term index"  # what errors name: the loaded file
-        # the file's pairs (term i's from ends[i] to ends[i + 1]), blobs
-        self._file: tuple[bytes, array, int] | None = None
+        # the file's pairs, term i's from byte 8 * ends[i] to 8 * ends[i + 1]
+        self._file: tuple[bytes, array] | None = None
 
     def update(self, listing: Mapping[str, str],
                read: Callable[[Mapping[str, str]],
@@ -247,10 +249,14 @@ class TermIndex:
             deque(map(array.append, arrays, repeat(doc)), 0)
             deque(map(array.append, arrays, counts.values()), 0)
         for term, pairs in added.items():
-            if term in self.postings:
-                self._pairs(term).extend(pairs)
-            else:
+            held = self.postings.get(term)
+            if held is None:
                 self.postings[term] = pairs
+            elif isinstance(held, array):
+                held.extend(pairs)
+            else:  # loaded: appended as bytes, checked when first read
+                self.postings[term] = (self._raw(held)
+                                       + _uint32s(pairs).tobytes())
         listed = set(listing.values())
         gone = [oid for oid in self.docs if oid not in listed]
         for oid in gone:
@@ -277,21 +283,22 @@ class TermIndex:
 
         return Documents(lengths, counts)
 
-    def _unchecked(self, held: array | int) -> array:
-        """A term's pairs as held, or as the loaded file holds them."""
-        if isinstance(held, array):
-            return held
-        pairs, ends, _ = self._file
-        return _uint32s(pairs[8 * ends[held]:8 * ends[held + 1]])
+    def _raw(self, held: array | int | bytes) -> array | bytes:
+        """A term's pairs as little-endian uint32s, a loaded term's as the
+        file holds them."""
+        if isinstance(held, int):
+            pairs, ends = self._file
+            return pairs[8 * ends[held]:8 * ends[held + 1]]
+        return held if isinstance(held, bytes) else _uint32s(held)
 
     def _pairs(self, term: str) -> Sequence[int]:
         """The term's postings as doc, count, doc, count, ...; a loaded
         term's are checked here, when first needed, and then kept."""
         held = self.postings.get(term, ())
-        if not isinstance(held, int):
+        if not isinstance(held, (int, bytes)):
             return held
-        pairs = self._unchecked(held)
-        docs, blobs = pairs[::2].tolist(), self._file[2]
+        pairs = _uint32s(self._raw(held))
+        docs, blobs = pairs[::2].tolist(), len(self.blob_ids)
         if sorted(set(docs)) != docs or docs[-1] >= blobs or 0 in pairs[1::2]:
             raise ValueError(
                 f"{self.source}: bad postings of term {term!r}: want "
@@ -307,7 +314,7 @@ class TermIndex:
         number: list[int | None] = [None] * len(self.blob_ids)
         for new, doc in enumerate(live):
             number[doc] = new
-        postings: dict[str, array | int] = {}
+        postings: dict[str, array | int | bytes] = {}
         for term in self.postings:
             pairs = self._pairs(term)
             kept = array("I")
@@ -332,11 +339,8 @@ def save_term_index(index: TermIndex, path: str | Path) -> None:
     if any(len(oid) != width for oid in index.docs):
         raise ValueError("blob ids of more than one width")
     names = "\n".join(index.postings).encode()
-    pairs = [held if isinstance(held, array) else index._unchecked(held)
-             for held in index.postings.values()]
-    counts = _uint32s(len(held) // 2 for held in pairs)
-    if sys.byteorder == "big":  # so far in machine order
-        pairs = list(map(_uint32s, pairs))
+    pairs = list(map(index._raw, index.postings.values()))
+    counts = _uint32s(memoryview(held).nbytes // 8 for held in pairs)
     tmp = path.with_suffix(path.suffix + ".tmp")
     tmp.write_bytes(b"".join([
         f"{TERM_INDEX_FORMAT_VERSION}\n".encode(),
@@ -394,7 +398,7 @@ def load_term_index(path: str | Path) -> TermIndex:
     if 0 in counts:
         raise bad(f"term {terms[counts.index(0)]!r} has no pairs")
     ends = array("Q", accumulate(counts, initial=0))
-    index._file = (take(8 * ends[-1]), ends, n_blobs)
+    index._file = (take(8 * ends[-1]), ends)
     if at != len(data):
         raise bad(f"{len(data) - at} bytes follow the pairs")
     return index

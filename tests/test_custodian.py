@@ -605,16 +605,6 @@ def test_ranking_parses_only_the_issue_terms(tmp_path, postings):
         rank_files(documents, "alpha zeta")
 
 
-def test_update_checks_the_loaded_postings_it_extends(tmp_path):
-    # document 3 is past the file's three blobs, though not past the four
-    # the update makes
-    path = tmp_path / "memory.jsonl.bm25"
-    path.write_bytes(_v3_file(_BLOBS, [("zeta", [(3, 1)])]))
-    index = load_term_index(path)
-    with pytest.raises(ValueError, match="bad postings of term 'zeta'"):
-        index.update({"a.py": "1" * 40, "c.py": "4" * 40},
-                     lambda blobs: [("c.py", "zeta")])
-
 
 # --- summarize_file branches --------------------------------------------------
 
