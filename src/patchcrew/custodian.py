@@ -179,7 +179,6 @@ def rank_files(documents: Documents, issue_text: str) -> list[RankedFile]:
 # little-endian uint32s: per blob its length in terms (_NO_LENGTH if gone
 # or not UTF-8 text), per term its number of pairs, then each term's pairs.
 _NO_LENGTH = 0xFFFFFFFF
-_TERM_BYTES = b"\n0123456789abcdefghijklmnopqrstuvwxyz"
 
 
 def _uint32s(values: bytes | Iterable[int]) -> array:
@@ -197,25 +196,24 @@ class TermIndex:
     names the exact content, so a posting never goes stale.
 
     A term's postings are one array of doc, count pairs, never one object
-    per posting; a loaded term holds its number in the file until a query,
-    an update or a purge first needs its pairs, sliced and checked then.
-    A blob that leaves the listing leaves the blob table, but its number
-    stays in the postings, skipped, until numbers of gone blobs outnumber
-    live ones; then a purge drops them and renumbers the rest in order.
+    per posting. A loaded term keeps its number in the file, and an update
+    appends to it as bytes, until a query or a purge first needs its pairs,
+    checked then. A blob that leaves the listing leaves the blob table, but
+    its number stays in the postings, skipped, until numbers of gone blobs
+    outnumber live ones; then a purge drops them and renumbers the rest.
     """
 
-    def __init__(self):
+    def __init__(self, source: str = "term index"):
         self.docs: dict[str, int] = {}  # live blob id -> document number
         self.blob_ids: list[str | None] = []  # None once the blob is gone
         # content length in terms; None for a blob that is not UTF-8 text,
         # so that it is not read again
         self.lengths: list[int | None] = []
-        # a term's pairs: an array, or, as loaded and not yet checked, its
-        # number in the file or its little-endian bytes
+        # an array; unchecked, a loaded term's number or appended bytes
         self.postings: dict[str, array | int | bytes] = {}
-        self.source = "term index"  # what errors name: the loaded file
-        # the file's pairs, term i's from byte 8 * ends[i] to 8 * ends[i + 1]
-        self._file: tuple[bytes, array] | None = None
+        self.source = source  # what errors name: the loaded file
+        # a loaded term's number -> its pairs in the file, in machine order
+        self._file: Callable[[int], array] | None = None
 
     def update(self, listing: Mapping[str, str],
                read: Callable[[Mapping[str, str]],
@@ -254,9 +252,8 @@ class TermIndex:
                 self.postings[term] = pairs
             elif isinstance(held, array):
                 held.extend(pairs)
-            else:  # loaded: appended as bytes, checked when first read
-                self.postings[term] = (self._raw(held)
-                                       + _uint32s(pairs).tobytes())
+            else:  # loaded: appended unchecked, checked when first read
+                self.postings[term] = b"".join([self._raw(held), pairs])
         listed = set(listing.values())
         gone = [oid for oid in self.docs if oid not in listed]
         for oid in gone:
@@ -284,12 +281,8 @@ class TermIndex:
         return Documents(lengths, counts)
 
     def _raw(self, held: array | int | bytes) -> array | bytes:
-        """A term's pairs as little-endian uint32s, a loaded term's as the
-        file holds them."""
-        if isinstance(held, int):
-            pairs, ends = self._file
-            return pairs[8 * ends[held]:8 * ends[held + 1]]
-        return held if isinstance(held, bytes) else _uint32s(held)
+        """A term's pairs in machine order, a loaded term's unchecked."""
+        return self._file(held) if isinstance(held, int) else held
 
     def _pairs(self, term: str) -> Sequence[int]:
         """The term's postings as doc, count, doc, count, ...; a loaded
@@ -297,12 +290,11 @@ class TermIndex:
         held = self.postings.get(term, ())
         if not isinstance(held, (int, bytes)):
             return held
-        pairs = _uint32s(self._raw(held))
+        pairs = array("I", self._raw(held))
         docs, blobs = pairs[::2].tolist(), len(self.blob_ids)
         if sorted(set(docs)) != docs or docs[-1] >= blobs or 0 in pairs[1::2]:
-            raise ValueError(
-                f"{self.source}: bad postings of term {term!r}: want "
-                f"documents that ascend below {blobs}, counts above 0")
+            raise ValueError(f"{self.source}: bad postings of term {term!r}: "
+                             f"want ascending documents < {blobs}, counts > 0")
         self.postings[term] = pairs
         return pairs
 
@@ -340,7 +332,6 @@ def save_term_index(index: TermIndex, path: str | Path) -> None:
         raise ValueError("blob ids of more than one width")
     names = "\n".join(index.postings).encode()
     pairs = list(map(index._raw, index.postings.values()))
-    counts = _uint32s(memoryview(held).nbytes // 8 for held in pairs)
     tmp = path.with_suffix(path.suffix + ".tmp")
     tmp.write_bytes(b"".join([
         f"{TERM_INDEX_FORMAT_VERSION}\n".encode(),
@@ -348,14 +339,15 @@ def save_term_index(index: TermIndex, path: str | Path) -> None:
         "".join(oid or "-" * width for oid in index.blob_ids).encode(), names,
         _uint32s(_NO_LENGTH if oid is None or n is None else n
                  for oid, n in zip(index.blob_ids, index.lengths)),
-        counts, *pairs]))
+        _uint32s(memoryview(held).nbytes // 8 for held in pairs),
+        _uint32s(b"".join(pairs))]))
     tmp.replace(path)
 
 
 def load_term_index(path: str | Path) -> TermIndex:
     """Read a saved index in one read and check all but each term's pairs,
-    which a query, an update or a purge checks when it first needs them.
-    Every error names the file."""
+    which a query or a purge checks when it first needs them. Every error
+    names the file."""
     path = Path(path)
     data = path.read_bytes()
     at = len(TERM_INDEX_FORMAT_VERSION) + 1
@@ -375,30 +367,28 @@ def load_term_index(path: str | Path) -> TermIndex:
                   f"of BM25 term counts, safe to delete")
     n_blobs, width, n_terms, names_size = _uint32s(take(16))
     table = take(n_blobs * width).decode("latin-1")
-    index = TermIndex()
-    index.source = str(path)
+    index = TermIndex(str(path))
     index.blob_ids = [None if (oid := table[i:i + width]) == "-" * width
                       else oid for i in range(0, len(table), width or 1)]
     index.docs = {oid: doc for doc, oid in enumerate(index.blob_ids)
                   if oid is not None}
-    if (width == 0 or len(index.docs) + index.blob_ids.count(None) != n_blobs
-            or not re.fullmatch("(?:[0-9a-f]{%d}|-{%d})*" % (width, width),
-                                table)):
-        raise bad(f"want {n_blobs} distinct blob ids of {width} hex digits "
-                  f"or dashes")
+    if (len(index.docs) + index.blob_ids.count(None) != n_blobs or not
+            re.fullmatch("(?:[0-9a-f]{%d}|-{%d})*" % (width, width), table)):
+        raise bad(f"want {n_blobs} distinct blob ids of {width} hex digits")
     names = take(names_size)
     terms = names.decode("latin-1").split("\n") if names else []
     index.postings = dict(zip(terms, range(n_terms)))
-    if (len(index.postings) != n_terms or len(terms) != n_terms
-            or "" in terms or names.translate(None, _TERM_BYTES)):
+    if (len(index.postings) != n_terms or len(terms) != n_terms or ""
+            in index.postings or not re.fullmatch(rb"[a-z0-9\n]*", names)):
         raise bad(f"want {n_terms} distinct term names of [a-z0-9]+")
     index.lengths = [None if n == _NO_LENGTH else n
                      for n in _uint32s(take(4 * n_blobs))]
     counts = _uint32s(take(4 * n_terms))
     if 0 in counts:
         raise bad(f"term {terms[counts.index(0)]!r} has no pairs")
-    ends = array("Q", accumulate(counts, initial=0))
-    index._file = (take(8 * ends[-1]), ends)
+    ends = list(accumulate(counts, initial=0))
+    pairs = take(8 * ends[-1])
+    index._file = lambda i: _uint32s(pairs[8 * ends[i]:8 * ends[i + 1]])
     if at != len(data):
         raise bad(f"{len(data) - at} bytes follow the pairs")
     return index

@@ -9,8 +9,9 @@ candidate files' contents from that read. Every content comes
 straight from the repository's object store (gitops.iter_repo_files and
 gitops.read_repo_files), so a resolve makes no checkout. With a
 memory path the index persists at ``<memory-path>.bm25`` (an inverted
-file, see custodian.TermIndex), rewritten only when the listing added or
-dropped a blob; without one it lives for the run.
+file of packed binary postings, loaded in one read and saved in one
+write, see custodian.TermIndex), rewritten only when the listing added
+or dropped a blob; without one it lives for the run.
 
 Independent LLM calls run concurrently (llm.map_concurrently): the
 per-file summaries and relevance checks of locate, the per-file task and

@@ -551,36 +551,53 @@ _IDS_END = _HEADER_END + 3 * 40
 _NAMES_END = _IDS_END + len("alpha")
 
 
+# Each id names the bm25-term-index-v2 fault a case stood for; the comment
+# above a case says what the v3 bytes hold instead.
 @pytest.mark.parametrize("data,problem", [
+    # blob twice: one blob id in two slots of the table
     (_v3_file([("1" * 40, 3), ("1" * 40, 2)], [("alpha", [(0, 1)])]),
      "want 2 distinct blob ids"),
-    (_GOOD[:_NAMES_END], "the file is cut short"),  # no lengths
-    # the header counts one byte more of term names than there are
+    # no length: the file ends after the term names
+    (_GOOD[:_NAMES_END], "the file is cut short"),
+    # bad length: the header counts one byte more of term names than there
+    # are, so the first length's byte is read as part of a name
     (_GOOD[:_HEADER_END - 4] + struct.pack("<I", 6) + _GOOD[_HEADER_END:],
      "want 1 distinct term names"),
+    # upper-case blob id: a blob id that is not lower-case hex
     (_v3_file([("A" * 40, 3)], [("alpha", [(0, 1)])]),
      "want 1 distinct blob ids of 40 hex digits"),
-    (_GOOD[:_HEADER_END - 4], "the file is cut short"),  # three fields
-    (_GOOD[:_IDS_END], "the file is cut short"),  # no term names
+    # three fields: the header is cut before its fourth field
+    (_GOOD[:_HEADER_END - 4], "the file is cut short"),
+    # no blank line: the file ends after the blob ids
+    (_GOOD[:_IDS_END], "the file is cut short"),
+    # term twice: one term name in two slots
     (_v3_file(_BLOBS, [("alpha", [(0, 1)]), ("alpha", [(0, 2)])]),
      "want 2 distinct term names"),
+    # upper-case term: a term name outside [a-z0-9]
     (_v3_file(_BLOBS, [("Alpha", [(0, 1)])]), "want 1 distinct term names"),
+    # no postings: a term whose pair count is 0
     (_v3_file(_BLOBS, [("alpha", [])]), "term 'alpha' has no pairs"),
-    (_GOOD[:-8], "the file is cut short"),  # no pairs
+    # empty postings: the file ends before the last term's pair
+    (_GOOD[:-8], "the file is cut short"),
+    # colon in term: a term name with a byte outside [a-z0-9]
     (_v3_file(_BLOBS, [("al:pha", [(0, 1)])]), "want 1 distinct term names"),
+    # blank term line: an empty term name
     (_v3_file(_BLOBS, [("alpha", [(0, 1)]), ("", [(0, 1)])]),
      "want 2 distinct term names"),
+    # cut short: the last pair's final byte is missing
     (_GOOD[:-1], "the file is cut short"),
+    # trailing bytes: one byte after the pairs
     (_GOOD + b"\0", "1 bytes follow the pairs"),
+    # no blob id width: a header that gives blob ids a width of 0
     (_v3_file(_BLOBS, [("alpha", [(0, 1)])], width=0)[:_HEADER_END],
      "want 3 distinct blob ids of 0 hex digits"),
+    # dash in a blob id: a blob id that is part hex, part dash
     (_GOOD.replace(b"1" * 40, b"1" * 39 + b"-"), "want 3 distinct blob ids"),
 ], ids=["blob twice", "no length", "bad length", "upper-case blob id",
         "three fields", "no blank line", "term twice", "upper-case term",
         "no postings", "empty postings", "colon in term", "blank term line",
         "cut short", "trailing bytes", "no blob id width", "dash in a blob id"])
 def test_load_term_index_names_a_bad_line(tmp_path, data, problem):
-    # the test ids name the bm25-term-index-v2 line each case stood for
     path = tmp_path / "memory.jsonl.bm25"
     path.write_bytes(data)
     with pytest.raises(ValueError,
@@ -600,10 +617,16 @@ def test_ranking_parses_only_the_issue_terms(tmp_path, postings):
     index = load_term_index(path)
     documents = index.documents({"a.py": "1" * 40, "b.bin": "2" * 40})
     assert [rf.path for rf in rank_files(documents, "alpha")] == ["a.py"]
-    with pytest.raises(ValueError, match=(f"^{re.escape(str(path))}: "
-                                          f"bad postings of term 'zeta'")):
+    bad = f"^{re.escape(str(path))}: bad postings of term 'zeta'"
+    with pytest.raises(ValueError, match=bad):
         rank_files(documents, "alpha zeta")
-
+    # an update appends a new blob's pairs to the loaded ones unchecked, and
+    # the first read still checks them all
+    index = load_term_index(path)
+    listing = {"a.py": "1" * 40, "b.bin": "2" * 40, "c.py": "4" * 40}
+    index.update(listing, lambda blobs: [("c.py", "zeta")])
+    with pytest.raises(ValueError, match=bad):
+        rank_files(index.documents(listing), "zeta")
 
 
 # --- summarize_file branches --------------------------------------------------
