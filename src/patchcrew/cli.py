@@ -79,8 +79,8 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
 
 
 def cmd_resolve(args: argparse.Namespace) -> int:
-    instance = load_instance(args.instance)
     config = _config_from(args)
+    instance = load_instance(args.instance)
     outcome = resolve_instance(instance, config)
     print(f"patch: {outcome.patch_path}")
     print(f"report: {outcome.report_dir}")
@@ -93,8 +93,8 @@ def cmd_resolve(args: argparse.Namespace) -> int:
 
 
 def cmd_locate(args: argparse.Namespace) -> int:
-    instance = load_instance(args.instance)
     config = _config_from(args)
+    instance = load_instance(args.instance)
     if config.use_oracle and instance.oracle_files:
         print("oracle files supplied, custodian bypassed (bm25_calls=0)")
         for path in instance.oracle_files:

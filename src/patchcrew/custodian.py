@@ -9,10 +9,12 @@ its count in each. The index follows the evolution memory's idea: it
 persists next to the memory (``<memory-path>.bm25``), so a new revision
 tokenizes only the blobs that changed, a query reads only the postings
 of its own terms, and a file's content is read only when a summary or a
-later stage needs it. A term never spans a character outside
-[A-Za-z0-9], non-ASCII ones included, so a blob is counted one run of
-ASCII letters and digits at a time, and each distinct run is tokenized
-once per index update.
+later stage needs it. A term's postings are held as the bytes the file
+holds, so a load slices them from the file, a save joins them back, and
+they are checked each time they are read. A term never spans a
+character outside [A-Za-z0-9], non-ASCII ones included, so a blob is
+counted one run of ASCII letters and digits at a time, and each
+distinct run is tokenized once per index update.
 
 Summaries are memoized in an EvolutionMemory, which keeps per file its
 summary, the number of updates in it and the content it describes, so a
@@ -33,7 +35,7 @@ import re
 import sys
 from array import array
 from collections import Counter, defaultdict, deque
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, chain, count, repeat
@@ -189,16 +191,23 @@ def _uint32s(values: bytes | Iterable[int]) -> array:
     return values
 
 
+def _little_endian(data: bytes) -> bytes:
+    """Uint32s in machine order as little-endian bytes, or the reverse;
+    the same bytes on a little-endian host."""
+    return data if sys.byteorder == "little" else _uint32s(data).tobytes()
+
+
 class TermIndex:
     """BM25's inverted file over git blobs. Each blob the index has seen
     gets a document number; each term keeps its postings, the document
     numbers of the blobs that hold it with its count in each. A blob id
     names the exact content, so a posting never goes stale.
 
-    A term's postings are one array of doc, count pairs, never one object
-    per posting. A loaded term keeps its number in the file, and an update
-    appends to it as bytes, until a query or a purge first needs its pairs,
-    checked then. A blob that leaves the listing leaves the blob table, but
+    A term's postings are one bytes object of doc, count pairs as uint32s
+    in machine order, never one object per posting: a loaded term holds
+    its slice of the file, a counted one its array's bytes, and an update
+    appends to either. Pairs are checked each time a query or a purge
+    reads them. A blob that leaves the listing leaves the blob table, but
     its number stays in the postings, skipped, until numbers of gone blobs
     outnumber live ones; then a purge drops them and renumbers the rest.
     """
@@ -209,11 +218,9 @@ class TermIndex:
         # content length in terms; None for a blob that is not UTF-8 text,
         # so that it is not read again
         self.lengths: list[int | None] = []
-        # an array; unchecked, a loaded term's number or appended bytes
-        self.postings: dict[str, array | int | bytes] = {}
+        # term -> doc, count, doc, count, ... as uint32s in machine order
+        self.postings: dict[str, bytes] = {}
         self.source = source  # what errors name: the loaded file
-        # a loaded term's number -> its pairs in the file, in machine order
-        self._file: Callable[[int], array] | None = None
 
     def update(self, listing: Mapping[str, str],
                read: Callable[[Mapping[str, str]],
@@ -247,13 +254,7 @@ class TermIndex:
             deque(map(array.append, arrays, repeat(doc)), 0)
             deque(map(array.append, arrays, counts.values()), 0)
         for term, pairs in added.items():
-            held = self.postings.get(term)
-            if held is None:
-                self.postings[term] = pairs
-            elif isinstance(held, array):
-                held.extend(pairs)
-            else:  # loaded: appended unchecked, checked when first read
-                self.postings[term] = b"".join([self._raw(held), pairs])
+            self.postings[term] = self.postings.get(term, b"") + pairs
         listed = set(listing.values())
         gone = [oid for oid in self.docs if oid not in listed]
         for oid in gone:
@@ -280,22 +281,15 @@ class TermIndex:
 
         return Documents(lengths, counts)
 
-    def _raw(self, held: array | int | bytes) -> array | bytes:
-        """A term's pairs in machine order, a loaded term's unchecked."""
-        return self._file(held) if isinstance(held, int) else held
-
-    def _pairs(self, term: str) -> Sequence[int]:
-        """The term's postings as doc, count, doc, count, ...; a loaded
-        term's are checked here, when first needed, and then kept."""
-        held = self.postings.get(term, ())
-        if not isinstance(held, (int, bytes)):
-            return held
-        pairs = array("I", self._raw(held))
+    def _pairs(self, term: str) -> array:
+        """The term's postings as doc, count, doc, count, ..., checked on
+        every read; empty for a term the index does not hold."""
+        pairs = array("I", self.postings.get(term, b""))
         docs, blobs = pairs[::2].tolist(), len(self.blob_ids)
-        if sorted(set(docs)) != docs or docs[-1] >= blobs or 0 in pairs[1::2]:
+        if docs and (sorted(set(docs)) != docs or docs[-1] >= blobs
+                     or 0 in pairs[1::2]):
             raise ValueError(f"{self.source}: bad postings of term {term!r}: "
                              f"want ascending documents < {blobs}, counts > 0")
-        self.postings[term] = pairs
         return pairs
 
     def _purge(self) -> None:
@@ -306,7 +300,7 @@ class TermIndex:
         number: list[int | None] = [None] * len(self.blob_ids)
         for new, doc in enumerate(live):
             number[doc] = new
-        postings: dict[str, array | int | bytes] = {}
+        postings: dict[str, bytes] = {}
         for term in self.postings:
             pairs = self._pairs(term)
             kept = array("I")
@@ -315,23 +309,22 @@ class TermIndex:
                     kept.append(number[doc])
                     kept.append(n)
             if kept:
-                postings[term] = kept
+                postings[term] = kept.tobytes()
         self.blob_ids = [self.blob_ids[doc] for doc in live]
         self.lengths = [self.lengths[doc] for doc in live]
         self.docs = {oid: doc for doc, oid in enumerate(self.blob_ids)}
         self.postings = postings
-        self._file = None
 
 
 def save_term_index(index: TermIndex, path: str | Path) -> None:
     """Persist in the layout above, in one write to a temporary file that
-    then replaces the old one; a loaded term's pairs go as loaded."""
+    then replaces the old one; the pairs go as held, in one join."""
     path = Path(path)
     width = len(next(iter(index.docs), "-"))
     if any(len(oid) != width for oid in index.docs):
         raise ValueError("blob ids of more than one width")
     names = "\n".join(index.postings).encode()
-    pairs = list(map(index._raw, index.postings.values()))
+    pairs = index.postings.values()
     tmp = path.with_suffix(path.suffix + ".tmp")
     tmp.write_bytes(b"".join([
         f"{TERM_INDEX_FORMAT_VERSION}\n".encode(),
@@ -339,15 +332,15 @@ def save_term_index(index: TermIndex, path: str | Path) -> None:
         "".join(oid or "-" * width for oid in index.blob_ids).encode(), names,
         _uint32s(_NO_LENGTH if oid is None or n is None else n
                  for oid, n in zip(index.blob_ids, index.lengths)),
-        _uint32s(memoryview(held).nbytes // 8 for held in pairs),
-        _uint32s(b"".join(pairs))]))
+        _uint32s(len(held) // 8 for held in pairs),
+        _little_endian(b"".join(pairs))]))
     tmp.replace(path)
 
 
 def load_term_index(path: str | Path) -> TermIndex:
     """Read a saved index in one read and check all but each term's pairs,
-    which a query or a purge checks when it first needs them. Every error
-    names the file."""
+    which a query or a purge checks when it reads them. Every error names
+    the file."""
     path = Path(path)
     data = path.read_bytes()
     at = len(TERM_INDEX_FORMAT_VERSION) + 1
@@ -377,9 +370,8 @@ def load_term_index(path: str | Path) -> TermIndex:
         raise bad(f"want {n_blobs} distinct blob ids of {width} hex digits")
     names = take(names_size)
     terms = names.decode("latin-1").split("\n") if names else []
-    index.postings = dict(zip(terms, range(n_terms)))
-    if (len(index.postings) != n_terms or len(terms) != n_terms or ""
-            in index.postings or not re.fullmatch(rb"[a-z0-9\n]*", names)):
+    if (len(set(terms)) != n_terms or len(terms) != n_terms or "" in terms
+            or not re.fullmatch(rb"[a-z0-9\n]*", names)):
         raise bad(f"want {n_terms} distinct term names of [a-z0-9]+")
     index.lengths = [None if n == _NO_LENGTH else n
                      for n in _uint32s(take(4 * n_blobs))]
@@ -387,8 +379,9 @@ def load_term_index(path: str | Path) -> TermIndex:
     if 0 in counts:
         raise bad(f"term {terms[counts.index(0)]!r} has no pairs")
     ends = list(accumulate(counts, initial=0))
-    pairs = take(8 * ends[-1])
-    index._file = lambda i: _uint32s(pairs[8 * ends[i]:8 * ends[i + 1]])
+    pairs = _little_endian(take(8 * ends[-1]))
+    index.postings = {term: pairs[8 * start:8 * end]
+                      for term, start, end in zip(terms, ends, ends[1:])}
     if at != len(data):
         raise bad(f"{len(data) - at} bytes follow the pairs")
     return index

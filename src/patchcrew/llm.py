@@ -123,7 +123,10 @@ _RECORD_FIELDS = ("key", "template_id", "rendered_prompt", "response_text")
 
 def read_cassette(path: str | Path) -> dict[str, dict[str, str]]:
     """Load a cassette file into key -> record. Later duplicates win.
-    Reads one line at a time, so the whole file text is never held."""
+    Reads one line at a time, so the whole file text is never held. A
+    last line that no newline ends and that is not JSON is a record torn
+    by a recorder stopped while it appended; it is skipped with a warning,
+    so its key misses. Any other bad line is an error naming it."""
     records: dict[str, dict[str, str]] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -132,6 +135,10 @@ def read_cassette(path: str | Path) -> dict[str, dict[str, str]]:
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
+                if not line.endswith("\n"):
+                    log.warning("%s:%d: skipped a torn cassette record: %s",
+                                path, lineno, exc)
+                    break
                 raise ValueError(f"{path}:{lineno}: bad cassette record: "
                                  f"{exc}") from exc
             if not isinstance(obj, dict):
@@ -150,6 +157,27 @@ def read_cassette(path: str | Path) -> dict[str, dict[str, str]]:
     return records
 
 
+def _end_with_a_whole_record(path: Path) -> None:
+    """Cut a torn last record (see read_cassette) off a cassette, or end a
+    whole last record that no newline ends with one, so that what is
+    appended next starts a line of its own."""
+    with path.open("rb+") as fh:
+        start = 0  # where the last line starts
+        for line in fh:
+            if not line.endswith(b"\n"):
+                break
+            start += len(line)
+        else:
+            return
+        try:
+            json.loads(line)
+        except ValueError:
+            fh.truncate(start)
+        else:
+            fh.seek(0, os.SEEK_END)
+            fh.write(b"\n")
+
+
 class RecordBackend:
     """Reads through its cassette: a key the cassette already holds, or
     one this backend has already answered, is answered from memory, and
@@ -161,7 +189,8 @@ class RecordBackend:
     if it fails, the next caller asks again. The cassette is opened for
     appending once, on the first miss, and closed when the backend is
     dropped; a lock keeps concurrent appends whole (a long record takes
-    several writes), and each is flushed before its call returns."""
+    several writes), and each is flushed before its call returns. Before
+    the first append, a torn last record is cut off the cassette."""
 
     mode = "record"
 
@@ -198,6 +227,8 @@ class RecordBackend:
                     if self._out is None:
                         self.cassette_path.parent.mkdir(parents=True,
                                                         exist_ok=True)
+                        if self.cassette_path.exists():
+                            _end_with_a_whole_record(self.cassette_path)
                         self._out = self.cassette_path.open(
                             "a", encoding="utf-8")
                         weakref.finalize(self, self._out.close)

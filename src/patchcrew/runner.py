@@ -86,6 +86,11 @@ class RunConfig:
             raise ValueError(f"llm_mode must be one of {LLM_MODES}")
         if self.llm_mode in ("replay", "record") and not self.cassette_path:
             raise ValueError(f"--llm-mode {self.llm_mode} requires a cassette path")
+        for flag, value in (("--top-k", self.top_k),
+                            ("--max-review-iters", self.max_review_iters),
+                            ("--meeting-rounds", self.meeting_rounds)):
+            if value < 1:
+                raise ValueError(f"{flag} must be >= 1, not {value}")
         self.out_dir = Path(self.out_dir)
 
 

@@ -97,6 +97,29 @@ def test_resolve_missing_cassette_flag_is_exit_2(fixture_instance_file,
     assert "requires a cassette" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["resolve", "locate"])
+@pytest.mark.parametrize("flag", ["--top-k", "--max-review-iters",
+                                  "--meeting-rounds"])
+def test_a_run_flag_below_one_is_exit_2_before_any_git_or_llm_call(
+        fixture_instance_file, tmp_path, capsys, monkeypatch, command, flag):
+    started: list[object] = []
+
+    def refuse(*args, **kwargs):
+        started.append(args)
+        raise OSError("nothing may be started")
+
+    monkeypatch.setattr("subprocess.run", refuse)
+    monkeypatch.setattr("subprocess.Popen", refuse)
+    monkeypatch.setattr("patchcrew.llm.RecordBackend.complete", refuse)
+    memory_path = tmp_path / "memory.jsonl"
+    code = main([command, str(fixture_instance_file), *_run_flags(tmp_path),
+                 "--memory-path", str(memory_path), flag, "0"])
+    assert code == 2
+    assert f"error: {flag} must be >= 1" in capsys.readouterr().err
+    assert started == []
+    assert list(tmp_path.iterdir()) == []  # no memory, index or run files
+
+
 # --- locate ----------------------------------------------------------------------
 
 def test_locate_ranks_and_marks_candidates(fixture_instance_file, tmp_path,

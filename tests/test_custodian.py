@@ -359,8 +359,8 @@ def _term_indexes(draw) -> TermIndex:
         counts = draw(st.lists(st.integers(1, 2 ** 32 - 1),
                                min_size=len(docs), max_size=len(docs)))
         if docs:
-            index.postings[term] = array(
-                "I", [v for pair in zip(sorted(docs), counts) for v in pair])
+            index.postings[term] = array("I", [
+                v for pair in zip(sorted(docs), counts) for v in pair]).tobytes()
     return index
 
 
@@ -370,21 +370,49 @@ def test_saved_index_round_trips_byte_for_byte(index, tmp_path_factory):
     path = tmp_path_factory.mktemp("index") / "memory.jsonl.bm25"
     save_term_index(index, path)
     saved = path.read_bytes()
+    flat = {term: array("I", pairs) for term, pairs in index.postings.items()}
     assert _v3_fields(saved) == (
         index.blob_ids,
         [n if oid else None for oid, n in zip(index.blob_ids, index.lengths)],
         [(term, list(zip(pairs[::2], pairs[1::2])))
-         for term, pairs in index.postings.items()])
+         for term, pairs in flat.items()])
     loaded = load_term_index(path)
-    save_term_index(loaded, path)  # its pairs as loaded, not yet checked
+    save_term_index(loaded, path)  # its pairs as loaded, not yet read
     assert path.read_bytes() == saved
     assert (loaded.docs, loaded.blob_ids) == (index.docs, index.blob_ids)
     assert loaded.lengths == _v3_fields(saved)[1]
     assert list(loaded.postings) == list(index.postings)
-    for term, pairs in index.postings.items():
+    for term, pairs in flat.items():
         assert loaded._pairs(term) == pairs
-    save_term_index(loaded, path)  # every term's pairs checked
+    save_term_index(loaded, path)  # after every term's pairs were read
     assert path.read_bytes() == saved
+
+
+def test_loaded_index_saves_like_the_index_kept_in_memory(tmp_path):
+    # each revision rewrites two of four files, so gone blobs pile up until
+    # a purge drops them; then the files return to the first revision, whose
+    # blobs are gone by then and are counted again
+    revisions = [{f"m{i}.py": f"alpha beta r{r if i < 2 else 0} m{i} "
+                              + "gamma " * ((r + i) % 3)
+                  for i in range(4)} for r in range(6)]
+    revisions += [revisions[0], revisions[3], revisions[0]]
+    kept = TermIndex()
+    path = tmp_path / "memory.jsonl.bm25"
+    purges = 0
+    for files in revisions:
+        listing = {p: blob_id(c) for p, c in files.items()}
+        loaded = load_term_index(path) if path.exists() else TermIndex()
+        gone_before = None in kept.blob_ids
+        for index in (kept, loaded):
+            index.update(listing, stream(files))
+            # a read between update and save changes nothing that is saved
+            assert dict(_ranking(index.documents(listing), "alpha gamma r1")) \
+                == bm25_scores_brute(files, "alpha gamma r1")
+        purges += gone_before and None not in kept.blob_ids
+        save_term_index(kept, tmp_path / "kept.bm25")
+        save_term_index(loaded, path)
+        assert path.read_bytes() == (tmp_path / "kept.bm25").read_bytes()
+    assert purges >= 2
 
 
 def test_term_index_update_counts_each_blob_before_it_reads_the_next():

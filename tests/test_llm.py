@@ -210,6 +210,56 @@ def test_a_second_record_run_calls_only_for_new_keys(tmp_path):
             } == {"P1:k": "answer 0", "P1:new": "answer 0"}
 
 
+def _torn_cassette(path: Path) -> None:
+    """One whole record of 20 kB, P1:whole, then the first half of a
+    second, P1:torn, as a recorder stopped while appending leaves them."""
+    whole = json.dumps(_record("P1:whole", "x" * 20_000)) + "\n"
+    torn = json.dumps(_record("P1:torn", "y" * 20_000)) + "\n"
+    path.write_text(whole + torn[:len(torn) // 2], encoding="utf-8")
+
+
+def test_a_record_run_over_a_torn_cassette_asks_only_the_torn_key(
+        tmp_path, caplog):
+    path = tmp_path / "c.jsonl"
+    _torn_cassette(path)
+    inner = CountingBackend()
+    backend = RecordBackend(inner, path)
+    assert "c.jsonl:2: skipped a torn cassette record" in caplog.text
+    assert backend.complete("P1:whole", "P1", "p") == "x" * 20_000
+    assert inner.network_calls == 0
+    assert backend.complete("P1:torn", "P1", "p") == "answer 0"
+    assert inner.network_calls == 1
+    text = path.read_text(encoding="utf-8")
+    assert text.endswith("\n")
+    assert [json.loads(line)["key"] for line in text.splitlines()] \
+        == ["P1:whole", "P1:torn"]
+
+
+def test_replay_over_a_torn_cassette_misses_the_torn_key(tmp_path):
+    path = tmp_path / "c.jsonl"
+    _torn_cassette(path)
+    before = path.read_bytes()
+    backend = ReplayBackend(path)
+    assert backend.complete("P1:whole", "P1", "p") == "x" * 20_000
+    with pytest.raises(CassetteMissError):
+        backend.complete("P1:torn", "P1", "p")
+    assert path.read_bytes() == before
+
+
+def test_a_whole_last_record_without_a_newline_loads(tmp_path):
+    # as a hand-written cassette often ends; a record run appends after it
+    path = tmp_path / "c.jsonl"
+    path.write_text(json.dumps(_record("P1:a", "first")) + "\n"
+                    + json.dumps(_record("P1:b", "second")), encoding="utf-8")
+    assert {key: r["response_text"] for key, r in read_cassette(path).items()
+            } == {"P1:a": "first", "P1:b": "second"}
+    backend = RecordBackend(CountingBackend(), path)
+    assert backend.complete("P1:b", "P1", "p") == "second"
+    assert backend.complete("P1:c", "P1", "p") == "answer 0"
+    assert [json.loads(line)["key"] for line in path.read_text(
+        encoding="utf-8").splitlines()] == ["P1:a", "P1:b", "P1:c"]
+
+
 def test_record_backend_asks_again_when_the_first_call_fails(tmp_path):
     inner = CountingBackend(delay=0.05, fail_first=True)
     backend = RecordBackend(inner, tmp_path / "c.jsonl")
